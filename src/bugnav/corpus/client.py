@@ -11,7 +11,9 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import re
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -307,30 +309,45 @@ class PlatformClient:
         return self._cache_dir / f"{owner}__{repo}__{head}__{glob_hash}.json"
 
     def _cached_snapshot(self, owner, repo, head, globs) -> Optional[RepoSnapshot]:
+        """The cached snapshot, or None on a miss; a cache file that cannot
+        be read or parsed (say, cut short by a crash) is a miss too."""
         path = self._snapshot_cache_path(owner, repo, head, globs)
         if path is None or not path.is_file():
             return None
-        data = json.loads(path.read_text())
-        return RepoSnapshot(
-            owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
-        )
+        try:
+            data = json.loads(path.read_text())
+            return RepoSnapshot(
+                owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
+            )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            log.warning("unreadable snapshot cache %s (%s), refetching", path, exc)
+            return None
 
     def _store_snapshot(self, snapshot: RepoSnapshot, globs) -> None:
+        """Write through a temp file in the cache directory and rename it
+        into place, so concurrent readers and writers never see a partial
+        file."""
         path = self._snapshot_cache_path(snapshot.owner, snapshot.repo, snapshot.head, globs)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "owner": snapshot.owner,
-                    "repo": snapshot.repo,
-                    "head": snapshot.head,
-                    "files": snapshot.files,
-                },
-                sort_keys=True,
-            )
+        text = json.dumps(
+            {
+                "owner": snapshot.owner,
+                "repo": snapshot.repo,
+                "head": snapshot.head,
+                "files": snapshot.files,
+            },
+            sort_keys=True,
         )
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as out:
+                out.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _item_ref(item: dict) -> IssueRef:

@@ -55,10 +55,6 @@ class CodeTokenStream:
     def texts(self) -> Tuple[Optional[str], ...]:
         return tuple(t.text for t in self.tokens)
 
-    def exact(self) -> Tuple[Tuple[str, Optional[str]], ...]:
-        """Kinds plus identifier spellings, for exact-match comparison."""
-        return tuple((t.kind, t.text) for t in self.tokens)
-
     def __len__(self):
         return len(self.tokens)
 

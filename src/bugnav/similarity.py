@@ -9,6 +9,7 @@ get that distinction through :class:`SimilarityVector.applicable`.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import AbstractSet, Hashable, Optional, Sequence
@@ -31,59 +32,69 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
     return len(xs & ys) / min(len(xs), len(ys))
 
 
+def _intern(streams):
+    """Each stream as a str of one character per token, the same character
+    for equal tokens across all of them, so windows hash and compare in C."""
+    codes = {}
+    return ["".join([codes.setdefault(t, chr(len(codes))) for t in s]) for s in streams]
+
+
+_UNMARKED = re.compile(b"\x00+")
+_HITS = re.compile(b"\x01+")
+
+
+def _windows(s: str, runs, length: int):
+    """Length-``length`` windows of ``s`` inside the given unmarked runs,
+    with their start positions, in ascending order."""
+    return [(i, s[i : i + length]) for lo, hi in runs for i in range(lo, hi - length + 1)]
+
+
 def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: int):
     """Greedy string tiling: repeatedly take the longest common unmarked
-    substring, ties resolved in ascending (i, j) order within a round."""
+    substring, ties resolved in ascending (i, j) order within a round.
+
+    Each round binary-searches the match length L: a common unmarked
+    window of length L implies one of every shorter length, and no round
+    finds a longer match than the round before. Once L is the longest,
+    every pair of equal unmarked L-windows is a maximal match.
+    """
+    sa, sb = _intern((a, b))
     marked_a = bytearray(len(a))
     marked_b = bytearray(len(b))
-    positions = defaultdict(list)
-    for j, tok in enumerate(b):
-        positions[tok].append(j)
-
     tiles = []
-    while True:
-        best = min_match_len - 1
-        matches = []
-        for i in range(len(a)):
-            if marked_a[i]:
-                continue
-            for j in positions.get(a[i], ()):
-                if marked_b[j]:
+    longest = min(len(a), len(b))
+    while longest >= min_match_len:
+        runs_a = [r.span() for r in _UNMARKED.finditer(marked_a)]
+        runs_b = [r.span() for r in _UNMARKED.finditer(marked_b)]
+
+        def common(length):
+            in_b = {w for _, w in _windows(sb, runs_b, length)}
+            return not in_b.isdisjoint(w for _, w in _windows(sa, runs_a, length))
+
+        lo, hi = min_match_len, longest
+        if not common(lo):
+            break
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if common(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        starts_b = defaultdict(list)
+        for j, w in _windows(sb, runs_b, lo):
+            starts_b[w].append(j)
+        tile = b"\x01" * lo
+        for i, w in _windows(sa, runs_a, lo):
+            for j in starts_b.get(w, ()):
+                # an earlier tile this round may have occluded this match
+                if marked_a.find(1, i, i + lo) != -1 or marked_b.find(1, j, j + lo) != -1:
                     continue
-                # a maximal match subsumes all its suffixes, so skip pairs
-                # whose predecessor pair would extend the same match
-                if (
-                    i > 0
-                    and j > 0
-                    and not marked_a[i - 1]
-                    and not marked_b[j - 1]
-                    and a[i - 1] == b[j - 1]
-                ):
-                    continue
-                k = 0
-                while (
-                    i + k < len(a)
-                    and j + k < len(b)
-                    and not marked_a[i + k]
-                    and not marked_b[j + k]
-                    and a[i + k] == b[j + k]
-                ):
-                    k += 1
-                if k > best:
-                    best = k
-                    matches = [(i, j)]
-                elif k == best and k >= min_match_len:
-                    matches.append((i, j))
-        if best < min_match_len:
-            return tiles
-        for i, j in matches:
-            # an earlier tile this round may have occluded this match
-            if any(marked_a[i + t] or marked_b[j + t] for t in range(best)):
-                continue
-            for t in range(best):
-                marked_a[i + t] = 1
-                marked_b[j + t] = 1
-            tiles.append((i, j, best))
+                marked_a[i : i + lo] = tile
+                marked_b[j : j + lo] = tile
+                tiles.append((i, j, lo))
+        # every match of this length is now tiled or occluded
+        longest = lo - 1
+    return tiles
 
 
 def gst_similarity(
@@ -103,37 +114,79 @@ def gst_similarity(
     return 2.0 * covered / (len(a) + len(b))
 
 
+def _shared_cover(windows: Sequence[str], other: AbstractSet[str], length: int) -> int:
+    """Positions of a stream, given as its ``length``-windows in order,
+    that lie inside some window also in ``other``."""
+    hits = bytes(map(other.__contains__, windows))
+    covered = end = 0
+    for run in _HITS.finditer(hits):
+        stop = run.end() + length - 1
+        covered += stop - max(run.start(), end)
+        end = stop
+    return covered
+
+
 def code_similarity(
     driver: extract.RepoContext,
     patch: Patch,
     *,
     min_match_len: int = DEFAULT_MIN_MATCH_LEN,
-    exact: bool = False,
 ) -> Optional[float]:
     """Best token similarity between any driver source file and any file
     touched by the patch, or None when either side has nothing to compare.
 
-    Identifier texts are abstracted to their token kind unless ``exact``.
-    Patch entries without fetched content can't be tokenized and are
-    skipped.
+    Identifier texts are abstracted to their token kind. Patch entries
+    without fetched content can't be tokenized and are skipped.
+
+    Every tile is made of windows of ``min_match_len`` tokens that both
+    streams contain, so the positions of either stream inside such shared
+    windows bound the pair's coverage. Pairs are scored in descending
+    order of that bound until it is no better than the best score so far,
+    which leaves the max unchanged.
     """
-    driver_streams = [
-        stream.exact() if exact else stream.kinds()
-        for stream in driver.code_files.values()
+    driver_streams = [stream.kinds() for stream in driver.code_files.values()]
+    patch_streams = [
+        extract.tokenize_code(modified.new_content).kinds()
+        for modified in patch.files
+        if modified.path.endswith(".java") and modified.new_content is not None
     ]
-    patch_streams = []
-    for modified in patch.files:
-        if not modified.path.endswith(".java") or modified.new_content is None:
-            continue
-        stream = extract.tokenize_code(modified.new_content)
-        patch_streams.append(stream.exact() if exact else stream.kinds())
     if not driver_streams or not patch_streams:
         return None
-    return max(
-        gst_similarity(d, p, min_match_len=min_match_len)
-        for d in driver_streams
-        for p in patch_streams
-    )
+    if min_match_len < 1:
+        raise ValueError("min_match_len must be >= 1")
+    m = min_match_len
+
+    def windows(s: str):
+        return [s[i : i + m] for i in range(len(s) - m + 1)]
+
+    # one driver file's windows at a time: only the patch side is kept
+    n = len(driver_streams)
+    interned = _intern(driver_streams + patch_streams)
+    patch_windows = [windows(s) for s in interned[n:]]
+    patch_sets = [set(w) for w in patch_windows]
+    pairs = []
+    for d, driver_stream in enumerate(interned[:n]):
+        d_windows = windows(driver_stream)
+        d_set = set(d_windows)
+        for p, patch_stream in enumerate(interned[n:]):
+            # gst_similarity of the pair is at most `bound`
+            total = len(driver_stream) + len(patch_stream)
+            if not total:
+                bound = 1.0
+            else:
+                cover = min(
+                    _shared_cover(d_windows, patch_sets[p], m),
+                    _shared_cover(patch_windows[p], d_set, m),
+                )
+                bound = 2.0 * cover / total
+            pairs.append((bound, d, p))
+    pairs.sort(reverse=True)
+    best = 0.0
+    for most, d, p in pairs:
+        if most <= best:
+            break
+        best = max(best, gst_similarity(driver_streams[d], patch_streams[p], min_match_len=m))
+    return best
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import base64
 import json
 import logging
+import sys
+import threading
 
 import pytest
 
@@ -480,6 +482,59 @@ class TestFetchRepoSnapshot:
         # only the head lookup (repo + tree) repeats; contents come from disk
         assert len(transport.calls) == calls_after_first + 2
         assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+
+    def test_truncated_cache_file_is_refetched(self, tmp_path):
+        transport = StubTransport()
+        self._script(transport)
+        client = PlatformClient(transport, cache_dir=tmp_path)
+        first = client.fetch_repo_snapshot("octo", "demo")
+        (cache_file,) = tmp_path.iterdir()
+        text = cache_file.read_text()
+        cache_file.write_text(text[: len(text) // 2])
+        calls_before = len(transport.calls)
+        again = client.fetch_repo_snapshot("octo", "demo")
+        assert again == first
+        # repo + tree + one content fetch per snapshot file
+        assert len(transport.calls) == calls_before + 2 + len(first.files)
+        assert cache_file.read_text() == text
+
+    def test_concurrent_fetches_share_cache_safely(self, tmp_path):
+        transport = StubTransport()
+        self._script(transport)
+        expected = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
+        n_threads, rounds = 8, 25
+        barrier = threading.Barrier(n_threads, timeout=30)
+        results, errors = [], []
+
+        def fetch():
+            # each round starts on an empty cache, so threads write the
+            # same file while others read it
+            try:
+                for k in range(rounds):
+                    client = PlatformClient(transport, cache_dir=tmp_path / str(k))
+                    barrier.wait()
+                    results.append(client.fetch_repo_snapshot("octo", "demo"))
+                    results.append(client.fetch_repo_snapshot("octo", "demo"))
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fetch) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 2 * n_threads * rounds
+        assert all(r == expected for r in results)
+        leftovers = {p.suffix for d in tmp_path.iterdir() for p in d.iterdir()}
+        assert leftovers == {".json"}
 
     def test_cache_ignored_for_different_globs(self, tmp_path):
         transport = StubTransport()

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bugnav import extract, similarity
 from bugnav.corpus.models import (
@@ -16,6 +18,7 @@ from bugnav.corpus.models import (
 from oracles import (
     greedy_coverage_reference,
     greedy_similarity_reference,
+    greedy_tiles_reference,
     optimal_coverage,
     overlap_reference,
 )
@@ -115,6 +118,23 @@ class TestGstSimilarity:
             )
 
 
+@st.composite
+def _stream_pairs(draw):
+    alphabet = st.integers(0, draw(st.integers(1, 6)) - 1)
+    a = draw(st.lists(alphabet, max_size=40))
+    b = draw(st.lists(alphabet, max_size=40))
+    return a, b, draw(st.integers(1, 6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_stream_pairs())
+@example((list("ABCDE"), list("BCDEABC"), 2))
+@example(([0] * 40, [0] * 17, 3))
+def test_greedy_tiles_equal_reference_tile_for_tile(case):
+    a, b, mml = case
+    assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
+
+
 def _ctx(files, project="octo/demo"):
     owner, repo = project.split("/")
     snap = RepoSnapshot(owner=owner, repo=repo, head="e" * 40, files=files)
@@ -171,6 +191,48 @@ class TestCodeSimilarity:
             files=[ModifiedFile(path="src/X.java", new_content=None, diff="@@ -1 +1 @@")],
         )
         assert similarity.code_similarity(driver, patch, min_match_len=3) is None
+
+
+# Java fragments over a few token kinds, so files share runs of kinds
+# and GST has tiles to find; comments lex to nothing
+_FRAGMENTS = [
+    "int a = 0;",
+    "return a;",
+    "if (a > b) { c(); }",
+    "x.y(z);",
+    "a = b + 1;",
+    "throw fail(a);",
+    "// only a comment\n",
+    "/* block */",
+]
+COMMENT_ONLY = "// nothing but a comment\n/* and another */"
+_java_files = st.lists(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(" ".join), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_java_files, _java_files, st.integers(1, 6))
+@example([COMMENT_ONLY], ["int a = 0; return a;"], 1)
+@example(["int a = 0; return a;", "x.y(z);"], [COMMENT_ONLY], 1)
+@example([COMMENT_ONLY], [COMMENT_ONLY, "/* block */"], 3)
+def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sources, mml):
+    driver = _ctx({f"src/D{k}.java": src for k, src in enumerate(driver_sources)})
+    patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
+    brute = max(
+        similarity.gst_similarity(
+            extract.tokenize_code(d).kinds(), extract.tokenize_code(p).kinds(), min_match_len=mml
+        )
+        for d in driver_sources
+        for p in patch_sources
+    )
+    assert similarity.code_similarity(driver, patch, min_match_len=mml) == brute
+
+
+def test_comment_only_files_on_both_sides_score_one():
+    driver = _ctx({"src/A.java": COMMENT_ONLY})
+    patch = _patch({"src/X.java": "// fixed\n"})
+    assert similarity.code_similarity(driver, patch, min_match_len=9) == 1.0
 
 
 MANIFEST = """\
