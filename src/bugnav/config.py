@@ -51,10 +51,6 @@ class RunConfig:
         if self.min_match_len < 1:
             raise ValidationError("min_match_len must be at least 1")
 
-    @property
-    def replay(self) -> bool:
-        return self.fixture_dir is not None
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

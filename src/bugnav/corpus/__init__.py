@@ -16,7 +16,6 @@ from bugnav.corpus.models import (
 )
 from bugnav.corpus.transport import (
     LiveTransport,
-    RecordingTransport,
     ReplayTransport,
     TokenBucket,
     perform,
@@ -35,7 +34,6 @@ __all__ = [
     "Patch",
     "PatchRef",
     "PlatformClient",
-    "RecordingTransport",
     "RepoSnapshot",
     "ReplayTransport",
     "SearchQuery",

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..errors import NotFoundError, ValidationError
+from ..errors import NotFoundError, TransportError, ValidationError
 from .models import (
     MAX_QUERY_LEN,
     IssueDocument,
@@ -138,6 +138,12 @@ class PlatformClient:
             "get_issue", owner=ref.owner, repo=ref.repo, number=str(ref.number)
         )
         comments = self._list_comments(ref)
+        try:
+            num_comments = int(payload.get("comments", len(comments)))
+        except (TypeError, ValueError) as exc:
+            raise TransportError(
+                f"issue {ref} has a non-numeric comment count: {payload.get('comments')!r}"
+            ) from exc
         body = payload.get("body") or ""
         labels = [
             entry["name"] if isinstance(entry, dict) else str(entry)
@@ -150,7 +156,7 @@ class PlatformClient:
             comments=comments,
             state=payload.get("state", "open"),
             labels=labels,
-            num_comments=int(payload.get("comments", len(comments))),
+            num_comments=num_comments,
             is_pull="pull_request" in payload,
             patch_refs=find_patch_refs(ref.owner, ref.repo, [body] + comments),
         )
@@ -351,6 +357,9 @@ class PlatformClient:
 
 
 def _item_ref(item: dict) -> IssueRef:
-    repo_url = item.get("repository_url", "")
-    owner, repo = repo_url.rsplit("/repos/", 1)[1].split("/")[:2]
-    return IssueRef(owner, repo, int(item["number"]))
+    try:
+        repo_url = str(item["repository_url"])
+        owner, repo = repo_url.rsplit("/repos/", 1)[1].split("/")[:2]
+        return IssueRef(owner, repo, int(item["number"]))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise TransportError(f"malformed search result item {item!r}: {exc!r}") from exc

@@ -13,6 +13,8 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from ..errors import TransportError
+
 _INDEX_NAME = "index.jsonl"
 _PAYLOAD_DIR = "payloads"
 
@@ -43,7 +45,11 @@ class FixtureStore:
         row = self._rows.get(canonical_key(endpoint, params))
         if row is None:
             return None
-        payload = json.loads((self.root / row["payload"]).read_text())
+        path = self.root / row["payload"]
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise TransportError(f"fixture payload {path} is unreadable: {exc}") from exc
         return row["status"], payload
 
     def record(self, endpoint: str, params: Dict[str, str], status: int, payload) -> str:

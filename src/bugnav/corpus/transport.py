@@ -1,17 +1,19 @@
-"""Request transports: live HTTP, recording, and fixture replay.
+"""Request transports: live HTTP and fixture replay.
 
 A transport exposes one method, ``fetch_raw(endpoint, params) ->
 (status, payload)``; ``perform`` wraps it and maps error statuses to
 typed exceptions so callers never branch on numbers. Endpoint names
-are symbolic and double as the fixture key, which keeps recorded runs
-independent of URL details.
+are symbolic and double as the fixture key (see ``FixtureStore``),
+which keeps recorded corpora independent of URL details.
 """
 
 from __future__ import annotations
 
+import email.utils
 import string
 import threading
 import time
+from datetime import datetime, timezone
 from typing import Dict, Optional, Tuple
 
 import requests
@@ -152,9 +154,27 @@ class LiveTransport:
                 if status == 429 or retry_after is not None or "rate limit" in message.lower():
                     raise RateLimitError(
                         message or f"{endpoint}: rate limited",
-                        retry_after=float(retry_after) if retry_after else None,
+                        retry_after=_retry_after_seconds(retry_after),
                     )
             return status, payload
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """A ``Retry-After`` header, in seconds or as an HTTP date, as
+    seconds from now; None when absent or unreadable."""
+    if not value:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        pass
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000": UTC, source zone unknown
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 def _safe_json(response):
@@ -162,19 +182,6 @@ def _safe_json(response):
         return response.json()
     except ValueError:
         return {}
-
-
-class RecordingTransport:
-    """Pass-through that persists every response into a fixture store."""
-
-    def __init__(self, inner, store: FixtureStore):
-        self._inner = inner
-        self._store = store
-
-    def fetch_raw(self, endpoint: str, params: Dict[str, str]) -> Tuple[int, object]:
-        status, payload = self._inner.fetch_raw(endpoint, params)
-        self._store.record(endpoint, params, status, payload)
-        return status, payload
 
 
 class ReplayTransport:

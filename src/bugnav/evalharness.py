@@ -15,7 +15,7 @@ from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from .corpus.models import IssueRef
 from .errors import ValidationError
-from .ranking import FactorVector, WeightConfig, score
+from .ranking import FactorVector, WeightConfig, score_order
 
 PRECISION_CUTOFFS = (1, 3, 5)
 
@@ -155,11 +155,8 @@ def mean_reciprocal_rank(
 
 def rerank_entry(entry: EvalEntry, weights: WeightConfig) -> List[IssueRef]:
     """Candidate refs reordered by score, ties keeping raw order."""
-    order = sorted(
-        range(len(entry.candidates)),
-        key=lambda i: (-score(entry.candidates[i].factors, weights), i),
-    )
-    return [entry.candidates[i].ref for i in order]
+    order = score_order([c.factors for c in entry.candidates], weights)
+    return [entry.candidates[i].ref for i, _ in order]
 
 
 def _system_metrics(lists: List[List[IssueRef]], dataset: EvalDataset) -> SystemMetrics:

@@ -52,9 +52,6 @@ class CodeTokenStream:
         """Token kinds only; identifiers abstracted away."""
         return tuple(t.kind for t in self.tokens)
 
-    def texts(self) -> Tuple[Optional[str], ...]:
-        return tuple(t.text for t in self.tokens)
-
     def __len__(self):
         return len(self.tokens)
 

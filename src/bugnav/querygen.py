@@ -39,7 +39,6 @@ DEFAULT_N_THRESHOLD = 5
 
 _EXC_RE = re.compile(r"\b(?:[A-Za-z][\w.$]*)?(?:Exception|Error)\b")
 _CAUSED_RE = re.compile(r"^\s*Caused by:\s*(.*)$")
-_FRAME_RE = re.compile(r"^\s*at\s+\S")
 _COND_KEYWORD_RE = re.compile(r"\b(if|when|while)\b", re.IGNORECASE)
 _NUM_TAIL_RE = re.compile(r"\s*[:=]?\s*\d[\d.,]*(?:\s+[A-Za-z]+)?\s*$")
 _JUNK_RE = re.compile(r"['\"`()\[\]{}<>:;,!?]")
@@ -51,7 +50,6 @@ class StackTraceInfo:
     top_message: str
     root_exception: str
     root_message: str
-    frames: List[str] = field(default_factory=list)
     complete: bool = True
 
 
@@ -105,13 +103,11 @@ def parse_stack_trace(body: str) -> Optional[StackTraceInfo]:
         else:
             complete = False
 
-    frames = [line.strip() for line in lines if _FRAME_RE.match(line)]
     return StackTraceInfo(
         top_exception=top[0],
         top_message=top[1],
         root_exception=root[0],
         root_message=root[1],
-        frames=frames,
         complete=complete,
     )
 
@@ -146,7 +142,7 @@ def extract_condition(title: str) -> Optional[str]:
     m = _COND_KEYWORD_RE.search(title)
     if not m:
         return None
-    words = split_words(title[m.end():], keep_identifiers=True)
+    words = split_words(title[m.end():])
     return " ".join(words) or None
 
 
@@ -155,7 +151,7 @@ def summarize_title(title: str, project_tokens: set) -> str:
     lowered = {t.lower() for t in project_tokens}
     kept = [
         w
-        for w in split_words(title, keep_identifiers=True)
+        for w in split_words(title)
         if w.lower() not in STOPWORDS and w.lower() not in lowered
     ]
     if not kept:

@@ -9,8 +9,8 @@ keyword factors; those stay available for tuning.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -52,63 +52,73 @@ class QualityMetrics:
                 raise ValidationError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class WeightConfig:
-    w_issue_length: float = 0.0714
-    w_num_comment: float = 0.1428
-    w_code: float = 0.1428
-    w_dep: float = 0.2142
-    w_perm: float = 0.2142
-    w_ui: float = 0.2142
-    w_has_fix: float = 0.0
-    w_keywords: float = 0.0
+# The ranking factors with their shipped default weights, in the order
+# score() sums them; FactorVector and WeightConfig both follow it.
+FACTORS = (
+    ("issue_length", 0.0714),
+    ("num_comment", 0.1428),
+    ("code", 0.1428),
+    ("dep", 0.2142),
+    ("perm", 0.2142),
+    ("ui", 0.2142),
+    ("has_fix", 0.0),
+    ("keywords", 0.0),
+)
+
+
+def _per_factor(prefix: str, noun: str, defaults: Sequence[float]):
+    """Class decorator: a frozen dataclass with one float field per
+    factor, named ``prefix + factor``, in FACTORS order."""
+
+    def build(cls):
+        names = tuple(prefix + name for name, _ in FACTORS)
+        cls.__annotations__ = dict.fromkeys(names, float)
+        for name, default in zip(names, defaults):
+            setattr(cls, name, default)
+        cls._names = names
+        cls._noun = noun
+        cls._values = operator.attrgetter(*names)
+        return dataclass(frozen=True)(cls)
+
+    return build
+
+
+class _PerFactorRecord:
+    """What FactorVector and WeightConfig share."""
+
+    def as_tuple(self) -> Tuple[float, ...]:
+        return self._values(self)
+
+    def to_dict(self) -> Dict[str, float]:
+        return dict(zip(self._names, self._values(self)))
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, float]):
+        unknown = set(data) - set(cls._names)
+        if unknown:
+            raise ValidationError(f"unknown {cls._noun} names: {sorted(unknown)}")
+        values = {}
+        for name, value in data.items():
+            try:
+                values[name] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{cls._noun} {name} must be a number: {value!r}") from exc
+        return cls(**values)
+
+
+@_per_factor("w_", "weight", [weight for _, weight in FACTORS])
+class WeightConfig(_PerFactorRecord):
+    """One non-negative weight per factor, ``w_<factor>``."""
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValidationError(f"{f.name} must be non-negative")
-
-    def as_tuple(self) -> Tuple[float, ...]:
-        return dataclasses.astuple(self)
-
-    def to_dict(self) -> Dict[str, float]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "WeightConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown weight names: {sorted(unknown)}")
-        return cls(**data)
+        for name, value in zip(self._names, self.as_tuple()):
+            if value < 0:
+                raise ValidationError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class FactorVector:
+@_per_factor("", "factor", [0.0] * len(FACTORS))
+class FactorVector(_PerFactorRecord):
     """Normalized factors, one per weight, all in [0, 1]."""
-
-    issue_length: float = 0.0
-    num_comment: float = 0.0
-    code: float = 0.0
-    dep: float = 0.0
-    perm: float = 0.0
-    ui: float = 0.0
-    has_fix: float = 0.0
-    keywords: float = 0.0
-
-    def as_tuple(self) -> Tuple[float, ...]:
-        return dataclasses.astuple(self)
-
-    def to_dict(self) -> Dict[str, float]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "FactorVector":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown factor names: {sorted(unknown)}")
-        return cls(**{name: float(data.get(name, 0.0)) for name in known})
 
 
 def count_keywords(texts: Iterable[str], keywords=DEFAULT_KEYWORDS) -> int:
@@ -183,6 +193,14 @@ class RankedCandidate:
     final_rank: int
 
 
+def score_order(factors: Sequence[FactorVector], weights: WeightConfig) -> List[Tuple[int, float]]:
+    """(index, score) of each factor vector, best first: score descending,
+    equal scores in index order, which callers give in platform order."""
+    scores = [score(f, weights) for f in factors]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [(i, scores[i]) for i in order]
+
+
 def rank(
     candidates: Sequence[RankInput],
     weights: WeightConfig,
@@ -196,28 +214,28 @@ def rank(
     seen = {c.search_rank for c in candidates}
     if len(seen) != len(candidates):
         raise ValidationError("candidates must carry distinct search ranks")
-    scored = []
-    for cand in candidates:
-        factors = normalize_factors(
+    platform = sorted(candidates, key=lambda c: c.search_rank)
+    factors = [
+        normalize_factors(
             cand.metrics,
             cand.sims,
             word_cap=word_cap,
             comment_cap=comment_cap,
             keyword_cap=keyword_cap,
         )
-        scored.append((cand, factors, score(factors, weights)))
-    scored.sort(key=lambda item: (-item[2], item[0].search_rank))
+        for cand in platform
+    ]
     return [
         RankedCandidate(
-            issue=cand.issue,
-            metrics=cand.metrics,
-            sims=cand.sims,
-            factors=factors,
+            issue=platform[i].issue,
+            metrics=platform[i].metrics,
+            sims=platform[i].sims,
+            factors=factors[i],
             score=value,
-            search_rank=cand.search_rank,
+            search_rank=platform[i].search_rank,
             final_rank=position,
         )
-        for position, (cand, factors, value) in enumerate(scored, start=1)
+        for position, (i, value) in enumerate(score_order(factors, weights), start=1)
     ]
 
 
@@ -282,8 +300,7 @@ def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> Wei
         )
         return evaluate(dataset, weights).per_system["reranked"].mrr, weights
 
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(evaluate_point, grid))
+    results = list(map(evaluate_point, grid))
 
     # grid is sorted ascending, so keeping strict improvements leaves
     # the lexicographically smallest tuple as the tie winner

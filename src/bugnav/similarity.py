@@ -201,17 +201,12 @@ class SimilarityVector:
     applicable: frozenset = field(default_factory=frozenset)
 
 
-def _mention_aware_overlap(
-    driver_issue: IssueDocument,
-    declared: AbstractSet[str],
-    candidate_side: AbstractSet[str],
-    vocabulary,
-) -> float:
-    """Overlap where the driver side is its declared set widened by
-    candidate-vocabulary terms mentioned in the report thread."""
-    driver_side = set(declared)
-    driver_side |= extract.extract_mentions(driver_issue, vocabulary)
-    return overlap_coefficient(driver_side, candidate_side)
+def _mention_widened(
+    driver_issue: IssueDocument, declared: AbstractSet[str], vocabulary
+) -> set:
+    """The driver's declared set widened by candidate-vocabulary terms
+    mentioned in the report thread."""
+    return set(declared) | extract.extract_mentions(driver_issue, vocabulary)
 
 
 def similarity_vector(
@@ -240,9 +235,11 @@ def similarity_vector(
 
     dependency = 0.0
     cand_deps = {d.canonical for d in candidate_ctx.dependencies}
-    vocab = {d.canonical: d.artifact for d in candidate_ctx.dependencies}
-    driver_deps = {d.canonical for d in driver_ctx.dependencies}
-    driver_deps |= extract.extract_mentions(driver_issue, vocab)
+    driver_deps = _mention_widened(
+        driver_issue,
+        {d.canonical for d in driver_ctx.dependencies},
+        {d.canonical: d.artifact for d in candidate_ctx.dependencies},
+    )
     if driver_deps and cand_deps:
         dependency = overlap_coefficient(driver_deps, cand_deps)
         applicable.add(FACTOR_DEPENDENCY)
@@ -250,18 +247,14 @@ def similarity_vector(
     permission = 0.0
     ui = 0.0
     if driver_ctx.is_android and candidate_ctx.is_android:
-        permission = _mention_aware_overlap(
-            driver_issue,
-            driver_ctx.permissions,
-            candidate_ctx.permissions,
-            candidate_ctx.permissions,
+        cand_perms = candidate_ctx.permissions
+        permission = overlap_coefficient(
+            _mention_widened(driver_issue, driver_ctx.permissions, cand_perms), cand_perms
         )
         applicable.add(FACTOR_PERMISSION)
-        ui = _mention_aware_overlap(
-            driver_issue,
-            driver_ctx.ui_elements,
-            candidate_ctx.ui_elements,
-            candidate_ctx.ui_elements,
+        cand_ui = candidate_ctx.ui_elements
+        ui = overlap_coefficient(
+            _mention_widened(driver_issue, driver_ctx.ui_elements, cand_ui), cand_ui
         )
         applicable.add(FACTOR_UI)
 

@@ -1,4 +1,4 @@
-"""Word-level text preparation: tokenizing, stopwords, stemming.
+"""Word-level text preparation: word splitting, stopwords, stemming.
 
 Everything here is deliberately self-contained. The stopword list is
 the classic 174-word English list embedded verbatim, and the stemmer is
@@ -9,7 +9,6 @@ no model or corpus downloads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import List
 
 # the classic English list, verbatim
@@ -30,52 +29,19 @@ there when where why how all any both each few more most other some
 such no nor not only own same so than too very
 """.split())
 
-_WORD_RE = re.compile(r"[A-Za-z0-9']+")
+# dots and underscores survive between alphanumeric runs, so file names
+# and dotted paths stay in one piece
 _WORD_IDENT_RE = re.compile(r"[A-Za-z0-9']+(?:[._][A-Za-z0-9']+)*")
-_PLAIN_TOKEN_RE = re.compile(r"[a-z0-9]+")
-# identifier mode: dots and underscores survive between alphanumeric runs,
-# so file names and dotted paths stay in one piece
-_IDENT_TOKEN_RE = re.compile(r"[a-z0-9]+(?:[._][a-z0-9]+)*")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+[0-9]*|[A-Z]+[0-9]*|[0-9]+")
 
 
-@dataclass
-class TokenStream:
-    """An ordered bag of lowercase tokens."""
-
-    tokens: List[str] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
-def split_words(text: str, keep_identifiers: bool = False) -> List[str]:
+def split_words(text: str) -> List[str]:
     """Whitespace/punctuation split that keeps the original casing.
 
     Used where the surface form matters (query text is emitted exactly
     as written by the reporter, minus the junk characters).
     """
-    pattern = _WORD_IDENT_RE if keep_identifiers else _WORD_RE
-    return [w.strip("'") for w in pattern.findall(text) if w.strip("'")]
-
-
-def tokenize(text: str, keep_identifiers: bool = False) -> TokenStream:
-    """Lowercase and split on whitespace and punctuation.
-
-    With keep_identifiers=True, '.' and '_' are kept when they sit
-    between alphanumeric characters, so "tweets_lean.txt" stays whole
-    while a sentence-final period still gets dropped.
-    """
-    pattern = _IDENT_TOKEN_RE if keep_identifiers else _PLAIN_TOKEN_RE
-    return TokenStream(tokens=pattern.findall(text.lower()))
-
-
-def remove_stopwords(stream: TokenStream) -> TokenStream:
-    """Filter out stopword tokens, preserving order of the rest."""
-    return TokenStream(tokens=[t for t in stream.tokens if t not in STOPWORDS])
+    return [w.strip("'") for w in _WORD_IDENT_RE.findall(text) if w.strip("'")]
 
 
 def split_camel(word: str) -> List[str]:

@@ -1,0 +1,76 @@
+"""The names the benchmark (bench/) and the fixture generator (tools/)
+import from bugnav keep resolving, so a refactor that drops one fails
+here rather than in a benchmark run."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    saved_path, saved_modules = list(sys.path), dict(sys.modules)
+    try:
+        # gen imports tools/make_demo_fixtures, which imports from bugnav
+        # every name the fixture generator uses
+        _load("gen")
+        yield _load("tracer")
+    finally:
+        sys.path[:] = saved_path
+        # bugnav stays imported: other tests hold its classes
+        for name in set(sys.modules) - set(saved_modules):
+            if not name.startswith("bugnav"):
+                del sys.modules[name]
+
+
+def test_every_target_is_traced(tracer, capsys):
+    """``installed`` resolves each TARGETS and AGGREGATED entry itself; a
+    missing target is only a warning there, a missing aggregate raises."""
+    with tracer.installed(tracer.Tracer(), tracer.RequestLog()):
+        for module_name, attr in tracer.AGGREGATED:
+            assert getattr(importlib.import_module(module_name), attr).__name__ == attr
+    assert "not traced" not in capsys.readouterr().err
+
+
+def test_run_names_resolve(tracer, monkeypatch):
+    """What bench/run.py calls, with the request log its counting
+    transport keeps through ``pipeline.ReplayTransport``."""
+    from bugnav import pipeline
+    from bugnav.config import RunConfig
+    from bugnav.evalharness import EvalDataset, evaluate
+    from bugnav.ranking import WeightConfig, tune_weights
+
+    log = tracer.RequestLog()
+    replay = pipeline.ReplayTransport
+    monkeypatch.setattr(
+        pipeline, "ReplayTransport", lambda store: tracer.CountingTransport(replay(store), log)
+    )
+    config = RunConfig(
+        fixture_dir=str(ROOT / "fixtures" / "walkthrough"),
+        max_candidates=10,
+        parallelism=1,
+        cache_dir=None,
+    )
+    client = pipeline.build_client(config)
+    driver = pipeline.resolve_driver("lightbend/config#398", client)
+    rec = pipeline.recommend(driver, config, client)
+    assert pipeline.recommendation_to_dict(rec)["candidates"][0]["final_rank"] == 1
+    assert log.counts["get_issue"] > 1
+
+    dataset = EvalDataset.load(ROOT / "fixtures" / "eval" / "dataset.jsonl")
+    tuned = WeightConfig.from_dict(tune_weights(dataset, 0.0714).to_dict())
+    assert evaluate(dataset, tuned).mrr >= evaluate(dataset, WeightConfig()).mrr

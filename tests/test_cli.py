@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bugnav import cli
-from bugnav.corpus.fixtures import FixtureStore
+from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.ranking import WeightConfig
 from stubs import FixtureScripter, item, put_issue, put_pull, put_repo_tree, put_search, put_file
 
@@ -215,6 +215,19 @@ class TestRecommend:
         ])
         assert rc == 4
         assert "get_issue" in err
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_unreadable_payload_exit_code(self, capsys, fxdir, damage):
+        key = canonical_key("get_issue", {"owner": "octo", "repo": "driver", "number": "7"})
+        payload = fxdir / "payloads" / f"{key}.json"
+        if damage == "missing":
+            payload.unlink()
+        else:
+            payload.write_text('{"title": ')
+        rc, out, err = _recommend(capsys, fxdir)
+        assert rc == 4
+        assert out == ""
+        assert f"{key}.json" in err
 
     def test_bad_weight_flag(self, capsys, fxdir):
         rc, _, err = _recommend(capsys, fxdir, "--weight", "w_bogus=1")

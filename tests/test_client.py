@@ -1,7 +1,6 @@
 """Platform client operations and the similar-pair miner, all offline."""
 
 import base64
-import json
 import logging
 import sys
 import threading
@@ -11,26 +10,9 @@ import pytest
 from bugnav.corpus.client import DEFAULT_SNAPSHOT_GLOBS, PlatformClient, match_glob
 from bugnav.corpus.miner import mine_similar_pairs
 from bugnav.corpus.models import IssueRef
-from bugnav.errors import NotFoundError, ValidationError
+from bugnav.errors import NotFoundError, TransportError, ValidationError
 from bugnav.querygen import SearchQuery
-
-
-class StubTransport:
-    """Dict-backed transport; every request must have been scripted."""
-
-    def __init__(self):
-        self.responses = {}
-        self.calls = []
-
-    def put(self, endpoint, params, payload, status=200):
-        self.responses[(endpoint, json.dumps(params, sort_keys=True))] = (status, payload)
-
-    def fetch_raw(self, endpoint, params):
-        self.calls.append((endpoint, dict(params)))
-        key = (endpoint, json.dumps(params, sort_keys=True))
-        if key not in self.responses:
-            raise AssertionError(f"unscripted request: {endpoint} {params}")
-        return self.responses[key]
+from stubs import StubTransport, put_issue, put_search
 
 
 def _b64(text):
@@ -195,6 +177,34 @@ class TestFetchIssue:
         )
         doc = PlatformClient(transport).fetch_issue(IssueRef("o", "r", 1))
         assert doc.body == ""
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"number": 3, "title": "no repository url"},
+            {"repository_url": "https://api.github.com/repos/o/r", "title": "no number"},
+            {"repository_url": "https://example.com/o/r", "number": 3},
+            {"repository_url": "https://api.github.com/repos/o/r", "number": "three"},
+        ],
+    )
+    def test_search_item_without_a_ref(self, item):
+        transport = StubTransport()
+        put_search(transport, _query().full() + " state:closed", [item])
+        with pytest.raises(TransportError, match="malformed search result item"):
+            PlatformClient(transport).search_issues(_query())
+
+    @pytest.mark.parametrize("count", ["many", None])
+    def test_non_numeric_comment_count(self, count):
+        transport = StubTransport()
+        put_issue(transport, "o", "r", 1)
+        transport.put(
+            "get_issue", {"owner": "o", "repo": "r", "number": "1"},
+            {"number": 1, "title": "t", "body": "", "comments": count},
+        )
+        with pytest.raises(TransportError, match="comment count"):
+            PlatformClient(transport).fetch_issue(IssueRef("o", "r", 1))
 
 
 JAVA_FIX = "int n = readUTF(buf); if (n > 65535) { throw tooLong(n); }"

@@ -22,10 +22,6 @@ class TestDefaults:
         assert cfg.parallelism == 4
         assert cfg.min_match_len == 9
 
-    def test_replay_follows_fixture_dir(self):
-        assert not RunConfig().replay
-        assert RunConfig(fixture_dir="fixtures").replay
-
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -74,6 +70,11 @@ class TestSerialization:
     def test_unknown_weight_name_rejected(self):
         with pytest.raises(ValidationError):
             RunConfig.from_dict({"weights": {"w_bogus": 1.0}})
+
+    @pytest.mark.parametrize("value", ["heavy", None, [0.5]])
+    def test_non_numeric_weight_rejected(self, value):
+        with pytest.raises(ValidationError, match="w_code must be a number"):
+            RunConfig.from_dict({"weights": {"w_code": value}})
 
     def test_empty_language_filter_means_no_filter(self):
         assert RunConfig.from_dict({"language_filter": ""}).language_filter is None

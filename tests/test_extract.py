@@ -153,7 +153,7 @@ class TestCodeLexer:
         a = extract.tokenize_code("int total = count + 1;")
         b = extract.tokenize_code("int sum = items + 1;")
         assert a.kinds() == b.kinds()
-        assert a.texts() != b.texts()
+        assert [t.text for t in a.tokens] != [t.text for t in b.tokens]
 
     def test_multichar_operators(self):
         stream = extract.tokenize_code("if (a >= b && c != d) { a >>= 2; }")

@@ -84,11 +84,6 @@ class TestParseStackTrace:
         assert info.root_exception == info.top_exception
         assert info.complete
 
-    def test_frames_collected(self):
-        info = querygen.parse_stack_trace(CONFIG_BODY)
-        assert len(info.frames) == 3
-        assert info.frames[0].startswith("at java.io.DataOutputStream.writeUTF")
-
     def test_truncated_trace_falls_back_to_first_line(self):
         body = (
             "com.example.TopException: outer failure\n"

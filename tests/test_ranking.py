@@ -5,11 +5,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugnav import ranking
 from bugnav.corpus.models import IssueDocument, IssueRef, PatchRef
 from bugnav.errors import ValidationError
-from bugnav.evalharness import EvalDataset, EvalEntry, LabeledCandidate
+from bugnav.evalharness import EvalDataset, EvalEntry, LabeledCandidate, rerank_entry
 from bugnav.similarity import SimilarityVector
 from oracles import dot_reference
 
@@ -232,6 +234,42 @@ class TestRank:
             scaled_w = ranking.WeightConfig(*(3.0 * w for w in DEFAULTS.as_tuple()))
             scaled = ranking.rank(inputs, scaled_w)
             assert [c.issue.ref for c in base] == [c.issue.ref for c in scaled]
+
+
+# few levels each, so scores tie often
+_LEVELS = st.sampled_from([0.0, 0.5, 1.0])
+_RANK_INPUT_PARTS = st.tuples(
+    st.sampled_from([0, 250, 500]),
+    st.sampled_from([0, 10]),
+    st.booleans(),
+    st.builds(SimilarityVector, code=_LEVELS, dependency=_LEVELS, permission=_LEVELS, ui=_LEVELS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(_RANK_INPUT_PARTS, min_size=1, max_size=8),
+    weights=st.builds(ranking.WeightConfig, *[_LEVELS] * len(ranking.FACTORS)),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_rank_and_rerank_entry_agree(parts, weights, shuffle):
+    """The shipped ranking and the one the tuner evaluates give the same
+    order, ties included."""
+    inputs = [
+        _rank_input(i, i, word_count=words, comments=comments, sims=sims, fix=fix)
+        for i, (words, comments, fix, sims) in enumerate(parts, start=1)
+    ]
+    entry = EvalEntry(
+        driver=IssueRef("octo", "driver", 999),
+        candidates=[
+            LabeledCandidate(c.issue.ref, ranking.normalize_factors(c.metrics, c.sims))
+            for c in inputs
+        ],
+        relevant=frozenset(),
+    )
+    shuffle.shuffle(inputs)
+    ranked = [c.issue.ref for c in ranking.rank(inputs, weights)]
+    assert ranked == rerank_entry(entry, weights)
 
 
 def _tuner_dataset():

@@ -1,13 +1,14 @@
 """Fixture store, record/replay, rate limiting, and the live transport."""
 
+import email.utils
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.corpus.transport import (
     LiveTransport,
-    RecordingTransport,
     ReplayTransport,
     TokenBucket,
     perform,
@@ -224,6 +225,23 @@ class TestLiveTransport:
             transport.fetch_raw("search_issues", {"q": "x", "page": "1", "per_page": "100"})
         assert exc.value.retry_after == 7.0
 
+    def test_http_date_retry_after_is_seconds_from_now(self):
+        when = datetime.now(timezone.utc) + timedelta(hours=1)
+        header = email.utils.format_datetime(when, usegmt=True)
+        transport, _, _ = _live([FakeResponse(429, {}, {"Retry-After": header})])
+        with pytest.raises(RateLimitError) as exc:
+            transport.fetch_raw("search_issues", {"q": "x", "page": "1", "per_page": "100"})
+        assert 3540 < exc.value.retry_after <= 3600
+
+    @pytest.mark.parametrize(
+        "header, wait", [("Wed, 21 Oct 2015 07:28:00 GMT", 0.0), ("soon", None)]
+    )
+    def test_past_or_unreadable_retry_after(self, header, wait):
+        transport, _, _ = _live([FakeResponse(429, {}, {"Retry-After": header})])
+        with pytest.raises(RateLimitError) as exc:
+            transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"})
+        assert exc.value.retry_after == wait
+
     def test_404_passes_through_for_perform_to_map(self):
         transport, _, _ = _live([FakeResponse(404, {"message": "Not Found"})])
         status, _ = transport.fetch_raw("get_repo", {"owner": "o", "repo": "gone"})
@@ -236,24 +254,3 @@ class TestLiveTransport:
         transport, _, _ = _live([])
         with pytest.raises(KeyError):
             transport.fetch_raw("no_such_endpoint", {})
-
-
-class TestRecordingTransport:
-    def test_records_then_replays_identically(self, tmp_path):
-        live, _, _ = _live([FakeResponse(200, {"title": "t", "comments": 0})])
-        store = FixtureStore(tmp_path)
-        recorder = RecordingTransport(live, store)
-        params = {"owner": "o", "repo": "r", "number": "8"}
-        first = perform(recorder, "get_issue", params)
-        replayed = perform(ReplayTransport(FixtureStore(tmp_path)), "get_issue", params)
-        assert replayed == first
-
-    def test_records_error_statuses_too(self, tmp_path):
-        live, _, _ = _live([FakeResponse(404, {"message": "Not Found"})])
-        store = FixtureStore(tmp_path)
-        recorder = RecordingTransport(live, store)
-        params = {"owner": "o", "repo": "r", "sha": "b" * 9}
-        with pytest.raises(NotFoundError):
-            perform(recorder, "get_commit", params)
-        with pytest.raises(NotFoundError):
-            perform(ReplayTransport(store), "get_commit", params)
