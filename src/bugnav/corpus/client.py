@@ -44,6 +44,9 @@ DEFAULT_SNAPSHOT_GLOBS = (
 
 SEARCH_RESULT_LIMIT = 1000
 _PAGE_SIZE = 100
+# the paged endpoints whose payload is an array of objects; every other
+# endpoint answers with one object
+_ARRAY_ENDPOINTS = frozenset({"list_comments", "get_pull_files"})
 
 
 @functools.lru_cache(maxsize=256)
@@ -81,7 +84,16 @@ class PlatformClient:
         self._cache_dir = Path(cache_dir) if cache_dir else None
 
     def _call(self, endpoint: str, **params: str):
-        return perform(self._transport, endpoint, params)
+        payload = perform(self._transport, endpoint, params)
+        if endpoint in _ARRAY_ENDPOINTS:
+            ok = isinstance(payload, list) and all(isinstance(e, dict) for e in payload)
+        else:
+            ok = isinstance(payload, dict)
+        if not ok:
+            raise TransportError(
+                f"{endpoint} {params}: unexpected payload of type {type(payload).__name__}"
+            )
+        return payload
 
     # -- search ---------------------------------------------------------
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..errors import TransportError
@@ -30,24 +30,36 @@ def canonical_key(endpoint: str, params: Dict[str, str]) -> str:
 
 
 class FixtureStore:
+    """Paths are plain strings: a ``pathlib`` path built per lookup
+    interns its parts, which grows the process with every request."""
+
     def __init__(self, root):
-        self.root = Path(root)
+        self.root = os.fspath(root)
         self._rows: Dict[str, dict] = {}
         self._lock = threading.Lock()
-        index = self.root / _INDEX_NAME
-        if index.is_file():
-            for line in index.read_text().splitlines():
-                if line.strip():
+        index = os.path.join(self.root, _INDEX_NAME)
+        if os.path.isfile(index):
+            with open(index) as fh:
+                lines = fh.read().splitlines()
+            for number, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
                     row = json.loads(line)
                     self._rows[row["key"]] = row
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise TransportError(
+                        f"fixture index {index} line {number} is corrupt: {exc!r}"
+                    ) from exc
 
     def lookup(self, endpoint: str, params: Dict[str, str]) -> Optional[Tuple[int, object]]:
         row = self._rows.get(canonical_key(endpoint, params))
         if row is None:
             return None
-        path = self.root / row["payload"]
+        path = os.path.join(self.root, row["payload"])
         try:
-            payload = json.loads(path.read_text())
+            with open(path) as fh:
+                payload = json.load(fh)
         except (OSError, ValueError) as exc:
             raise TransportError(f"fixture payload {path} is unreadable: {exc}") from exc
         return row["status"], payload
@@ -63,10 +75,11 @@ class FixtureStore:
             "payload": relative,
         }
         with self._lock:
-            payload_path = self.root / relative
-            payload_path.parent.mkdir(parents=True, exist_ok=True)
-            payload_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            with open(self.root / _INDEX_NAME, "a") as handle:
+            payload_path = os.path.join(self.root, relative)
+            os.makedirs(os.path.dirname(payload_path), exist_ok=True)
+            with open(payload_path, "w") as out:
+                out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            with open(os.path.join(self.root, _INDEX_NAME), "a") as handle:
                 handle.write(json.dumps(row, sort_keys=True) + "\n")
             self._rows[key] = row
         return key

@@ -159,8 +159,18 @@ def rerank_entry(entry: EvalEntry, weights: WeightConfig) -> List[IssueRef]:
     return [entry.candidates[i].ref for i, _ in order]
 
 
-def _system_metrics(lists: List[List[IssueRef]], dataset: EvalDataset) -> SystemMetrics:
-    pairs = [(ranked, entry.relevant) for ranked, entry in zip(lists, dataset.entries)]
+def _ranked_pairs(dataset: EvalDataset, weights: WeightConfig):
+    """(re-ranked refs, relevant refs) for each entry."""
+    return [(rerank_entry(entry, weights), entry.relevant) for entry in dataset.entries]
+
+
+def reranked_mrr(dataset: EvalDataset, weights: WeightConfig) -> float:
+    """MRR of the re-ranked system alone, the one number of
+    :func:`evaluate` that depends on the weights."""
+    return mean_reciprocal_rank(_ranked_pairs(dataset, weights))
+
+
+def _system_metrics(pairs) -> SystemMetrics:
     prec = {
         k: sum(precision_at_k(ranked, relevant, k) for ranked, relevant in pairs)
         / len(pairs)
@@ -174,12 +184,11 @@ def evaluate(dataset: EvalDataset, weights: WeightConfig) -> EvalReport:
     by side. Pure function of its arguments."""
     if not dataset.entries:
         raise ValidationError("evaluation needs a non-empty dataset")
-    raw = [[c.ref for c in entry.candidates] for entry in dataset.entries]
-    reranked = [rerank_entry(entry, weights) for entry in dataset.entries]
+    raw = [([c.ref for c in entry.candidates], entry.relevant) for entry in dataset.entries]
     return EvalReport(
         per_system={
-            "raw_search": _system_metrics(raw, dataset),
-            "reranked": _system_metrics(reranked, dataset),
+            "raw_search": _system_metrics(raw),
+            "reranked": _system_metrics(_ranked_pairs(dataset, weights)),
         },
         num_relevant=sum(len(entry.relevant) for entry in dataset.entries),
     )

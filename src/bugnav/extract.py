@@ -4,6 +4,10 @@ Dependencies from Maven and Gradle build files, permissions from the
 Android manifest, widget names and ids from layout XML, and token
 streams from Java sources. Extractors never raise on malformed input;
 they log a warning and return what they could read.
+
+Only the driver's Java files are ever compared (against candidates'
+patches), so a :class:`RepoContext` carries no token streams:
+:func:`code_kinds` lexes the driver's sources once per run.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from __future__ import annotations
 import logging
 import re
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from bugnav.corpus.models import IssueDocument, RepoSnapshot
 from bugnav.textprep import split_camel, stem
@@ -64,7 +69,6 @@ class RepoContext:
     dependencies: Set[DependencyId] = field(default_factory=set)
     permissions: Set[str] = field(default_factory=set)
     ui_elements: Set[str] = field(default_factory=set)
-    code_files: Dict[str, CodeTokenStream] = field(default_factory=dict)
     is_android: bool = False
 
 
@@ -295,18 +299,35 @@ def _entry_tokens(match_text: str) -> List[str]:
     return out
 
 
-def _contains_subsequence(haystack: List[str], needle: List[str]) -> bool:
-    if not needle:
-        return False
-    size = len(needle)
-    for start in range(len(haystack) - size + 1):
-        if haystack[start : start + size] == needle:
-            return True
-    return False
+class ThreadIndex:
+    """A report thread as stemmed lowercase words, with the positions of
+    each word, so a phrase is found without scanning the whole thread.
+
+    Built once per driver report and only read afterwards."""
+
+    def __init__(self, issue: IssueDocument):
+        words: List[str] = []
+        for text in issue.thread_texts():
+            words.extend(_stemmed_words(text))
+        self.words = tuple(words)
+        starts: Dict[str, List[int]] = defaultdict(list)
+        for i, word in enumerate(self.words):
+            starts[word].append(i)
+        self._starts = dict(starts)
+
+    def contains(self, phrase: Sequence[str]) -> bool:
+        """Whether the words of ``phrase`` occur contiguously, in order."""
+        if not phrase:
+            return False
+        phrase = tuple(phrase)
+        size = len(phrase)
+        return any(
+            self.words[i : i + size] == phrase for i in self._starts.get(phrase[0], ())
+        )
 
 
-def extract_mentions(issue: IssueDocument, vocabulary) -> Set[str]:
-    """Which vocabulary entries does the issue text mention?
+def extract_mentions(thread: ThreadIndex, vocabulary) -> Set[str]:
+    """Which vocabulary entries does the report thread mention?
 
     `vocabulary` maps a canonical entry to the text to match on (for a
     dependency that is its artifact name); a plain set matches entries
@@ -315,27 +336,28 @@ def extract_mentions(issue: IssueDocument, vocabulary) -> Set[str]:
     """
     if not isinstance(vocabulary, Mapping):
         vocabulary = {entry: entry for entry in vocabulary}
-    text_tokens: List[str] = []
-    for text in issue.thread_texts():
-        text_tokens.extend(_stemmed_words(text))
-    found: Set[str] = set()
-    for canonical, match_text in vocabulary.items():
-        if _contains_subsequence(text_tokens, _entry_tokens(match_text)):
-            found.add(canonical)
-    return found
+    return {
+        canonical
+        for canonical, match_text in vocabulary.items()
+        if thread.contains(_entry_tokens(match_text))
+    }
+
+
+def code_kinds(snapshot: RepoSnapshot) -> Dict[str, Tuple[str, ...]]:
+    """Token kinds of every Java file in the snapshot, by path, in path order."""
+    return {
+        path: tokenize_code(snapshot.files[path]).kinds()
+        for path in sorted(snapshot.files)
+        if path.endswith(".java")
+    }
 
 
 def build_repo_context(snapshot: RepoSnapshot) -> RepoContext:
-    """Run every extractor over a snapshot and bundle the results."""
-    code: Dict[str, CodeTokenStream] = {}
-    for path in sorted(snapshot.files):
-        if path.endswith(".java"):
-            code[path] = tokenize_code(snapshot.files[path])
+    """Run every fact extractor over a snapshot and bundle the results."""
     return RepoContext(
         project=snapshot.project,
         dependencies=extract_dependencies(snapshot),
         permissions=extract_permissions(snapshot),
         ui_elements=extract_ui_elements(snapshot),
-        code_files=code,
         is_android=is_android(snapshot),
     )

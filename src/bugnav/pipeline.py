@@ -2,8 +2,9 @@
 
 Phase one is online: build a search query from the driver issue and
 collect candidate issues from the platform. Phase two is offline: fetch
-each candidate's thread, patch, and repository snapshot, compare them
-against the driver, and re-rank.
+each candidate's thread and patch, then each distinct candidate
+repository's snapshot once, compare them against the driver (prepared
+once per run), and re-rank.
 """
 
 import json
@@ -11,7 +12,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .config import RunConfig
 from .corpus import (
@@ -22,13 +23,14 @@ from .corpus import (
     LiveTransport,
     PlatformClient,
     ReplayTransport,
+    RepoSnapshot,
     find_patch_refs,
 )
 from .errors import NoCandidatesError, NotFoundError, ValidationError
-from .extract import RepoContext, build_repo_context
+from .extract import build_repo_context
 from .querygen import QueryOutcome, build_query
 from .ranking import RankInput, RankedCandidate, WeightConfig, quality_metrics, rank
-from .similarity import similarity_vector
+from .similarity import Driver, repo_similarity, similarity_vector
 
 log = logging.getLogger(__name__)
 
@@ -107,18 +109,19 @@ def resolve_driver(source: str, client: PlatformClient) -> IssueDocument:
     return client.fetch_issue(ref)
 
 
-def _repo_context(client: PlatformClient, owner: str, repo: str) -> RepoContext:
+def _snapshot(client: PlatformClient, owner: str, repo: str) -> RepoSnapshot:
+    """The repository's snapshot; an empty one when the platform has none."""
     try:
-        snapshot = client.fetch_repo_snapshot(owner, repo)
+        return client.fetch_repo_snapshot(owner, repo)
     except NotFoundError:
         log.warning("no snapshot for %s/%s, comparing without repository context", owner, repo)
-        return RepoContext(project=f"{owner}/{repo}")
-    return build_repo_context(snapshot)
+        return RepoSnapshot(owner=owner, repo=repo, head="", files={})
 
 
 def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) -> Recommendation:
     """Run the full pipeline for one driver issue."""
-    driver_ctx = _repo_context(client, driver.ref.owner, driver.ref.repo)
+    home = (driver.ref.owner, driver.ref.repo)
+    side = Driver.prepare(driver, _snapshot(client, *home), min_match_len=config.min_match_len)
 
     def search(query):
         return client.search_issues(
@@ -138,28 +141,34 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
             f"search returned no candidates for {driver.ref} (strategies tried: {tried})"
         )
 
-    def process(hit: IssueHit) -> Optional[RankInput]:
+    def fetch(hit: IssueHit):
         try:
             issue = client.fetch_issue(hit.ref)
         except NotFoundError:
             log.warning("candidate %s cannot be fetched, dropping it", hit.ref)
             return None
-        patch = client.fetch_patch(issue)
-        ctx = _repo_context(client, hit.ref.owner, hit.ref.repo)
-        sims = similarity_vector(
-            driver, driver_ctx, issue, ctx, patch, min_match_len=config.min_match_len
-        )
-        return RankInput(
-            issue=issue,
-            metrics=quality_metrics(issue),
-            sims=sims,
-            search_rank=hit.search_rank,
-        )
+        return hit, issue, client.fetch_patch(issue)
+
+    def repo_context(repo):
+        return side.context if repo == home else build_repo_context(_snapshot(client, *repo))
 
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        inputs = [r for r in pool.map(process, hits) if r is not None]
-    if not inputs:
+        fetched = [f for f in pool.map(fetch, hits) if f is not None]
+        # each distinct repository once, in the order candidates name it
+        repos = list(dict.fromkeys((hit.ref.owner, hit.ref.repo) for hit, _, _ in fetched))
+        contexts = list(pool.map(repo_context, repos))
+    if not fetched:
         raise NoCandidatesError(f"every candidate for {driver.ref} failed to fetch")
+    shared = {repo: repo_similarity(side, ctx) for repo, ctx in zip(repos, contexts)}
+    inputs = [
+        RankInput(
+            issue=issue,
+            metrics=quality_metrics(issue),
+            sims=similarity_vector(side, shared[hit.ref.owner, hit.ref.repo], patch),
+            search_rank=hit.search_rank,
+        )
+        for hit, issue, patch in fetched
+    ]
     ranked = rank(inputs, config.weights)
     return Recommendation(driver=driver, outcome=outcome, weights=config.weights, candidates=ranked)
 

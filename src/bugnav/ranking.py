@@ -277,10 +277,9 @@ def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> Wei
     quality weights fixed; returns the MRR-maximizing configuration.
 
     Ties go to the lexicographically smallest weight tuple. A step too
-    coarse to hit the simplex at all evaluates just the base weights
-    and returns them.
+    coarse to hit the simplex at all returns the base weights.
     """
-    from .evalharness import evaluate
+    from .evalharness import reranked_mrr
 
     if not dataset.entries:
         raise ValidationError("tuning needs a non-empty dataset")
@@ -291,14 +290,13 @@ def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> Wei
 
     grid = _swept_grid(base, grid_step)
     if not grid:
-        evaluate(dataset, base)
         return base
 
     def evaluate_point(swept):
         weights = dataclasses.replace(
             base, w_code=swept[0], w_dep=swept[1], w_perm=swept[2], w_ui=swept[3]
         )
-        return evaluate(dataset, weights).per_system["reranked"].mrr, weights
+        return reranked_mrr(dataset, weights), weights
 
     results = list(map(evaluate_point, grid))
 

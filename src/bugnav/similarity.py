@@ -5,17 +5,23 @@ repository and a candidate's fix patch, plus overlap of dependencies,
 Android permissions, and Android UI elements. Each signal is only
 applicable when both sides actually have something to compare; callers
 get that distinction through :class:`SimilarityVector.applicable`.
+
+Every candidate is compared against the same driver, so the driver side
+is prepared once per run (:class:`Driver`), and the dependency,
+permission and UI factors, which depend on a candidate's repository
+alone, once per candidate repository (:func:`repo_similarity`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Hashable, Optional, Sequence
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from . import extract
-from .corpus.models import IssueDocument, Patch
+from .corpus.models import IssueDocument, Patch, RepoSnapshot
 
 DEFAULT_MIN_MATCH_LEN = 9
 
@@ -32,10 +38,11 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
     return len(xs & ys) / min(len(xs), len(ys))
 
 
-def _intern(streams):
+def _intern(streams, codes: Dict[Hashable, str]):
     """Each stream as a str of one character per token, the same character
-    for equal tokens across all of them, so windows hash and compare in C."""
-    codes = {}
+    for equal tokens across all of them and every stream interned earlier
+    with ``codes``, so windows hash and compare in C. Tokens new to
+    ``codes`` are added to it with fresh characters."""
     return ["".join([codes.setdefault(t, chr(len(codes))) for t in s]) for s in streams]
 
 
@@ -58,7 +65,7 @@ def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: i
     finds a longer match than the round before. Once L is the longest,
     every pair of equal unmarked L-windows is a maximal match.
     """
-    sa, sb = _intern((a, b))
+    sa, sb = _intern((a, b), {})
     marked_a = bytearray(len(a))
     marked_b = bytearray(len(b))
     tiles = []
@@ -126,12 +133,30 @@ def _shared_cover(windows: Sequence[str], other: AbstractSet[str], length: int) 
     return covered
 
 
-def code_similarity(
-    driver: extract.RepoContext,
-    patch: Patch,
-    *,
-    min_match_len: int = DEFAULT_MIN_MATCH_LEN,
-) -> Optional[float]:
+def _all_windows(s: str, length: int) -> List[str]:
+    return [s[i : i + length] for i in range(len(s) - length + 1)]
+
+
+class DriverCode:
+    """The driver's Java files, prepared once per run for
+    :func:`code_similarity`: their token kinds, one character per kind,
+    and the ``min_match_len``-windows of each file as a list and a set.
+
+    Only read after construction, so candidates can share it."""
+
+    def __init__(self, kinds: Iterable[Tuple[str, ...]], min_match_len: int):
+        if min_match_len < 1:
+            raise ValueError("min_match_len must be >= 1")
+        self.min_match_len = min_match_len
+        self.kinds = list(kinds)
+        self.codes: Dict[Hashable, str] = {}
+        self.windows = [
+            _all_windows(s, min_match_len) for s in _intern(self.kinds, self.codes)
+        ]
+        self.window_sets = [set(w) for w in self.windows]
+
+
+def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
     """Best token similarity between any driver source file and any file
     touched by the patch, or None when either side has nothing to compare.
 
@@ -144,33 +169,24 @@ def code_similarity(
     order of that bound until it is no better than the best score so far,
     which leaves the max unchanged.
     """
-    driver_streams = [stream.kinds() for stream in driver.code_files.values()]
     patch_streams = [
         extract.tokenize_code(modified.new_content).kinds()
         for modified in patch.files
         if modified.path.endswith(".java") and modified.new_content is not None
     ]
-    if not driver_streams or not patch_streams:
+    if not driver.kinds or not patch_streams:
         return None
-    if min_match_len < 1:
-        raise ValueError("min_match_len must be >= 1")
-    m = min_match_len
-
-    def windows(s: str):
-        return [s[i : i + m] for i in range(len(s) - m + 1)]
-
-    # one driver file's windows at a time: only the patch side is kept
-    n = len(driver_streams)
-    interned = _intern(driver_streams + patch_streams)
-    patch_windows = [windows(s) for s in interned[n:]]
+    m = driver.min_match_len
+    # a copy, so kinds only this patch has get characters of their own
+    patch_windows = [
+        _all_windows(s, m) for s in _intern(patch_streams, dict(driver.codes))
+    ]
     patch_sets = [set(w) for w in patch_windows]
     pairs = []
-    for d, driver_stream in enumerate(interned[:n]):
-        d_windows = windows(driver_stream)
-        d_set = set(d_windows)
-        for p, patch_stream in enumerate(interned[n:]):
+    for d, (d_windows, d_set) in enumerate(zip(driver.windows, driver.window_sets)):
+        for p, patch_stream in enumerate(patch_streams):
             # gst_similarity of the pair is at most `bound`
-            total = len(driver_stream) + len(patch_stream)
+            total = len(driver.kinds[d]) + len(patch_stream)
             if not total:
                 bound = 1.0
             else:
@@ -185,7 +201,7 @@ def code_similarity(
     for most, d, p in pairs:
         if most <= best:
             break
-        best = max(best, gst_similarity(driver_streams[d], patch_streams[p], min_match_len=m))
+        best = max(best, gst_similarity(driver.kinds[d], patch_streams[p], min_match_len=m))
     return best
 
 
@@ -201,44 +217,54 @@ class SimilarityVector:
     applicable: frozenset = field(default_factory=frozenset)
 
 
-def _mention_widened(
-    driver_issue: IssueDocument, declared: AbstractSet[str], vocabulary
-) -> set:
+@dataclass(frozen=True)
+class Driver:
+    """The driver side of every comparison in one run, prepared once and
+    shared read-only by all candidates: the report thread stemmed and
+    indexed for mentions, the repository's facts, and its Java files."""
+
+    thread: extract.ThreadIndex
+    context: extract.RepoContext
+    code: DriverCode
+
+    @classmethod
+    def prepare(
+        cls,
+        issue: IssueDocument,
+        snapshot: RepoSnapshot,
+        *,
+        min_match_len: int,
+    ) -> "Driver":
+        return cls(
+            thread=extract.ThreadIndex(issue),
+            context=extract.build_repo_context(snapshot),
+            code=DriverCode(extract.code_kinds(snapshot).values(), min_match_len),
+        )
+
+
+def _mention_widened(driver: Driver, declared: AbstractSet[str], vocabulary) -> set:
     """The driver's declared set widened by candidate-vocabulary terms
     mentioned in the report thread."""
-    return set(declared) | extract.extract_mentions(driver_issue, vocabulary)
+    return set(declared) | extract.extract_mentions(driver.thread, vocabulary)
 
 
-def similarity_vector(
-    driver_issue: IssueDocument,
-    driver_ctx: extract.RepoContext,
-    candidate_issue: IssueDocument,
-    candidate_ctx: extract.RepoContext,
-    patch: Optional[Patch],
-    *,
-    min_match_len: int = DEFAULT_MIN_MATCH_LEN,
-) -> SimilarityVector:
-    """Compare a driver report against one candidate across all factors.
+def repo_similarity(driver: Driver, candidate: extract.RepoContext) -> SimilarityVector:
+    """The dependency, permission and UI factors of one candidate
+    repository, which every candidate from that repository shares.
 
-    The driver's dependency/permission/UI sets are widened with terms
-    from the candidate's declared vocabulary that the report text
-    mentions, so a report that names a library counts as depending on
-    it even if the driver project never declares it.
+    The driver's sets are widened with terms from the candidate's
+    declared vocabulary that the report text mentions, so a report that
+    names a library counts as depending on it even if the driver project
+    never declares it.
     """
     applicable = set()
-    code = 0.0
-    if patch is not None:
-        best = code_similarity(driver_ctx, patch, min_match_len=min_match_len)
-        if best is not None:
-            code = best
-            applicable.add(FACTOR_CODE)
-
+    ctx = driver.context
     dependency = 0.0
-    cand_deps = {d.canonical for d in candidate_ctx.dependencies}
+    cand_deps = {d.canonical for d in candidate.dependencies}
     driver_deps = _mention_widened(
-        driver_issue,
-        {d.canonical for d in driver_ctx.dependencies},
-        {d.canonical: d.artifact for d in candidate_ctx.dependencies},
+        driver,
+        {d.canonical for d in ctx.dependencies},
+        {d.canonical: d.artifact for d in candidate.dependencies},
     )
     if driver_deps and cand_deps:
         dependency = overlap_coefficient(driver_deps, cand_deps)
@@ -246,22 +272,31 @@ def similarity_vector(
 
     permission = 0.0
     ui = 0.0
-    if driver_ctx.is_android and candidate_ctx.is_android:
-        cand_perms = candidate_ctx.permissions
+    if ctx.is_android and candidate.is_android:
+        cand_perms = candidate.permissions
         permission = overlap_coefficient(
-            _mention_widened(driver_issue, driver_ctx.permissions, cand_perms), cand_perms
+            _mention_widened(driver, ctx.permissions, cand_perms), cand_perms
         )
         applicable.add(FACTOR_PERMISSION)
-        cand_ui = candidate_ctx.ui_elements
-        ui = overlap_coefficient(
-            _mention_widened(driver_issue, driver_ctx.ui_elements, cand_ui), cand_ui
-        )
+        cand_ui = candidate.ui_elements
+        ui = overlap_coefficient(_mention_widened(driver, ctx.ui_elements, cand_ui), cand_ui)
         applicable.add(FACTOR_UI)
 
     return SimilarityVector(
-        code=code,
         dependency=dependency,
         permission=permission,
         ui=ui,
         applicable=frozenset(applicable),
     )
+
+
+def similarity_vector(
+    driver: Driver, repo: SimilarityVector, patch: Optional[Patch]
+) -> SimilarityVector:
+    """One candidate's vector across all factors: its repository's
+    factors (:func:`repo_similarity`) plus the code similarity of its
+    fix patch against the driver's sources."""
+    best = None if patch is None else code_similarity(driver.code, patch)
+    if best is None:
+        return repo
+    return dataclasses.replace(repo, code=best, applicable=repo.applicable | {FACTOR_CODE})

@@ -5,7 +5,10 @@ no data structures fancier than a list. The production code is checked
 against these on inputs small enough for them to finish.
 """
 
+import re
 from fractions import Fraction
+
+from bugnav.textprep import split_camel, stem
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,48 @@ def optimal_coverage(a, b, min_match_len):
 
     rec(0, 0, 0, 0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# mentions
+
+
+def _stemmed_words_reference(text):
+    return [stem(part) for word in re.findall(r"[A-Za-z0-9]+", text) for part in split_camel(word)]
+
+
+def _entry_tokens_reference(match_text):
+    return [
+        stem(part)
+        for piece in re.split(r"[-_.\s]+", match_text)
+        if piece
+        for part in split_camel(piece)
+    ]
+
+
+def _contains_subsequence(haystack, needle):
+    if not needle:
+        return False
+    size = len(needle)
+    for start in range(len(haystack) - size + 1):
+        if haystack[start : start + size] == needle:
+            return True
+    return False
+
+
+def extract_mentions_reference(issue, vocabulary):
+    """Vocabulary entries the issue thread mentions, by scanning the whole
+    stemmed thread from every position for each entry."""
+    if not isinstance(vocabulary, dict):
+        vocabulary = {entry: entry for entry in vocabulary}
+    text_tokens = []
+    for text in issue.thread_texts():
+        text_tokens.extend(_stemmed_words_reference(text))
+    return {
+        canonical
+        for canonical, match_text in vocabulary.items()
+        if _contains_subsequence(text_tokens, _entry_tokens_reference(match_text))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,59 @@ def put_repo_tree(target, owner, repo, files, head="c" * 40, branch="main"):
     )
     for path, content in files.items():
         put_file(target, owner, repo, path, head, content)
+
+
+_TRACE_BODY = """\
+Serialization fails once the values pass a certain size:
+
+java.io.UTFDataFormatException: encoded string too long: 93067 bytes
+    at java.io.DataOutputStream.writeUTF(DataOutputStream.java:364)
+"""
+
+_JAVA = """\
+public class Main {
+    public int size(byte[] data) {
+        if (data == null) {
+            return 0;
+        }
+        return data.length;
+    }
+}
+"""
+
+_POM = (
+    "<project><dependencies><dependency><groupId>com.typesafe</groupId>"
+    "<artifactId>config</artifactId></dependency></dependencies></project>"
+)
+
+SHARED_QUERY = (
+    "UTFDataFormatException encoded string too long in:body,comments"
+    " language:java state:closed"
+)
+
+# in platform order; acme/gone has no snapshot, octo/driver is the driver's own
+SHARED_CANDIDATES = [
+    ("acme", "alpha", 11), ("acme", "beta", 21), ("acme", "gone", 31), ("acme", "alpha", 12),
+    ("octo", "driver", 8), ("acme", "beta", 22), ("acme", "gone", 32),
+]
+
+
+def put_shared_repos(target):
+    """Driver octo/driver#7 and seven candidates from four repositories.
+
+    Java sits in the driver's repository, in acme/alpha and in the patch
+    of acme/alpha#11, which is the same code as the driver's."""
+    put_issue(target, "octo", "driver", 7, title="UTFDataFormatException on large objects",
+              body=_TRACE_BODY, state="open")
+    put_repo_tree(target, "octo", "driver", {"pom.xml": _POM, "src/Main.java": _JAVA})
+    put_search(target, SHARED_QUERY, [item(o, r, n, f"{r} bug") for o, r, n in SHARED_CANDIDATES])
+    for owner, repo, number in SHARED_CANDIDATES:
+        comments = ["Fixed by https://github.com/acme/alpha/pull/9"] if number == 11 else []
+        put_issue(target, owner, repo, number, title=f"{repo} bug",
+                  body="Steps to reproduce the error are below.", comments=comments)
+    put_repo_tree(target, "acme", "alpha", {"pom.xml": _POM, "src/A.java": _JAVA})
+    put_repo_tree(target, "acme", "beta",
+                  {"build.gradle": "implementation 'com.typesafe:config:1.3.0'\n"})
+    target.put("get_repo", {"owner": "acme", "repo": "gone"}, {"message": "Not Found"}, status=404)
+    put_pull(target, "acme", "alpha", 9, [("src/Fix.java", "modified")])
+    put_file(target, "acme", "alpha", "src/Fix.java", "f" * 40, _JAVA)

@@ -74,3 +74,32 @@ def test_run_names_resolve(tracer, monkeypatch):
     dataset = EvalDataset.load(ROOT / "fixtures" / "eval" / "dataset.jsonl")
     tuned = WeightConfig.from_dict(tune_weights(dataset, 0.0714).to_dict())
     assert evaluate(dataset, tuned).mrr >= evaluate(dataset, WeightConfig()).mrr
+
+
+def test_recommend_records_every_layer_span(tracer, capsys):
+    """The benchmark's per-layer numbers come from spans around these
+    names; a recommend with Java in the driver's repository, a candidate's
+    repository and a candidate's patch must still record each of them,
+    and fetch each repository's snapshot once."""
+    from bugnav import pipeline
+    from bugnav.config import RunConfig
+    from bugnav.corpus import IssueRef, PlatformClient
+    from stubs import StubTransport, put_shared_repos
+
+    transport = StubTransport()
+    put_shared_repos(transport)
+    client = PlatformClient(transport)
+    driver = client.fetch_issue(IssueRef("octo", "driver", 7))
+    spans = tracer.Tracer()
+    with tracer.installed(spans, tracer.RequestLog()):
+        spans.begin_op(1)
+        pipeline.recommend(driver, RunConfig(n_threshold=2, parallelism=1), client)
+    assert "not traced" not in capsys.readouterr().err
+    names = {s.name for s in spans.spans}
+    for name in ("tokenize_code", "build_repo_context", "extract_mentions",
+                 "code_similarity", "gst_similarity"):
+        assert name in names, name
+    m = tracer.op_metrics(spans.spans, 1)
+    assert m["corpus.snapshot_calls"] == m["corpus.snapshot_repos"] == 4
+    # the driver's one Java file and the one patch file
+    assert m["extract.files_lexed"] == 2

@@ -2,10 +2,22 @@ import json
 
 import pytest
 
-from bugnav import cli
+from bugnav import cli, pipeline
+from bugnav.corpus import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.ranking import WeightConfig
-from stubs import FixtureScripter, item, put_issue, put_pull, put_repo_tree, put_search, put_file
+from stubs import (
+    SHARED_QUERY,
+    FixtureScripter,
+    StubTransport,
+    item,
+    put_file,
+    put_issue,
+    put_pull,
+    put_repo_tree,
+    put_search,
+    put_shared_repos,
+)
 
 DRIVER_BODY = """\
 Serialization fails once the values pass a certain size:
@@ -228,6 +240,47 @@ class TestRecommend:
         assert rc == 4
         assert out == ""
         assert f"{key}.json" in err
+
+    @pytest.mark.parametrize("line", ['{"key": "abc", "payl', '{"endpoint": "get_repo"}', "[1, 2]"])
+    def test_corrupt_index_line_exit_code(self, capsys, fxdir, line):
+        index = fxdir / "index.jsonl"
+        number = len(index.read_text().splitlines()) + 1
+        with open(index, "a") as fh:
+            fh.write(line + "\n")
+        rc, out, err = _recommend(capsys, fxdir)
+        assert rc == 4
+        assert out == ""
+        assert "index.jsonl" in err
+        assert f"line {number}" in err
+
+    @pytest.mark.parametrize(
+        "endpoint, params, payload",
+        [
+            # a search page that is an array, a comment page that is an object
+            ("search_issues", {"q": SHARED_QUERY, "page": "1", "per_page": "100"}, []),
+            ("list_comments",
+             {"owner": "octo", "repo": "driver", "number": "7", "page": "1", "per_page": "100"},
+             {"body": "x"}),
+            ("list_comments",
+             {"owner": "acme", "repo": "alpha", "number": "11", "page": "1", "per_page": "100"},
+             ["not an object"]),
+            ("get_pull_files",
+             {"owner": "acme", "repo": "alpha", "number": "9", "page": "1", "per_page": "100"},
+             {"filename": "src/Fix.java"}),
+            ("get_issue", {"owner": "acme", "repo": "beta", "number": "21"}, ["x"]),
+            ("get_tree",
+             {"owner": "acme", "repo": "alpha", "ref": "main", "recursive": "1"}, "tree"),
+        ],
+    )
+    def test_wrong_payload_type_exit_code(self, capsys, monkeypatch, endpoint, params, payload):
+        transport = StubTransport()
+        put_shared_repos(transport)
+        transport.put(endpoint, params, payload)
+        monkeypatch.setattr(pipeline, "build_client", lambda config: PlatformClient(transport))
+        rc, out, err = _run(capsys, ["recommend", "octo/driver#7", "--n-threshold", "2"])
+        assert rc == 4
+        assert out == ""
+        assert endpoint in err
 
     def test_bad_weight_flag(self, capsys, fxdir):
         rc, _, err = _recommend(capsys, fxdir, "--weight", "w_bogus=1")

@@ -1,7 +1,11 @@
 """Build-file, manifest, layout, lexer, and mention extraction tests."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from bugnav import extract
 from bugnav.corpus.models import IssueDocument, IssueRef, RepoSnapshot
+from oracles import extract_mentions_reference
 
 
 POM = """\
@@ -166,11 +170,13 @@ class TestCodeLexer:
 
 class TestMentions:
     def _issue(self, body, comments=()):
-        return IssueDocument(
-            ref=IssueRef("octo", "demo", 1),
-            title="a title",
-            body=body,
-            comments=list(comments),
+        return extract.ThreadIndex(
+            IssueDocument(
+                ref=IssueRef("octo", "demo", 1),
+                title="a title",
+                body=body,
+                comments=list(comments),
+            )
         )
 
     def test_camel_case_matches_hyphenated_artifact(self):
@@ -201,6 +207,35 @@ class TestMentions:
         assert extract.extract_mentions(issue, {"camera": "camera"}) == {"camera"}
 
 
+# few stems, so phrases recur and partly match; camelCase, digits and
+# the entry separators (- _ . whitespace) exercise the word splitting
+_WORDS = ["save", "saving", "Saved", "btn", "Button", "camera", "cameras", "Snowball",
+          "stemmer", "HTTPServer", "v2", "x"]
+_SEPARATORS = [" ", "-", "_", ".", ", ", "\n", ""]
+_texts = st.lists(
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=12
+).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_texts, min_size=2, max_size=4),
+    st.one_of(
+        st.dictionaries(_texts, _texts, max_size=6),
+        st.sets(_texts, max_size=6),
+    ),
+)
+@example(["save btn", "the save btn save button"], {"save_btn": "save_btn", "b": "save"})
+@example(["", ""], {"empty": ""})
+def test_indexed_thread_mentions_equal_reference_scan(texts, vocabulary):
+    issue = IssueDocument(
+        ref=IssueRef("octo", "demo", 1), title=texts[0], body=texts[1], comments=texts[2:]
+    )
+    assert extract.extract_mentions(extract.ThreadIndex(issue), vocabulary) == (
+        extract_mentions_reference(issue, vocabulary)
+    )
+
+
 class TestRepoContext:
     def test_android_context(self):
         snap = _snapshot(
@@ -216,7 +251,7 @@ class TestRepoContext:
         assert "camera" in ctx.permissions
         assert "save_btn" in ctx.ui_elements
         assert "com.google.android.material:material" in {d.canonical for d in ctx.dependencies}
-        assert list(ctx.code_files) == ["app/src/main/java/com/example/app/Main.java"]
+        assert list(extract.code_kinds(snap)) == ["app/src/main/java/com/example/app/Main.java"]
 
     def test_plain_java_context(self):
         snap = _snapshot({"pom.xml": POM, "src/A.java": "class A {}"})

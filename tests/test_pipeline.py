@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,9 @@ from bugnav.corpus import (
     ReplayTransport,
     RepoSnapshot,
 )
-from bugnav.errors import NoCandidatesError, NotFoundError, ValidationError
+from bugnav.errors import NoCandidatesError, NotFoundError, TransportError, ValidationError
 from bugnav.ranking import WeightConfig
+from stubs import SHARED_CANDIDATES, StubTransport, put_shared_repos
 
 DRIVER_BODY = """\
 Serialization fails once the values pass a certain size:
@@ -222,6 +224,57 @@ class TestRecommend:
             rec = pipeline.recommend(driver, cfg, client)
             outs.append(pipeline.recommendation_to_dict(rec))
         assert outs[0] == outs[1]
+
+
+def _shared_run(workers, transport=None):
+    """recommend over stubs.put_shared_repos; the requests it made and its output."""
+    if transport is None:
+        transport = StubTransport()
+        put_shared_repos(transport)
+    client = PlatformClient(transport)
+    driver = client.fetch_issue(_ref("octo", "driver", 7))
+    transport.calls.clear()
+    rec = pipeline.recommend(driver, RunConfig(n_threshold=2, parallelism=workers), client)
+    return transport.calls, pipeline.recommendation_to_dict(rec)
+
+
+class TestPerRunSharing:
+    def test_one_snapshot_fetch_per_distinct_repo(self):
+        repos = {("octo", "driver")} | {(o, r) for o, r, _ in SHARED_CANDIDATES}
+        outs = []
+        for workers in (1, 4):
+            calls, out = _shared_run(workers)
+            fetched = Counter(
+                (endpoint, params["owner"], params["repo"])
+                for endpoint, params in calls
+                if endpoint in ("get_repo", "get_tree")
+            )
+            expected = Counter({("get_repo", o, r): 1 for o, r in repos})
+            # acme/gone answers get_repo with 404, so its tree is never asked for
+            expected.update({("get_tree", o, r): 1 for o, r in repos if r != "gone"})
+            assert fetched == expected
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert len(outs[0]["candidates"]) == len(SHARED_CANDIDATES)
+        top = outs[0]["candidates"][0]
+        assert top["ref"] == "acme/alpha#11"
+        assert top["similarities"]["code"] == 1.0
+
+    def test_missing_snapshot_shared_by_two_candidates_warns_once(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="bugnav.pipeline"):
+            _, out = _shared_run(1)
+        gone = [r for r in caplog.records if "no snapshot for acme/gone" in r.getMessage()]
+        assert len(gone) == 1
+        for ref in ("acme/gone#31", "acme/gone#32"):
+            cand = next(c for c in out["candidates"] if c["ref"] == ref)
+            assert cand["similarities"]["applicable"] == []
+
+    def test_other_snapshot_errors_propagate(self):
+        transport = StubTransport()
+        put_shared_repos(transport)
+        transport.put("get_repo", {"owner": "acme", "repo": "beta"}, {"message": "boom"}, status=500)
+        with pytest.raises(TransportError, match="500"):
+            _shared_run(1, transport)
 
 
 class TestRecommendationDict:

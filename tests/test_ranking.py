@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +343,28 @@ class TestTuneWeights:
                 best = (mrr, swept)
         tuned = ranking.tune_weights(dataset, grid_step=0.0714)
         assert (tuned.w_code, tuned.w_dep, tuned.w_perm, tuned.w_ui) == best[1]
+
+    def test_scores_only_the_reranked_system(self, monkeypatch):
+        from bugnav import evalharness
+
+        dataset = _tuner_dataset()
+        expected = ranking.tune_weights(dataset, grid_step=0.0714)
+
+        def no_report(*args):
+            raise AssertionError("tune_weights built a full evaluation report")
+
+        monkeypatch.setattr(evalharness, "_system_metrics", no_report)
+        assert ranking.tune_weights(dataset, grid_step=0.0714) == expected
+
+    def test_reranked_mrr_is_the_reports_mrr(self):
+        from bugnav.evalharness import evaluate, reranked_mrr
+
+        dataset = EvalDataset.load(Path(__file__).parent.parent / "fixtures/eval/dataset.jsonl")
+        for swept in _grid_tuples(0.0714)[::7]:
+            w = dataclasses.replace(
+                DEFAULTS, w_code=swept[0], w_dep=swept[1], w_perm=swept[2], w_ui=swept[3]
+            )
+            assert reranked_mrr(dataset, w) == evaluate(dataset, w).mrr
 
     def test_all_irrelevant_returns_lexicographically_smallest(self):
         dataset = _tuner_dataset()

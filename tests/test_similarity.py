@@ -135,10 +135,27 @@ def test_greedy_tiles_equal_reference_tile_for_tile(case):
     assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
 
 
-def _ctx(files, project="octo/demo"):
+def _snapshot(files, project="octo/demo"):
     owner, repo = project.split("/")
-    snap = RepoSnapshot(owner=owner, repo=repo, head="e" * 40, files=files)
-    return extract.build_repo_context(snap)
+    return RepoSnapshot(owner=owner, repo=repo, head="e" * 40, files=files)
+
+
+def _ctx(files, project="octo/demo"):
+    return extract.build_repo_context(_snapshot(files, project))
+
+
+def _driver(files, issue=None, project="octo/demo", mml=9):
+    issue = issue or _issue(project=project)
+    return similarity.Driver.prepare(issue, _snapshot(files, project), min_match_len=mml)
+
+
+def _code(files, mml):
+    return _driver(files, mml=mml).code
+
+
+def _vector(driver, candidate_ctx, patch=None):
+    repo = similarity.repo_similarity(driver, candidate_ctx)
+    return similarity.similarity_vector(driver, repo, patch)
 
 
 def _patch(files):
@@ -150,11 +167,12 @@ def _patch(files):
 
 class TestCodeSimilarity:
     def test_max_over_file_pairs(self):
-        driver = _ctx(
+        driver = _code(
             {
                 "src/A.java": "int a = readHeader(buf); if (a > limit) { throw fail(a); }",
                 "src/B.java": "return items.size();",
-            }
+            },
+            3,
         )
         patch = _patch(
             {
@@ -162,10 +180,10 @@ class TestCodeSimilarity:
                 "src/Y.java": "log.warn(msg); return;",
             }
         )
-        got = similarity.code_similarity(driver, patch, min_match_len=3)
+        got = similarity.code_similarity(driver, patch)
         pairwise = [
-            similarity.gst_similarity(ds.kinds(), extract.tokenize_code(pc).kinds(), min_match_len=3)
-            for ds in driver.code_files.values()
+            similarity.gst_similarity(ds, extract.tokenize_code(pc).kinds(), min_match_len=3)
+            for ds in driver.kinds
             for pc in [
                 "int z = readHeader(data); if (z > max) { throw fail(z); }",
                 "log.warn(msg); return;",
@@ -175,22 +193,22 @@ class TestCodeSimilarity:
         assert got > 0.5
 
     def test_no_java_in_patch_is_not_applicable(self):
-        driver = _ctx({"src/A.java": "int a = 0;"})
+        driver = _code({"src/A.java": "int a = 0;"}, 3)
         patch = _patch({"res/layout/main.xml": "<LinearLayout/>"})
-        assert similarity.code_similarity(driver, patch, min_match_len=3) is None
+        assert similarity.code_similarity(driver, patch) is None
 
     def test_no_java_in_driver_is_not_applicable(self):
-        driver = _ctx({"README.md": "hello"})
+        driver = _code({"README.md": "hello"}, 3)
         patch = _patch({"src/X.java": "int a = 0;"})
-        assert similarity.code_similarity(driver, patch, min_match_len=3) is None
+        assert similarity.code_similarity(driver, patch) is None
 
     def test_patch_file_without_content_skipped(self):
-        driver = _ctx({"src/A.java": "int a = 0;"})
+        driver = _code({"src/A.java": "int a = 0;"}, 3)
         patch = Patch(
             ref=PatchRef("commit", "octo", "demo", "a" * 7),
             files=[ModifiedFile(path="src/X.java", new_content=None, diff="@@ -1 +1 @@")],
         )
-        assert similarity.code_similarity(driver, patch, min_match_len=3) is None
+        assert similarity.code_similarity(driver, patch) is None
 
 
 # Java fragments over a few token kinds, so files share runs of kinds
@@ -217,7 +235,7 @@ _java_files = st.lists(
 @example(["int a = 0; return a;", "x.y(z);"], [COMMENT_ONLY], 1)
 @example([COMMENT_ONLY], [COMMENT_ONLY, "/* block */"], 3)
 def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sources, mml):
-    driver = _ctx({f"src/D{k}.java": src for k, src in enumerate(driver_sources)})
+    driver = _code({f"src/D{k}.java": src for k, src in enumerate(driver_sources)}, mml)
     patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
     brute = max(
         similarity.gst_similarity(
@@ -226,13 +244,44 @@ def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sou
         for d in driver_sources
         for p in patch_sources
     )
-    assert similarity.code_similarity(driver, patch, min_match_len=mml) == brute
+    assert similarity.code_similarity(driver, patch) == brute
+
+
+# token kinds no _FRAGMENTS line has, so patches can bring kinds new to the driver
+_PATCH_ONLY = ["while (a != b) { a--; }", "c = d instanceof E ? 'x' : \"y\";", "f <<= 2;"]
+_patch_files = st.lists(
+    st.lists(st.sampled_from(_FRAGMENTS + _PATCH_ONLY), max_size=12).map(" ".join),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_java_files, st.lists(_patch_files, min_size=1, max_size=4), st.integers(1, 6))
+@example(["int a = 0;"], [["while (a != b) { a--; }"], ["int a = 0;"]], 1)
+def test_prepared_driver_reused_over_patches_equals_brute_force_max(
+    driver_sources, patches, mml
+):
+    driver = _code({f"src/D{k}.java": src for k, src in enumerate(driver_sources)}, mml)
+    codes = dict(driver.codes)
+    for patch_sources in patches:
+        patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
+        brute = max(
+            similarity.gst_similarity(
+                extract.tokenize_code(d).kinds(), extract.tokenize_code(p).kinds(), min_match_len=mml
+            )
+            for d in driver_sources
+            for p in patch_sources
+        )
+        assert similarity.code_similarity(driver, patch) == brute
+    # patches intern into a copy: the driver's table is never extended
+    assert driver.codes == codes
 
 
 def test_comment_only_files_on_both_sides_score_one():
-    driver = _ctx({"src/A.java": COMMENT_ONLY})
+    driver = _code({"src/A.java": COMMENT_ONLY}, 9)
     patch = _patch({"src/X.java": "// fixed\n"})
-    assert similarity.code_similarity(driver, patch, min_match_len=9) == 1.0
+    assert similarity.code_similarity(driver, patch) == 1.0
 
 
 MANIFEST = """\
@@ -261,7 +310,7 @@ def _issue(title="t", body="", project="octo/demo", number=1, comments=()):
 
 class TestSimilarityVector:
     def test_shared_declared_dependency(self):
-        driver_ctx = _ctx({"pom.xml": (
+        driver = _driver({"pom.xml": (
             "<project><dependencies><dependency>"
             "<groupId>org.tartarus</groupId><artifactId>snowball-stemmer</artifactId>"
             "</dependency><dependency>"
@@ -269,10 +318,7 @@ class TestSimilarityVector:
             "</dependency></dependencies></project>"
         )}, project="zelandiya/maui")
         cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="eclipse/deeplearning4j")
-        vec = similarity.similarity_vector(
-            _issue(project="zelandiya/maui"), driver_ctx,
-            _issue(project="eclipse/deeplearning4j"), cand_ctx, None,
-        )
+        vec = _vector(driver, cand_ctx)
         assert "dependency" in vec.applicable
         assert vec.dependency == 1.0  # cand declares 1 dep, shared -> 1/min(2,1)
         assert "code" not in vec.applicable
@@ -280,24 +326,20 @@ class TestSimilarityVector:
 
     def test_mentioned_dependency_counts_for_driver(self):
         # driver declares nothing but the report text names the library
-        driver_ctx = _ctx({"src/A.java": "class A {}"}, project="zelandiya/maui")
         cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="eclipse/deeplearning4j")
         issue = _issue(
             body="The SnowballStemmer dies while training on Swedish tweets",
             project="zelandiya/maui",
         )
-        vec = similarity.similarity_vector(
-            issue, driver_ctx, _issue(project="eclipse/deeplearning4j"), cand_ctx, None
-        )
+        driver = _driver({"src/A.java": "class A {}"}, issue, project="zelandiya/maui")
+        vec = _vector(driver, cand_ctx)
         assert vec.dependency == 1.0
         assert "dependency" in vec.applicable
 
     def test_dependency_not_applicable_when_either_side_empty(self):
-        driver_ctx = _ctx({"src/A.java": "class A {}"})
+        driver = _driver({"src/A.java": "class A {}"})
         cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="a/b")
-        vec = similarity.similarity_vector(
-            _issue(), driver_ctx, _issue(project="a/b"), cand_ctx, None
-        )
+        vec = _vector(driver, cand_ctx)
         assert "dependency" not in vec.applicable
         assert vec.dependency == 0.0
 
@@ -309,35 +351,31 @@ class TestSimilarityVector:
                 '<Button android:id="@+id/save_btn"/></LinearLayout>'
             ),
         }
-        vec = similarity.similarity_vector(
-            _issue(), _ctx(dict(files)), _issue(project="a/b"), _ctx(dict(files), "a/b"), None
-        )
+        vec = _vector(_driver(dict(files)), _ctx(dict(files), "a/b"))
         assert {"permission", "ui"} <= vec.applicable
         assert vec.permission == 1.0
         assert vec.ui == 1.0
 
     def test_permission_ui_not_applicable_for_plain_java(self):
-        d = _ctx({"pom.xml": "<project/>", "src/A.java": "class A {}"})
+        d = _driver({"pom.xml": "<project/>", "src/A.java": "class A {}"})
         n = _ctx({"AndroidManifest.xml": MANIFEST}, "a/b")
-        vec = similarity.similarity_vector(_issue(), d, _issue(project="a/b"), n, None)
+        vec = _vector(d, n)
         assert "permission" not in vec.applicable
         assert "ui" not in vec.applicable
         assert vec.permission == 0.0 and vec.ui == 0.0
 
     def test_code_component_uses_patch(self):
         shared = "int a = readHeader(buf); if (a > limit) { throw fail(a); } return a;"
-        d = _ctx({"src/A.java": shared})
+        d = _driver({"src/A.java": shared}, mml=3)
         n = _ctx({"src/B.java": "class B {}"}, "a/b")
         patch = _patch({"src/Fix.java": shared})
-        vec = similarity.similarity_vector(
-            _issue(), d, _issue(project="a/b"), n, patch, min_match_len=3
-        )
+        vec = _vector(d, n, patch)
         assert "code" in vec.applicable
         assert vec.code == 1.0
 
     def test_values_stay_in_unit_interval(self):
-        d = _ctx({"AndroidManifest.xml": MANIFEST, "src/A.java": "int a = 0;"})
+        d = _driver({"AndroidManifest.xml": MANIFEST, "src/A.java": "int a = 0;"})
         n = _ctx({"AndroidManifest.xml": MANIFEST.replace("INTERNET", "CAMERA")}, "a/b")
-        vec = similarity.similarity_vector(_issue(), d, _issue(project="a/b"), n, None)
+        vec = _vector(d, n)
         for name in ("code", "dependency", "permission", "ui"):
             assert 0.0 <= getattr(vec, name) <= 1.0
