@@ -47,6 +47,31 @@ _PAGE_SIZE = 100
 # the paged endpoints whose payload is an array of objects; every other
 # endpoint answers with one object
 _ARRAY_ENDPOINTS = frozenset({"list_comments", "get_pull_files"})
+_REQUIRED = object()
+
+
+def _objects(value, where: str) -> list:
+    """``value`` if it is an array of objects, as every array in a reply is."""
+    if not (isinstance(value, list) and all(isinstance(e, dict) for e in value)):
+        raise TransportError(f"{where}: expected an array of objects, not {value!r:.80}")
+    return value
+
+
+def _field(payload: dict, key: str, expected: type, where: str, default=_REQUIRED):
+    """``payload[key]``, or ``default`` when it is absent or null. A value of
+    another type, or a required one that is missing, is a malformed reply."""
+    value = payload.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise TransportError(f"{where}: {key!r} is missing")
+        return default
+    if expected is list:
+        return _objects(value, f"{where} {key!r}")
+    if not isinstance(value, expected):
+        raise TransportError(
+            f"{where}: {key!r} should be a {expected.__name__}, not {type(value).__name__}"
+        )
+    return value
 
 
 @functools.lru_cache(maxsize=256)
@@ -86,10 +111,8 @@ class PlatformClient:
     def _call(self, endpoint: str, **params: str):
         payload = perform(self._transport, endpoint, params)
         if endpoint in _ARRAY_ENDPOINTS:
-            ok = isinstance(payload, list) and all(isinstance(e, dict) for e in payload)
-        else:
-            ok = isinstance(payload, dict)
-        if not ok:
+            return _objects(payload, f"{endpoint} {params}")
+        if not isinstance(payload, dict):
             raise TransportError(
                 f"{endpoint} {params}: unexpected payload of type {type(payload).__name__}"
             )
@@ -126,14 +149,14 @@ class PlatformClient:
             payload = self._call(
                 "search_issues", q=q, page=str(page), per_page=str(_PAGE_SIZE)
             )
-            items = payload.get("items", [])
+            items = _field(payload, "items", list, "search_issues", [])
             for item in items:
                 if len(hits) >= max_results:
                     break
                 hits.append(
                     IssueHit(
                         ref=_item_ref(item),
-                        title=item.get("title", ""),
+                        title=_field(item, "title", str, "search_issues", ""),
                         search_rank=len(hits) + 1,
                         is_pull="pull_request" in item,
                     )
@@ -152,21 +175,22 @@ class PlatformClient:
         comments = self._list_comments(ref)
         try:
             num_comments = int(payload.get("comments", len(comments)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TransportError(
                 f"issue {ref} has a non-numeric comment count: {payload.get('comments')!r}"
             ) from exc
-        body = payload.get("body") or ""
+        where = f"get_issue {ref}"
+        body = _field(payload, "body", str, where, "")
         labels = [
-            entry["name"] if isinstance(entry, dict) else str(entry)
-            for entry in payload.get("labels", [])
+            _field(entry, "name", str, where, "")
+            for entry in _field(payload, "labels", list, where, [])
         ]
         return IssueDocument(
             ref=ref,
-            title=payload.get("title", ""),
+            title=_field(payload, "title", str, where, ""),
             body=body,
             comments=comments,
-            state=payload.get("state", "open"),
+            state=_field(payload, "state", str, where, "open"),
             labels=labels,
             num_comments=num_comments,
             is_pull="pull_request" in payload,
@@ -185,7 +209,7 @@ class PlatformClient:
                 page=str(page),
                 per_page=str(_PAGE_SIZE),
             )
-            comments.extend(entry.get("body") or "" for entry in payload)
+            comments.extend(_field(entry, "body", str, "list_comments", "") for entry in payload)
             if len(payload) < _PAGE_SIZE:
                 break
             page += 1
@@ -224,18 +248,22 @@ class PlatformClient:
             pull = self._call(
                 "get_pull", owner=ref.owner, repo=ref.repo, number=ref.ref
             )
-            head = pull.get("head") or {}
-            sha = head.get("sha", "")
-            full_name = (head.get("repo") or {}).get("full_name") or f"{ref.owner}/{ref.repo}"
-            head_owner, head_repo = full_name.split("/", 1)
+            head = _field(pull, "head", dict, "get_pull", {})
+            sha = _field(head, "sha", str, "get_pull", "")
+            head_repo = _field(head, "repo", dict, "get_pull", {})
+            full_name = _field(head_repo, "full_name", str, "get_pull", "")
+            head_owner, _, head_name = (full_name or f"{ref.owner}/{ref.repo}").partition("/")
             entries = self._list_pull_files(ref)
-            files = [self._modified_file(e, head_owner, head_repo, sha) for e in entries]
+            files = [
+                self._modified_file(e, head_owner, head_name, sha, "get_pull_files")
+                for e in entries
+            ]
             return Patch(ref=ref, files=files)
         commit = self._call("get_commit", owner=ref.owner, repo=ref.repo, sha=ref.ref)
-        sha = commit.get("sha") or ref.ref
+        sha = _field(commit, "sha", str, "get_commit", "") or ref.ref
         files = [
-            self._modified_file(e, ref.owner, ref.repo, sha)
-            for e in commit.get("files", [])
+            self._modified_file(e, ref.owner, ref.repo, sha, "get_commit")
+            for e in _field(commit, "files", list, "get_commit", [])
         ]
         return Patch(ref=ref, files=files)
 
@@ -257,9 +285,11 @@ class PlatformClient:
             page += 1
         return entries
 
-    def _modified_file(self, entry: dict, owner: str, repo: str, sha: str) -> ModifiedFile:
-        path = entry.get("filename", "")
-        status = entry.get("status", "modified")
+    def _modified_file(
+        self, entry: dict, owner: str, repo: str, sha: str, endpoint: str
+    ) -> ModifiedFile:
+        path = _field(entry, "filename", str, endpoint, "")
+        status = _field(entry, "status", str, endpoint, "modified")
         content = None
         # only source files feed the code comparison, so only they are
         # worth a content request
@@ -269,16 +299,24 @@ class PlatformClient:
             except NotFoundError:
                 log.warning("no content for %s at %s", path, sha[:12])
         return ModifiedFile(
-            path=path, status=status, new_content=content, diff=entry.get("patch")
+            path=path,
+            status=status,
+            new_content=content,
+            diff=_field(entry, "patch", str, endpoint, None),
         )
 
     def _file_content(self, owner: str, repo: str, path: str, ref: str) -> str:
         payload = self._call(
             "get_file_content", owner=owner, repo=repo, path=path, ref=ref
         )
-        data = payload.get("content", "")
+        data = _field(payload, "content", str, "get_file_content", "")
         if payload.get("encoding") == "base64":
-            return base64.b64decode(data).decode("utf-8", errors="replace")
+            try:
+                return base64.b64decode(data).decode("utf-8", errors="replace")
+            except ValueError as exc:
+                raise TransportError(
+                    f"get_file_content {owner}/{repo} {path}: content is not base64: {exc}"
+                ) from exc
         return data
 
     # -- repository snapshots ---------------------------------------------
@@ -295,21 +333,26 @@ class PlatformClient:
         if not globs:
             raise ValidationError("include_globs must not be empty")
         meta = self._call("get_repo", owner=owner, repo=repo)
-        branch = meta.get("default_branch") or "main"
+        branch = _field(meta, "default_branch", str, "get_repo", "") or "main"
         tree = self._call(
             "get_tree", owner=owner, repo=repo, ref=branch, recursive="1"
         )
-        head = tree.get("sha") or branch
+        if tree.get("truncated"):
+            log.warning(
+                "the tree of %s/%s is truncated; its snapshot holds only the files listed",
+                owner, repo,
+            )
+        head = _field(tree, "sha", str, "get_tree", "") or branch
         cached = self._cached_snapshot(owner, repo, head, globs)
         if cached is not None:
             return cached
 
-        paths = sorted(
-            entry["path"]
-            for entry in tree.get("tree", [])
+        blobs = [
+            _field(entry, "path", str, "get_tree")
+            for entry in _field(tree, "tree", list, "get_tree", [])
             if entry.get("type") == "blob"
-            and any(match_glob(entry["path"], g) for g in globs)
-        )
+        ]
+        paths = sorted(path for path in blobs if any(match_glob(path, g) for g in globs))
         files: Dict[str, str] = {}
         for path in paths:
             try:
@@ -373,5 +416,5 @@ def _item_ref(item: dict) -> IssueRef:
         repo_url = str(item["repository_url"])
         owner, repo = repo_url.rsplit("/repos/", 1)[1].split("/")[:2]
         return IssueRef(owner, repo, int(item["number"]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise TransportError(f"malformed search result item {item!r}: {exc!r}") from exc

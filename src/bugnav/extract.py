@@ -2,7 +2,7 @@
 
 Dependencies from Maven and Gradle build files, permissions from the
 Android manifest, widget names and ids from layout XML, and token
-streams from Java sources. Extractors never raise on malformed input;
+kinds from Java sources. Extractors never raise on malformed input;
 they log a warning and return what they could read.
 
 Only the driver's Java files are ever compared (against candidates'
@@ -41,24 +41,6 @@ class DependencyId:
     @property
     def canonical(self) -> str:
         return f"{self.group}:{self.artifact}"
-
-
-@dataclass
-class CodeToken:
-    kind: str
-    text: Optional[str] = None
-
-
-@dataclass
-class CodeTokenStream:
-    tokens: List[CodeToken] = field(default_factory=list)
-
-    def kinds(self) -> Tuple[str, ...]:
-        """Token kinds only; identifiers abstracted away."""
-        return tuple(t.kind for t in self.tokens)
-
-    def __len__(self):
-        return len(self.tokens)
 
 
 @dataclass
@@ -210,71 +192,43 @@ _OPERATORS = [
     ("?", "question"), (":", "colon"), ("@", "at"),
 ]
 
-_IDENT_START = re.compile(r"[A-Za-z_$]")
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_NUM_RE = re.compile(r"(?:0[xXbB][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDlL]?")
+# a word missing from this table is an identifier
+_KINDS = {word: f"kw_{word}" for word in _JAVA_KEYWORDS}
+_KINDS.update(_OPERATORS)
+
+# Alternatives are tried in order at each position, as a hand-written
+# scanner would: skipped text, literals, numbers, words, operators, then
+# any other character, skipped. An unclosed comment or literal runs to
+# the end of the input; a backslash in a literal escapes the next
+# character.
+_TOKEN_RE = re.compile(
+    r"\s+|//[^\n]*|/\*.*?(?:\*/|\Z)"
+    r'|(?P<str>"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z))'
+    r"|(?P<chr>'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z))"
+    r"|(?P<num>(?:0[xXbB][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDlL]?)"
+    r"|(?P<tok>[A-Za-z_$][A-Za-z0-9_$]*"
+    + "".join("|" + re.escape(op) for op, _ in _OPERATORS)
+    + ")|.",
+    re.DOTALL,
+)
 
 
-def tokenize_code(source: str) -> CodeTokenStream:
-    """Lex Java-family source into a token stream.
+def tokenize_code(source: str) -> Tuple[str, ...]:
+    """Lex Java-family source into its token kinds.
 
-    Comments disappear entirely; string and char literals collapse to a
-    bare kind with their contents excluded, so similarity does not hinge
-    on message wording.
+    Identifiers are abstracted to ``ident``. Comments disappear
+    entirely; string and char literals collapse to a bare kind with
+    their contents excluded, so similarity does not hinge on message
+    wording.
     """
-    tokens: List[CodeToken] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if source.startswith("//", i):
-            nl = source.find("\n", i)
-            i = n if nl == -1 else nl + 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            i = n if end == -1 else end + 2
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 2 if source[j] == "\\" else 1
-            tokens.append(CodeToken("str"))
-            i = j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and source[j] != "'":
-                j += 2 if source[j] == "\\" else 1
-            tokens.append(CodeToken("chr"))
-            i = j + 1
-            continue
-        m = _NUM_RE.match(source, i)
-        if m and ch.isdigit():
-            tokens.append(CodeToken("num"))
-            i = m.end()
-            continue
-        if _IDENT_START.match(ch):
-            m = _IDENT_RE.match(source, i)
-            word = m.group()
-            if word in _JAVA_KEYWORDS:
-                tokens.append(CodeToken(f"kw_{word}"))
-            else:
-                tokens.append(CodeToken("ident", word))
-            i = m.end()
-            continue
-        for op, kind in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(CodeToken(kind))
-                i += len(op)
-                break
-        else:
-            # something outside the language; skip it quietly
-            i += 1
-    return CodeTokenStream(tokens=tokens)
+    kinds = []
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "tok":
+            kinds.append(_KINDS.get(m.group(), "ident"))
+        elif group is not None:
+            kinds.append(group)
+    return tuple(kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +300,7 @@ def extract_mentions(thread: ThreadIndex, vocabulary) -> Set[str]:
 def code_kinds(snapshot: RepoSnapshot) -> Dict[str, Tuple[str, ...]]:
     """Token kinds of every Java file in the snapshot, by path, in path order."""
     return {
-        path: tokenize_code(snapshot.files[path]).kinds()
+        path: tokenize_code(snapshot.files[path])
         for path in sorted(snapshot.files)
         if path.endswith(".java")
     }

@@ -18,7 +18,7 @@ from .corpus.models import IssueDocument
 from .errors import ValidationError
 from .similarity import SimilarityVector
 
-DEFAULT_KEYWORDS = frozenset(
+QUALITY_KEYWORDS = frozenset(
     {
         "reproduce",
         "defect",
@@ -121,17 +121,17 @@ class FactorVector(_PerFactorRecord):
     """Normalized factors, one per weight, all in [0, 1]."""
 
 
-def count_keywords(texts: Iterable[str], keywords=DEFAULT_KEYWORDS) -> int:
+def count_keywords(texts: Iterable[str]) -> int:
     """Total whole-word, case-insensitive keyword occurrences."""
     total = 0
     for text in texts:
         for token in _KEYWORD_TOKEN_RE.findall(text.lower()):
-            if token in keywords:
+            if token in QUALITY_KEYWORDS:
                 total += 1
     return total
 
 
-def quality_metrics(issue: IssueDocument, *, keywords=DEFAULT_KEYWORDS) -> QualityMetrics:
+def quality_metrics(issue: IssueDocument) -> QualityMetrics:
     """Content-quality signals of a candidate issue.
 
     Words are counted in the body alone; keywords over body plus
@@ -143,29 +143,22 @@ def quality_metrics(issue: IssueDocument, *, keywords=DEFAULT_KEYWORDS) -> Quali
         # A pull request is a patch even when its text links none.
         has_fix_commit=bool(issue.patch_refs) or issue.is_pull,
         comment_count=issue.num_comments,
-        keyword_count=count_keywords([body, *issue.comments], keywords),
+        keyword_count=count_keywords([body, *issue.comments]),
     )
 
 
-def normalize_factors(
-    metrics: QualityMetrics,
-    sims: SimilarityVector,
-    *,
-    word_cap: int = WORD_COUNT_CAP,
-    comment_cap: int = COMMENT_COUNT_CAP,
-    keyword_cap: int = KEYWORD_COUNT_CAP,
-) -> FactorVector:
+def normalize_factors(metrics: QualityMetrics, sims: SimilarityVector) -> FactorVector:
     """Map raw counts onto [0, 1]; similarity components pass through
     (non-applicable ones already carry 0)."""
     return FactorVector(
-        issue_length=min(1.0, metrics.word_count / word_cap),
-        num_comment=min(1.0, metrics.comment_count / comment_cap),
+        issue_length=min(1.0, metrics.word_count / WORD_COUNT_CAP),
+        num_comment=min(1.0, metrics.comment_count / COMMENT_COUNT_CAP),
         code=sims.code,
         dep=sims.dependency,
         perm=sims.permission,
         ui=sims.ui,
         has_fix=1.0 if metrics.has_fix_commit else 0.0,
-        keywords=min(1.0, metrics.keyword_count / keyword_cap),
+        keywords=min(1.0, metrics.keyword_count / KEYWORD_COUNT_CAP),
     )
 
 
@@ -201,30 +194,14 @@ def score_order(factors: Sequence[FactorVector], weights: WeightConfig) -> List[
     return [(i, scores[i]) for i in order]
 
 
-def rank(
-    candidates: Sequence[RankInput],
-    weights: WeightConfig,
-    *,
-    word_cap: int = WORD_COUNT_CAP,
-    comment_cap: int = COMMENT_COUNT_CAP,
-    keyword_cap: int = KEYWORD_COUNT_CAP,
-) -> List[RankedCandidate]:
+def rank(candidates: Sequence[RankInput], weights: WeightConfig) -> List[RankedCandidate]:
     """Order candidates by score, best first; the first element is the
     recommended navigator. Ties keep the platform's search order."""
     seen = {c.search_rank for c in candidates}
     if len(seen) != len(candidates):
         raise ValidationError("candidates must carry distinct search ranks")
     platform = sorted(candidates, key=lambda c: c.search_rank)
-    factors = [
-        normalize_factors(
-            cand.metrics,
-            cand.sims,
-            word_cap=word_cap,
-            comment_cap=comment_cap,
-            keyword_cap=keyword_cap,
-        )
-        for cand in platform
-    ]
+    factors = [normalize_factors(cand.metrics, cand.sims) for cand in platform]
     return [
         RankedCandidate(
             issue=platform[i].issue,

@@ -170,7 +170,7 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
     which leaves the max unchanged.
     """
     patch_streams = [
-        extract.tokenize_code(modified.new_content).kinds()
+        extract.tokenize_code(modified.new_content)
         for modified in patch.files
         if modified.path.endswith(".java") and modified.new_content is not None
     ]

@@ -117,6 +117,103 @@ def optimal_coverage(a, b, min_match_len):
 
 
 # ---------------------------------------------------------------------------
+# Java lexer: a character-at-a-time scanner with its own copy of the
+# keyword and operator tables
+
+
+_JAVA_KEYWORDS = frozenset(
+    """abstract assert boolean break byte case catch char class const continue
+    default do double else enum extends final finally float for goto if
+    implements import instanceof int interface long native new package private
+    protected public return short static strictfp super switch synchronized
+    this throw throws transient try void volatile while true false null
+    var record yield sealed permits""".split()
+)
+
+# longest first so >>= wins over >> wins over >
+_OPERATORS = [
+    (">>>=", "urshift_eq"), ("<<=", "lshift_eq"), (">>=", "rshift_eq"),
+    (">>>", "urshift"), ("...", "ellipsis"), ("==", "eq_eq"), ("!=", "ne"),
+    ("<=", "le"), (">=", "ge"), ("&&", "and_and"), ("||", "or_or"),
+    ("++", "inc"), ("--", "dec"), ("+=", "plus_eq"), ("-=", "minus_eq"),
+    ("*=", "star_eq"), ("/=", "slash_eq"), ("%=", "percent_eq"),
+    ("&=", "amp_eq"), ("|=", "pipe_eq"), ("^=", "caret_eq"), ("<<", "lshift"),
+    (">>", "rshift"), ("::", "colcol"), ("->", "arrow"), ("{", "lbrace"),
+    ("}", "rbrace"), ("(", "lparen"), (")", "rparen"), ("[", "lbracket"),
+    ("]", "rbracket"), (";", "semi"), (",", "comma"), (".", "dot"),
+    ("=", "eq"), ("<", "lt"), (">", "gt"), ("+", "plus"), ("-", "minus"),
+    ("*", "star"), ("/", "slash"), ("%", "percent"), ("!", "not"),
+    ("&", "amp"), ("|", "pipe"), ("^", "caret"), ("~", "tilde"),
+    ("?", "question"), (":", "colon"), ("@", "at"),
+]
+
+_IDENT_START = re.compile(r"[A-Za-z_$]")
+_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_NUM_RE = re.compile(r"(?:0[xXbB][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDlL]?")
+
+
+def tokenize_code_reference(source):
+    """Token kinds of Java-family source, one character decision at a time.
+
+    Comments disappear entirely; string and char literals collapse to a
+    bare kind with their contents excluded; identifiers become ``ident``.
+    """
+    tokens = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if source.startswith("//", i):
+            nl = source.find("\n", i)
+            i = n if nl == -1 else nl + 1
+            continue
+        if source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                j += 2 if source[j] == "\\" else 1
+            tokens.append("str")
+            i = j + 1
+            continue
+        if ch == "'":
+            j = i + 1
+            while j < n and source[j] != "'":
+                j += 2 if source[j] == "\\" else 1
+            tokens.append("chr")
+            i = j + 1
+            continue
+        m = _NUM_RE.match(source, i)
+        if m and ch.isdigit():
+            tokens.append("num")
+            i = m.end()
+            continue
+        if _IDENT_START.match(ch):
+            m = _IDENT_RE.match(source, i)
+            word = m.group()
+            if word in _JAVA_KEYWORDS:
+                tokens.append(f"kw_{word}")
+            else:
+                tokens.append("ident")
+            i = m.end()
+            continue
+        for op, kind in _OPERATORS:
+            if source.startswith(op, i):
+                tokens.append(kind)
+                i += len(op)
+                break
+        else:
+            # something outside the language; skip it quietly
+            i += 1
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # mentions
 
 

@@ -12,8 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+def _load(name, directory="bench"):
+    spec = importlib.util.spec_from_file_location(
+        f"{directory}_{name}", ROOT / directory / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     sys.modules[spec.name] = module
@@ -103,3 +105,18 @@ def test_recommend_records_every_layer_span(tracer, capsys):
     assert m["corpus.snapshot_calls"] == m["corpus.snapshot_repos"] == 4
     # the driver's one Java file and the one patch file
     assert m["extract.files_lexed"] == 2
+
+
+def test_fixture_generator_code_similarity_check():
+    """The check tools/make_demo_fixtures.py makes before it writes the
+    walkthrough: the driver's Java is closest to the geotools patch, at a
+    similarity the goldens were generated with."""
+    saved_path = list(sys.path)
+    try:
+        demo = _load("make_demo_fixtures", "tools")
+    finally:
+        sys.path[:] = saved_path
+        sys.modules.pop("tools_make_demo_fixtures", None)
+    sims = demo.code_similarities()
+    assert 0.55 < sims["geotools"] < 0.65, sims
+    assert sims["geotools"] > max(sims["hazelketl"], sims["orc-metrics"]), sims

@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bugnav import cli, pipeline
 from bugnav.corpus import PlatformClient
@@ -295,6 +301,73 @@ class TestRecommend:
         ])
         assert rc == 1
         assert "error:" in err
+
+
+class _Platform(StubTransport):
+    """Answers a request nobody scripted as the platform would: 404."""
+
+    def fetch_raw(self, endpoint, params):
+        key = (endpoint, json.dumps(params, sort_keys=True))
+        return self.responses.get(key, (404, {"message": "Not Found"}))
+
+
+def _positions(value, path=()):
+    """The path of every value inside a JSON value, its own first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _positions(child, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_reshaped_payload_exits_with_a_documented_code(data):
+    """Every endpoint's reply, with any one value inside it replaced or
+    dropped, ends ``recommend`` with an exit code of 0-4, not a traceback."""
+    transport = _Platform()
+    put_shared_repos(transport)
+    # a candidate whose fix is a bare commit id, so get_commit is scripted too
+    put_issue(transport, "acme", "beta", 21, title="beta bug", comments=["Fixed in a1b2c3d"])
+    transport.put("get_commit", {"owner": "acme", "repo": "beta", "sha": "a1b2c3d"},
+                  {"sha": "a" * 40, "files": [{"filename": "src/B.java", "status": "added"}]})
+    put_file(transport, "acme", "beta", "src/B.java", "a" * 40, MAIN_JAVA)
+
+    key = data.draw(st.sampled_from(sorted(transport.responses)))
+    status, payload = transport.responses[key]
+    payload = copy.deepcopy(payload)
+    path = data.draw(st.sampled_from(list(_positions(payload))))
+    value = data.draw(_JSON)
+    if not path:
+        payload = value
+    else:
+        parent = payload
+        for step in path[:-1]:
+            parent = parent[step]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    transport.responses[key] = (status, payload)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(pipeline, "build_client", lambda config: PlatformClient(transport)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["recommend", "octo/driver#7", "--n-threshold", "2"])
+    assert rc in range(5), (key, path, err.getvalue())
 
 
 @pytest.fixture()

@@ -207,6 +207,57 @@ class TestMalformedPayloads:
             PlatformClient(transport).fetch_issue(IssueRef("o", "r", 1))
 
 
+    def test_search_items_not_an_array(self):
+        transport = StubTransport()
+        transport.put(
+            "search_issues",
+            {"q": _query().full() + " state:closed", "page": "1", "per_page": "100"},
+            {"items": 5},
+        )
+        with pytest.raises(TransportError, match="search_issues"):
+            PlatformClient(transport).search_issues(_query())
+
+    def test_issue_labels_not_an_array(self):
+        transport = StubTransport()
+        put_issue(transport, "o", "r", 1)
+        transport.put(
+            "get_issue", {"owner": "o", "repo": "r", "number": "1"},
+            {"number": 1, "title": "t", "body": "", "comments": 0, "labels": 3},
+        )
+        with pytest.raises(TransportError, match="get_issue"):
+            PlatformClient(transport).fetch_issue(IssueRef("o", "r", 1))
+
+    def test_pull_head_not_an_object(self):
+        transport = StubTransport()
+        _put_issue(transport, "o", "r", 1, body="fixed by https://github.com/o/r/pull/9")
+        _put_pull(transport, "o", "r", 9, [("src/Fix.java", "modified")])
+        transport.put("get_pull", {"owner": "o", "repo": "r", "number": "9"}, {"head": "abc"})
+        client = PlatformClient(transport)
+        with pytest.raises(TransportError, match="get_pull"):
+            client.fetch_patch(client.fetch_issue(IssueRef("o", "r", 1)))
+
+    def test_commit_files_not_an_array(self):
+        transport = StubTransport()
+        _put_issue(transport, "o", "r", 1, body="fixed in a1b2c3d")
+        transport.put(
+            "get_commit", {"owner": "o", "repo": "r", "sha": "a1b2c3d"},
+            {"sha": "a1b2c3d" + "0" * 33, "files": 7},
+        )
+        client = PlatformClient(transport)
+        with pytest.raises(TransportError, match="get_commit"):
+            client.fetch_patch(client.fetch_issue(IssueRef("o", "r", 1)))
+
+    def test_tree_blob_without_a_path(self):
+        transport = StubTransport()
+        _put_repo_tree(transport, "o", "r", [])
+        transport.put(
+            "get_tree", {"owner": "o", "repo": "r", "ref": "main", "recursive": "1"},
+            {"sha": "c" * 40, "tree": [{"type": "blob"}]},
+        )
+        with pytest.raises(TransportError, match="get_tree"):
+            PlatformClient(transport).fetch_repo_snapshot("o", "r")
+
+
 JAVA_FIX = "int n = readUTF(buf); if (n > 65535) { throw tooLong(n); }"
 
 
@@ -545,6 +596,22 @@ class TestFetchRepoSnapshot:
         assert all(r == expected for r in results)
         leftovers = {p.suffix for d in tmp_path.iterdir() for p in d.iterdir()}
         assert leftovers == {".json"}
+
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_truncated_tree_warns_once(self, caplog, truncated):
+        transport = StubTransport()
+        self._script(transport)
+        transport.put(
+            "get_tree", {"owner": "octo", "repo": "demo", "ref": "main", "recursive": "1"},
+            {"sha": "c" * 40, "truncated": truncated,
+             "tree": [{"path": "src/A.java", "type": "blob"}]},
+        )
+        with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
+            snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
+        assert list(snap.files) == ["src/A.java"]
+        warned = [r for r in caplog.records if "truncated" in r.getMessage()]
+        assert len(warned) == (1 if truncated else 0)
+        assert all("octo/demo" in r.getMessage() for r in warned)
 
     def test_cache_ignored_for_different_globs(self, tmp_path):
         transport = StubTransport()

@@ -182,7 +182,7 @@ class TestCodeSimilarity:
         )
         got = similarity.code_similarity(driver, patch)
         pairwise = [
-            similarity.gst_similarity(ds, extract.tokenize_code(pc).kinds(), min_match_len=3)
+            similarity.gst_similarity(ds, extract.tokenize_code(pc), min_match_len=3)
             for ds in driver.kinds
             for pc in [
                 "int z = readHeader(data); if (z > max) { throw fail(z); }",
@@ -239,7 +239,7 @@ def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sou
     patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
     brute = max(
         similarity.gst_similarity(
-            extract.tokenize_code(d).kinds(), extract.tokenize_code(p).kinds(), min_match_len=mml
+            extract.tokenize_code(d), extract.tokenize_code(p), min_match_len=mml
         )
         for d in driver_sources
         for p in patch_sources
@@ -268,7 +268,7 @@ def test_prepared_driver_reused_over_patches_equals_brute_force_max(
         patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
         brute = max(
             similarity.gst_similarity(
-                extract.tokenize_code(d).kinds(), extract.tokenize_code(p).kinds(), min_match_len=mml
+                extract.tokenize_code(d), extract.tokenize_code(p), min_match_len=mml
             )
             for d in driver_sources
             for p in patch_sources

@@ -463,6 +463,16 @@ def pad_body(body, target_words):
     return " ".join(words)
 
 
+def code_similarities():
+    """GST similarity of the driver's Java to each candidate patch's Java."""
+    driver_kinds = tokenize_code(DRIVER_JAVA)
+    return {
+        name: gst_similarity(driver_kinds, tokenize_code(code))
+        for name, code in (("geotools", GEO_JAVA), ("hazelketl", HAZEL_JAVA),
+                           ("orc-metrics", ORC_JAVA))
+    }
+
+
 def build_walkthrough():
     fx = Scripter(fresh(WALKTHROUGH))
 
@@ -505,12 +515,7 @@ def build_walkthrough():
     fx.blob("orc-metrics", "orc-metrics", "store/src/main/java/dev/orcmetrics/store/MetricLog.java",
             ORC_HEAD, ORC_JAVA)
 
-    driver_kinds = tokenize_code(DRIVER_JAVA).kinds()
-    sims = {
-        name: gst_similarity(driver_kinds, tokenize_code(code).kinds())
-        for name, code in (("geotools", GEO_JAVA), ("hazelketl", HAZEL_JAVA),
-                           ("orc-metrics", ORC_JAVA))
-    }
+    sims = code_similarities()
     print(f"  code similarity vs driver: {sims}")
     assert sims["geotools"] > max(sims["hazelketl"], sims["orc-metrics"]), sims
     assert 0.55 < sims["geotools"] < 0.65, sims
