@@ -14,6 +14,7 @@ from .errors import (
     RateLimitError,
     TransportError,
     ValidationError,
+    read_json_object,
 )
 from .evalharness import EvalDataset, evaluate
 from .ranking import WeightConfig, tune_weights
@@ -63,19 +64,6 @@ _OVERRIDE_FIELDS = (
 )
 
 
-def _load_weights_file(path: str) -> WeightConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read weights file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"weights file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"weights file {path} must hold a JSON object")
-    return WeightConfig.from_dict(data)
-
-
 def _apply_weight_overrides(weights: WeightConfig, specs: List[str]) -> WeightConfig:
     data = weights.to_dict()
     for spec in specs:
@@ -100,20 +88,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             data[name] = value
     weights = base.weights
     if getattr(args, "weights_file", None):
-        weights = _load_weights_file(args.weights_file)
+        weights = WeightConfig.from_dict(read_json_object(args.weights_file, "weights file"))
     if getattr(args, "weight", None):
         weights = _apply_weight_overrides(weights, args.weight)
     data["weights"] = weights
     return RunConfig.from_dict(data)
-
-
-def _load_dataset(path: str) -> EvalDataset:
-    try:
-        return EvalDataset.load(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"dataset {path} is malformed: {exc}") from exc
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -152,7 +131,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report = evaluate(_load_dataset(args.dataset), config.weights)
+    report = evaluate(EvalDataset.load(args.dataset), config.weights)
     if config.output_format == "table":
         print(report.format_table())
     else:
@@ -171,7 +150,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    tuned = tune_weights(_load_dataset(args.dataset), args.grid_step, base=config.weights)
+    tuned = tune_weights(EvalDataset.load(args.dataset), args.grid_step, base=config.weights)
     payload = json.dumps(tuned.to_dict(), indent=2, sort_keys=True) + "\n"
     _emit(payload, args.output)
     return EXIT_OK

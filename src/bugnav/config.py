@@ -6,11 +6,11 @@ replay are therefore mutually exclusive by construction.
 """
 
 import dataclasses
-import json
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 from .querygen import DEFAULT_N_THRESHOLD
 from .ranking import WeightConfig
 from .similarity import DEFAULT_MIN_MATCH_LEN
@@ -38,6 +38,11 @@ class RunConfig:
     min_match_len: int = DEFAULT_MIN_MATCH_LEN
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(type(self)).items():
+            # Optional[str] admits (str, NoneType)
+            value = getattr(self, name)
+            if not isinstance(value, typing.get_args(hint) or hint):
+                raise ValidationError(f"{name} has the wrong type: {value!r:.40}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValidationError(f"unknown output format: {self.output_format!r}")
         if self.qualifier_mode not in QUALIFIER_MODES:
@@ -71,11 +76,8 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
+        data = read_json_object(path, "config file")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+            return cls.from_dict(data)
+        except ValidationError as exc:
+            raise ValidationError(f"config file {path}: {exc}") from exc

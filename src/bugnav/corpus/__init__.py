@@ -1,4 +1,4 @@
-from bugnav.corpus.client import DEFAULT_SNAPSHOT_GLOBS, PlatformClient, match_glob
+from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.corpus.miner import MINING_PHRASES, mine_similar_pairs
 from bugnav.corpus.models import (
@@ -22,7 +22,6 @@ from bugnav.corpus.transport import (
 )
 
 __all__ = [
-    "DEFAULT_SNAPSHOT_GLOBS",
     "FixtureStore",
     "IssueDocument",
     "IssueHit",
@@ -41,7 +40,6 @@ __all__ = [
     "canonical_key",
     "find_cross_repo_issue_ref",
     "find_patch_refs",
-    "match_glob",
     "mine_similar_pairs",
     "perform",
 ]

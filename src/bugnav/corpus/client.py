@@ -8,16 +8,21 @@ from __future__ import annotations
 
 import base64
 import functools
-import hashlib
+import itertools
 import json
 import logging
 import os
-import re
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
-from ..errors import NotFoundError, TransportError, ValidationError
+from ..errors import (
+    NotFoundError,
+    TransportError,
+    ValidationError,
+    checked_field,
+    checked_list,
+)
 from .models import (
     MAX_QUERY_LEN,
     IssueDocument,
@@ -28,79 +33,18 @@ from .models import (
     PatchRef,
     RepoSnapshot,
     SearchQuery,
+    file_kind,
     find_patch_refs,
 )
 from .transport import perform
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SNAPSHOT_GLOBS = (
-    "**/*.java",
-    "**/pom.xml",
-    "**/build.gradle*",
-    "**/AndroidManifest.xml",
-    "**/res/layout/**/*.xml",
-)
-
 SEARCH_RESULT_LIMIT = 1000
 _PAGE_SIZE = 100
-# the paged endpoints whose payload is an array of objects; every other
-# endpoint answers with one object
-_ARRAY_ENDPOINTS = frozenset({"list_comments", "get_pull_files"})
-_REQUIRED = object()
-
-
-def _objects(value, where: str) -> list:
-    """``value`` if it is an array of objects, as every array in a reply is."""
-    if not (isinstance(value, list) and all(isinstance(e, dict) for e in value)):
-        raise TransportError(f"{where}: expected an array of objects, not {value!r:.80}")
-    return value
-
-
-def _field(payload: dict, key: str, expected: type, where: str, default=_REQUIRED):
-    """``payload[key]``, or ``default`` when it is absent or null. A value of
-    another type, or a required one that is missing, is a malformed reply."""
-    value = payload.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise TransportError(f"{where}: {key!r} is missing")
-        return default
-    if expected is list:
-        return _objects(value, f"{where} {key!r}")
-    if not isinstance(value, expected):
-        raise TransportError(
-            f"{where}: {key!r} should be a {expected.__name__}, not {type(value).__name__}"
-        )
-    return value
-
-
-@functools.lru_cache(maxsize=256)
-def _glob_regex(pattern: str):
-    """Compile a path glob where `**` spans zero or more whole segments
-    and `*` never crosses a slash."""
-    pieces = []
-    for segment in pattern.split("/"):
-        if segment == "**":
-            pieces.append("**")
-        else:
-            pieces.append(
-                "".join(
-                    "[^/]*" if ch == "*" else "[^/]" if ch == "?" else re.escape(ch)
-                    for ch in segment
-                )
-            )
-    regex = ""
-    for i, piece in enumerate(pieces):
-        last = i == len(pieces) - 1
-        if piece == "**":
-            regex += ".*" if last else "(?:[^/]+/)*"
-        else:
-            regex += piece + ("" if last else "/")
-    return re.compile(regex)
-
-
-def match_glob(path: str, pattern: str) -> bool:
-    return _glob_regex(pattern).fullmatch(path) is not None
+# every reply field is read through this: a wrongly shaped reply is a
+# transport failure, not bad input
+_field = functools.partial(checked_field, error=TransportError)
 
 
 class PlatformClient:
@@ -108,15 +52,28 @@ class PlatformClient:
         self._transport = transport
         self._cache_dir = Path(cache_dir) if cache_dir else None
 
-    def _call(self, endpoint: str, **params: str):
+    def _call(self, endpoint: str, **params: str) -> dict:
         payload = perform(self._transport, endpoint, params)
-        if endpoint in _ARRAY_ENDPOINTS:
-            return _objects(payload, f"{endpoint} {params}")
         if not isinstance(payload, dict):
             raise TransportError(
                 f"{endpoint} {params}: unexpected payload of type {type(payload).__name__}"
             )
         return payload
+
+    def _pages(self, endpoint: str, items: Optional[str] = None, **params: str) -> Iterator[dict]:
+        """The objects of a paged endpoint, requesting each page only when
+        the one before is used up and was full. A page is an array of
+        objects, or an object holding that array under ``items``."""
+        for page in itertools.count(1):
+            paged = dict(params, page=str(page), per_page=str(_PAGE_SIZE))
+            if items is None:
+                payload = perform(self._transport, endpoint, paged)
+                entries = checked_list(payload, dict, f"{endpoint} {paged}", TransportError)
+            else:
+                entries = _field(self._call(endpoint, **paged), items, list, endpoint, [])
+            yield from entries
+            if len(entries) < _PAGE_SIZE:
+                return
 
     # -- search ---------------------------------------------------------
 
@@ -143,28 +100,16 @@ class PlatformClient:
         if state:
             q += f" state:{state}"
 
-        hits: List[IssueHit] = []
-        page = 1
-        while len(hits) < max_results:
-            payload = self._call(
-                "search_issues", q=q, page=str(page), per_page=str(_PAGE_SIZE)
+        items = self._pages("search_issues", "items", q=q)
+        return [
+            IssueHit(
+                ref=_item_ref(item),
+                title=_field(item, "title", str, "search_issues", ""),
+                search_rank=rank,
+                is_pull="pull_request" in item,
             )
-            items = _field(payload, "items", list, "search_issues", [])
-            for item in items:
-                if len(hits) >= max_results:
-                    break
-                hits.append(
-                    IssueHit(
-                        ref=_item_ref(item),
-                        title=_field(item, "title", str, "search_issues", ""),
-                        search_rank=len(hits) + 1,
-                        is_pull="pull_request" in item,
-                    )
-                )
-            if len(items) < _PAGE_SIZE:
-                break
-            page += 1
-        return hits
+            for rank, item in enumerate(itertools.islice(items, max_results), start=1)
+        ]
 
     # -- issues ----------------------------------------------------------
 
@@ -172,7 +117,12 @@ class PlatformClient:
         payload = self._call(
             "get_issue", owner=ref.owner, repo=ref.repo, number=str(ref.number)
         )
-        comments = self._list_comments(ref)
+        comments = [
+            _field(entry, "body", str, "list_comments", "")
+            for entry in self._pages(
+                "list_comments", owner=ref.owner, repo=ref.repo, number=str(ref.number)
+            )
+        ]
         try:
             num_comments = int(payload.get("comments", len(comments)))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -196,24 +146,6 @@ class PlatformClient:
             is_pull="pull_request" in payload,
             patch_refs=find_patch_refs(ref.owner, ref.repo, [body] + comments),
         )
-
-    def _list_comments(self, ref: IssueRef) -> List[str]:
-        comments: List[str] = []
-        page = 1
-        while True:
-            payload = self._call(
-                "list_comments",
-                owner=ref.owner,
-                repo=ref.repo,
-                number=str(ref.number),
-                page=str(page),
-                per_page=str(_PAGE_SIZE),
-            )
-            comments.extend(_field(entry, "body", str, "list_comments", "") for entry in payload)
-            if len(payload) < _PAGE_SIZE:
-                break
-            page += 1
-        return comments
 
     # -- patches ---------------------------------------------------------
 
@@ -253,7 +185,7 @@ class PlatformClient:
             head_repo = _field(head, "repo", dict, "get_pull", {})
             full_name = _field(head_repo, "full_name", str, "get_pull", "")
             head_owner, _, head_name = (full_name or f"{ref.owner}/{ref.repo}").partition("/")
-            entries = self._list_pull_files(ref)
+            entries = self._pages("get_pull_files", owner=ref.owner, repo=ref.repo, number=ref.ref)
             files = [
                 self._modified_file(e, head_owner, head_name, sha, "get_pull_files")
                 for e in entries
@@ -267,24 +199,6 @@ class PlatformClient:
         ]
         return Patch(ref=ref, files=files)
 
-    def _list_pull_files(self, ref: PatchRef) -> List[dict]:
-        entries: List[dict] = []
-        page = 1
-        while True:
-            payload = self._call(
-                "get_pull_files",
-                owner=ref.owner,
-                repo=ref.repo,
-                number=ref.ref,
-                page=str(page),
-                per_page=str(_PAGE_SIZE),
-            )
-            entries.extend(payload)
-            if len(payload) < _PAGE_SIZE:
-                break
-            page += 1
-        return entries
-
     def _modified_file(
         self, entry: dict, owner: str, repo: str, sha: str, endpoint: str
     ) -> ModifiedFile:
@@ -293,7 +207,7 @@ class PlatformClient:
         content = None
         # only source files feed the code comparison, so only they are
         # worth a content request
-        if path.endswith(".java") and status != "removed" and sha:
+        if file_kind(path) == "java" and status != "removed" and sha:
             try:
                 content = self._file_content(owner, repo, path, sha)
             except NotFoundError:
@@ -321,17 +235,9 @@ class PlatformClient:
 
     # -- repository snapshots ---------------------------------------------
 
-    def fetch_repo_snapshot(
-        self,
-        owner: str,
-        repo: str,
-        include_globs: Sequence[str] = DEFAULT_SNAPSHOT_GLOBS,
-    ) -> RepoSnapshot:
-        """Contents of every file matching the globs at the current head
-        of the default branch. Cached on disk per (repo, head, globs)."""
-        globs = list(include_globs)
-        if not globs:
-            raise ValidationError("include_globs must not be empty")
+    def fetch_repo_snapshot(self, owner: str, repo: str) -> RepoSnapshot:
+        """Contents of every file that has a :func:`file_kind`, at the
+        current head of the default branch. Cached on disk per (repo, head)."""
         meta = self._call("get_repo", owner=owner, repo=repo)
         branch = _field(meta, "default_branch", str, "get_repo", "") or "main"
         tree = self._call(
@@ -343,7 +249,7 @@ class PlatformClient:
                 owner, repo,
             )
         head = _field(tree, "sha", str, "get_tree", "") or branch
-        cached = self._cached_snapshot(owner, repo, head, globs)
+        cached = self._cached_snapshot(owner, repo, head)
         if cached is not None:
             return cached
 
@@ -352,7 +258,7 @@ class PlatformClient:
             for entry in _field(tree, "tree", list, "get_tree", [])
             if entry.get("type") == "blob"
         ]
-        paths = sorted(path for path in blobs if any(match_glob(path, g) for g in globs))
+        paths = sorted(path for path in blobs if file_kind(path))
         files: Dict[str, str] = {}
         for path in paths:
             try:
@@ -360,19 +266,18 @@ class PlatformClient:
             except NotFoundError:
                 log.warning("tree lists %s but content fetch failed, skipping", path)
         snapshot = RepoSnapshot(owner=owner, repo=repo, head=head, files=files)
-        self._store_snapshot(snapshot, globs)
+        self._store_snapshot(snapshot)
         return snapshot
 
-    def _snapshot_cache_path(self, owner, repo, head, globs) -> Optional[Path]:
+    def _snapshot_cache_path(self, owner, repo, head) -> Optional[Path]:
         if self._cache_dir is None:
             return None
-        glob_hash = hashlib.sha256(json.dumps(sorted(globs)).encode()).hexdigest()[:16]
-        return self._cache_dir / f"{owner}__{repo}__{head}__{glob_hash}.json"
+        return self._cache_dir / f"{owner}__{repo}__{head}.json"
 
-    def _cached_snapshot(self, owner, repo, head, globs) -> Optional[RepoSnapshot]:
+    def _cached_snapshot(self, owner, repo, head) -> Optional[RepoSnapshot]:
         """The cached snapshot, or None on a miss; a cache file that cannot
         be read or parsed (say, cut short by a crash) is a miss too."""
-        path = self._snapshot_cache_path(owner, repo, head, globs)
+        path = self._snapshot_cache_path(owner, repo, head)
         if path is None or not path.is_file():
             return None
         try:
@@ -384,14 +289,13 @@ class PlatformClient:
             log.warning("unreadable snapshot cache %s (%s), refetching", path, exc)
             return None
 
-    def _store_snapshot(self, snapshot: RepoSnapshot, globs) -> None:
+    def _store_snapshot(self, snapshot: RepoSnapshot) -> None:
         """Write through a temp file in the cache directory and rename it
         into place, so concurrent readers and writers never see a partial
         file."""
-        path = self._snapshot_cache_path(snapshot.owner, snapshot.repo, snapshot.head, globs)
+        path = self._snapshot_cache_path(snapshot.owner, snapshot.repo, snapshot.head)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(
             {
                 "owner": snapshot.owner,
@@ -401,7 +305,13 @@ class PlatformClient:
             },
             sort_keys=True,
         )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        except (OSError, ValueError) as exc:
+            # a cache directory that cannot be written to costs only refetches
+            log.warning("cannot write snapshot cache in %s (%s)", path.parent, exc)
+            return
         try:
             with os.fdopen(fd, "w") as out:
                 out.write(text)

@@ -39,15 +39,19 @@ class FixtureStore:
         self._lock = threading.Lock()
         index = os.path.join(self.root, _INDEX_NAME)
         if os.path.isfile(index):
-            with open(index) as fh:
-                lines = fh.read().splitlines()
+            try:
+                with open(index) as fh:
+                    lines = fh.read().splitlines()
+            except (OSError, ValueError) as exc:
+                raise TransportError(f"fixture index {index} is unreadable: {exc}") from exc
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
                 try:
                     row = json.loads(line)
                     self._rows[row["key"]] = row
-                except (ValueError, KeyError, TypeError) as exc:
+                # RecursionError: nesting deeper than the decoder's stack
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise TransportError(
                         f"fixture index {index} line {number} is corrupt: {exc!r}"
                     ) from exc
@@ -60,7 +64,7 @@ class FixtureStore:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise TransportError(f"fixture payload {path} is unreadable: {exc}") from exc
         return row["status"], payload
 
@@ -83,6 +87,3 @@ class FixtureStore:
                 handle.write(json.dumps(row, sort_keys=True) + "\n")
             self._rows[key] = row
         return key
-
-    def __len__(self):
-        return len(self._rows)

@@ -2,7 +2,8 @@
 
 Also home to the reference-scanning helpers that pull patch pointers
 and cross-repository issue links out of issue text, since both the
-client and the miner need them.
+client and the miner need them, and to :func:`file_kind`, which both
+the client and the extractors need.
 """
 
 from __future__ import annotations
@@ -22,9 +23,33 @@ _COMMIT_URL_RE = re.compile(
 # digits bounded by non-word characters (and not inside a URL path)
 _BARE_SHA_RE = re.compile(r"(?<![\w/])([0-9a-f]{7,40})(?![\w/])")
 
+# files recognised by their name alone, wherever they sit
+_KIND_BY_NAME = {
+    "pom.xml": "pom",
+    "build.gradle": "gradle",
+    "build.gradle.kts": "gradle",
+    "AndroidManifest.xml": "manifest",
+}
+
 # The platform rejects search queries longer than this (text plus
 # qualifiers; language/state filters ride outside the budget).
 MAX_QUERY_LEN = 256
+
+
+def file_kind(path: str) -> Optional[str]:
+    """What a repository file tells the comparison, by its path: "java"
+    source, a "pom" or "gradle" build file, the Android "manifest", or a
+    "layout" (XML directly inside a ``layout*`` directory below ``res``).
+    None for every other file; those are never fetched."""
+    if path.endswith(".java"):
+        return "java"
+    parts = path.split("/")
+    if parts[-1] in _KIND_BY_NAME:
+        return _KIND_BY_NAME[parts[-1]]
+    if path.endswith(".xml") and len(parts) >= 2:
+        if parts[-2].startswith("layout") and "res" in parts[:-1]:
+            return "layout"
+    return None
 
 
 @dataclass

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from .corpus.models import IssueRef
-from .errors import ValidationError
+from .errors import ValidationError, checked_field
 from .ranking import FactorVector, WeightConfig, score_order
 
 PRECISION_CUTOFFS = (1, 3, 5)
@@ -104,25 +104,41 @@ class EvalDataset:
 
     @classmethod
     def load(cls, path) -> "EvalDataset":
+        """Entries of a JSONL file, one object per line; blank lines are
+        skipped. A file that cannot be read, or a malformed line, raises
+        ValidationError naming the file and the line."""
+        try:
+            lines = Path(path).read_text().splitlines()
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
         entries = []
-        for line in Path(path).read_text().splitlines():
+        for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            entries.append(
-                EvalEntry(
-                    driver=IssueRef.parse(record["driver"]),
-                    candidates=[
-                        LabeledCandidate(
-                            ref=IssueRef.parse(c["ref"]),
-                            factors=FactorVector.from_dict(c.get("factors", {})),
-                        )
-                        for c in record["candidates"]
-                    ],
-                    relevant=frozenset(IssueRef.parse(r) for r in record["relevant"]),
-                )
-            )
+            try:
+                entries.append(_entry(json.loads(line)))
+            except (ValueError, RecursionError, ValidationError) as exc:
+                raise ValidationError(f"dataset {path} line {number}: {exc}") from exc
         return cls(entries=entries)
+
+
+def _entry(record) -> EvalEntry:
+    """One dataset line as an entry; ValueError or ValidationError when it
+    is malformed."""
+    if not isinstance(record, dict):
+        raise ValidationError(f"expected a JSON object, not {record!r:.80}")
+    candidates = []
+    for c in checked_field(record, "candidates", list, "entry"):
+        factors = FactorVector.from_dict(checked_field(c, "factors", dict, "candidate", {}))
+        ref = IssueRef.parse(checked_field(c, "ref", str, "candidate"))
+        candidates.append(LabeledCandidate(ref=ref, factors=factors))
+    return EvalEntry(
+        driver=IssueRef.parse(checked_field(record, "driver", str, "entry")),
+        candidates=candidates,
+        relevant=frozenset(
+            IssueRef.parse(r) for r in checked_field(record, "relevant", list, "entry", items=str)
+        ),
+    )
 
 
 def precision_at_k(ranked: Sequence[IssueRef], relevant: AbstractSet, k: int) -> float:

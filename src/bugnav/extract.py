@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from bugnav.corpus.models import IssueDocument, RepoSnapshot
+from bugnav.corpus.models import IssueDocument, RepoSnapshot, file_kind
 from bugnav.textprep import split_camel, stem
 
 log = logging.getLogger(__name__)
@@ -54,20 +54,6 @@ class RepoContext:
     is_android: bool = False
 
 
-def _basename(path: str) -> str:
-    return path.rsplit("/", 1)[-1]
-
-
-def _is_layout_path(path: str) -> bool:
-    parts = path.split("/")
-    return (
-        path.endswith(".xml")
-        and len(parts) >= 2
-        and parts[-2].startswith("layout")
-        and "res" in parts[:-1]
-    )
-
-
 def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -84,8 +70,8 @@ def extract_dependencies(snapshot: RepoSnapshot) -> Set[DependencyId]:
     """Declared dependencies from every pom.xml and build.gradle found."""
     deps: Set[DependencyId] = set()
     for path, text in snapshot.files.items():
-        name = _basename(path)
-        if name == "pom.xml":
+        kind = file_kind(path)
+        if kind == "pom":
             root = _parse_xml(path, text)
             if root is None:
                 continue
@@ -100,7 +86,7 @@ def extract_dependencies(snapshot: RepoSnapshot) -> Set[DependencyId]:
                         artifact = (child.text or "").strip()
                 if group and artifact:
                     deps.add(DependencyId(group.lower(), artifact.lower()))
-        elif name in ("build.gradle", "build.gradle.kts"):
+        elif kind == "gradle":
             for line in text.splitlines():
                 m = _GRADLE_COORD_RE.search(line)
                 if m:
@@ -123,7 +109,7 @@ def extract_permissions(snapshot: RepoSnapshot) -> Set[str]:
     """uses-permission values, lowercased, platform prefix stripped."""
     perms: Set[str] = set()
     for path, text in snapshot.files.items():
-        if _basename(path) != "AndroidManifest.xml":
+        if file_kind(path) != "manifest":
             continue
         root = _parse_xml(path, text)
         if root is None:
@@ -145,7 +131,7 @@ def extract_ui_elements(snapshot: RepoSnapshot) -> Set[str]:
     """Widget tag names and android:id leaf names from layout files."""
     ui: Set[str] = set()
     for path, text in snapshot.files.items():
-        if not _is_layout_path(path):
+        if file_kind(path) != "layout":
             continue
         root = _parse_xml(path, text)
         if root is None:
@@ -160,7 +146,7 @@ def extract_ui_elements(snapshot: RepoSnapshot) -> Set[str]:
 
 
 def is_android(snapshot: RepoSnapshot) -> bool:
-    return any(_basename(p) == "AndroidManifest.xml" for p in snapshot.files)
+    return any(file_kind(p) == "manifest" for p in snapshot.files)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +288,7 @@ def code_kinds(snapshot: RepoSnapshot) -> Dict[str, Tuple[str, ...]]:
     return {
         path: tokenize_code(snapshot.files[path])
         for path in sorted(snapshot.files)
-        if path.endswith(".java")
+        if file_kind(path) == "java"
     }
 
 

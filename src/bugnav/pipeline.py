@@ -7,7 +7,6 @@ repository's snapshot once, compare them against the driver (prepared
 once per run), and re-rank.
 """
 
-import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,13 @@ from .corpus import (
     RepoSnapshot,
     find_patch_refs,
 )
-from .errors import NoCandidatesError, NotFoundError, ValidationError
+from .errors import (
+    NoCandidatesError,
+    NotFoundError,
+    ValidationError,
+    checked_field,
+    read_json_object,
+)
 from .extract import build_repo_context
 from .querygen import QueryOutcome, build_query
 from .ranking import RankInput, RankedCandidate, WeightConfig, quality_metrics, rank
@@ -63,33 +68,24 @@ def load_issue_file(path: str) -> IssueDocument:
     anywhere yet. Patch references are still mined from the text so a
     local copy of an existing issue behaves like the fetched one.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read issue file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"issue file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"issue file {path} must hold a JSON object")
+    data = read_json_object(path, "issue file")
+    where = f"issue file {path}"
     unknown = set(data) - _ISSUE_FILE_KEYS
     if unknown:
-        raise ValidationError(f"unknown issue file keys: {sorted(unknown)}")
-    if "ref" not in data:
-        raise ValidationError(f"issue file {path} is missing 'ref'")
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
     try:
-        ref = IssueRef.parse(str(data["ref"]))
+        ref = IssueRef.parse(checked_field(data, "ref", str, where))
     except ValueError as exc:
-        raise ValidationError(f"issue file {path}: {exc}") from exc
-    body = data.get("body") or ""
-    comments = [str(c) for c in data.get("comments") or []]
+        raise ValidationError(f"{where}: {exc}") from exc
+    body = checked_field(data, "body", str, where, "")
+    comments = checked_field(data, "comments", list, where, [], items=str)
     return IssueDocument(
         ref=ref,
-        title=str(data.get("title") or ""),
+        title=checked_field(data, "title", str, where, ""),
         body=body,
         comments=comments,
-        state=str(data.get("state") or "open"),
-        labels=[str(l) for l in data.get("labels") or []],
+        state=checked_field(data, "state", str, where, "") or "open",
+        labels=checked_field(data, "labels", list, where, [], items=str),
         num_comments=len(comments),
         is_pull=False,
         patch_refs=find_patch_refs(ref.owner, ref.repo, [body] + comments),

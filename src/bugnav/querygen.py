@@ -27,14 +27,6 @@ STRATEGY_CONDITION = "condition"
 STRATEGY_SUMMARY_SCOPED = "summary_title_scoped"
 STRATEGY_SUMMARY_UNSCOPED = "summary_unscoped"  # SearchQuery's default label
 
-# strongest first
-STRATEGY_ORDER = [
-    STRATEGY_STACK_TRACE,
-    STRATEGY_CONDITION,
-    STRATEGY_SUMMARY_SCOPED,
-    STRATEGY_SUMMARY_UNSCOPED,
-]
-
 DEFAULT_N_THRESHOLD = 5
 
 _EXC_RE = re.compile(r"\b(?:[A-Za-z][\w.$]*)?(?:Exception|Error)\b")

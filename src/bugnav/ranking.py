@@ -9,6 +9,7 @@ keyword factors; those stay available for tuning.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -66,9 +67,10 @@ FACTORS = (
 )
 
 
-def _per_factor(prefix: str, noun: str, defaults: Sequence[float]):
+def _per_factor(prefix: str, noun: str, defaults: Sequence[float], upper: float):
     """Class decorator: a frozen dataclass with one float field per
-    factor, named ``prefix + factor``, in FACTORS order."""
+    factor, named ``prefix + factor``, in FACTORS order, read from JSON
+    only when every value lies in [0, upper]."""
 
     def build(cls):
         names = tuple(prefix + name for name, _ in FACTORS)
@@ -77,6 +79,7 @@ def _per_factor(prefix: str, noun: str, defaults: Sequence[float]):
             setattr(cls, name, default)
         cls._names = names
         cls._noun = noun
+        cls._upper = upper
         cls._values = operator.attrgetter(*names)
         return dataclass(frozen=True)(cls)
 
@@ -94,19 +97,25 @@ class _PerFactorRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]):
+        if not isinstance(data, dict):
+            raise ValidationError(f"{cls._noun}s must be a JSON object, not {data!r:.80}")
         unknown = set(data) - set(cls._names)
         if unknown:
             raise ValidationError(f"unknown {cls._noun} names: {sorted(unknown)}")
         values = {}
+        upper = cls._upper
         for name, value in data.items():
             try:
-                values[name] = float(value)
-            except (TypeError, ValueError) as exc:
+                values[name] = number = float(value)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{cls._noun} {name} must be a number: {value!r}") from exc
+            # false for NaN too
+            if not 0.0 <= number <= upper:
+                raise ValidationError(f"{cls._noun} {name} must lie in [0, {upper}]: {value}")
         return cls(**values)
 
 
-@_per_factor("w_", "weight", [weight for _, weight in FACTORS])
+@_per_factor("w_", "weight", [weight for _, weight in FACTORS], math.inf)
 class WeightConfig(_PerFactorRecord):
     """One non-negative weight per factor, ``w_<factor>``."""
 
@@ -116,7 +125,7 @@ class WeightConfig(_PerFactorRecord):
                 raise ValidationError(f"{name} must be non-negative")
 
 
-@_per_factor("", "factor", [0.0] * len(FACTORS))
+@_per_factor("", "factor", [0.0] * len(FACTORS), 1.0)
 class FactorVector(_PerFactorRecord):
     """Normalized factors, one per weight, all in [0, 1]."""
 

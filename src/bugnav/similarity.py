@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from . import extract
-from .corpus.models import IssueDocument, Patch, RepoSnapshot
+from .corpus.models import IssueDocument, Patch, RepoSnapshot, file_kind
 
 DEFAULT_MIN_MATCH_LEN = 9
 
@@ -172,7 +172,7 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
     patch_streams = [
         extract.tokenize_code(modified.new_content)
         for modified in patch.files
-        if modified.path.endswith(".java") and modified.new_content is not None
+        if file_kind(modified.path) == "java" and modified.new_content is not None
     ]
     if not driver.kinds or not patch_streams:
         return None

@@ -12,6 +12,35 @@ from bugnav.textprep import split_camel, stem
 
 
 # ---------------------------------------------------------------------------
+# repository file kinds
+
+
+def file_kinds_reference(path):
+    """Every kind the extractors read ``path`` as, by the predicates each
+    of them applied on its own before they shared one rule. A pom.xml or
+    manifest directly inside a layout directory was read as two kinds."""
+    name = path.rsplit("/", 1)[-1]
+    parts = path.split("/")
+    kinds = set()
+    if path.endswith(".java"):
+        kinds.add("java")
+    if name == "pom.xml":
+        kinds.add("pom")
+    if name in ("build.gradle", "build.gradle.kts"):
+        kinds.add("gradle")
+    if name == "AndroidManifest.xml":
+        kinds.add("manifest")
+    if (
+        path.endswith(".xml")
+        and len(parts) >= 2
+        and parts[-2].startswith("layout")
+        and "res" in parts[:-1]
+    ):
+        kinds.add("layout")
+    return kinds
+
+
+# ---------------------------------------------------------------------------
 # greedy string tiling
 
 

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -234,14 +236,16 @@ class TestRecommend:
         assert rc == 4
         assert "get_issue" in err
 
-    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    @pytest.mark.parametrize("damage", ["missing", "corrupt", "deep"])
     def test_unreadable_payload_exit_code(self, capsys, fxdir, damage):
         key = canonical_key("get_issue", {"owner": "octo", "repo": "driver", "number": "7"})
         payload = fxdir / "payloads" / f"{key}.json"
         if damage == "missing":
             payload.unlink()
-        else:
+        elif damage == "corrupt":
             payload.write_text('{"title": ')
+        else:
+            payload.write_text("[" * 100_000)
         rc, out, err = _recommend(capsys, fxdir)
         assert rc == 4
         assert out == ""
@@ -258,6 +262,15 @@ class TestRecommend:
         assert out == ""
         assert "index.jsonl" in err
         assert f"line {number}" in err
+
+    @pytest.mark.parametrize("text", [b"[" * 100_000 + b"\n", b"\xff\n"], ids=["deep", "not-utf8"])
+    def test_unparseable_index_exit_code(self, capsys, fxdir, text):
+        with open(fxdir / "index.jsonl", "ab") as fh:
+            fh.write(text)
+        rc, out, err = _recommend(capsys, fxdir)
+        assert rc == 4
+        assert out == ""
+        assert "index.jsonl" in err
 
     @pytest.mark.parametrize(
         "endpoint, params, payload",
@@ -333,6 +346,24 @@ _JSON = st.recursive(
 )
 
 
+def _reshape(data, value):
+    """A deep copy of a JSON value with one value inside it, or the whole,
+    replaced by drawn JSON, or dropped from its object; and that value's path."""
+    value = copy.deepcopy(value)
+    path = data.draw(st.sampled_from(list(_positions(value))))
+    replacement = data.draw(_JSON)
+    if not path:
+        return path, replacement
+    parent = value
+    for step in path[:-1]:
+        parent = parent[step]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return path, value
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_reshaped_payload_exits_with_a_documented_code(data):
@@ -348,19 +379,7 @@ def test_reshaped_payload_exits_with_a_documented_code(data):
 
     key = data.draw(st.sampled_from(sorted(transport.responses)))
     status, payload = transport.responses[key]
-    payload = copy.deepcopy(payload)
-    path = data.draw(st.sampled_from(list(_positions(payload))))
-    value = data.draw(_JSON)
-    if not path:
-        payload = value
-    else:
-        parent = payload
-        for step in path[:-1]:
-            parent = parent[step]
-        if isinstance(parent, dict) and data.draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+    path, payload = _reshape(data, payload)
     transport.responses[key] = (status, payload)
 
     out, err = io.StringIO(), io.StringIO()
@@ -370,19 +389,117 @@ def test_reshaped_payload_exits_with_a_documented_code(data):
     assert rc in range(5), (key, path, err.getvalue())
 
 
+DATASET_ENTRY = {
+    "driver": "octo/driver#99",
+    "candidates": [
+        {"ref": "octo/demo#1", "factors": {"issue_length": 0.2}},
+        {"ref": "octo/demo#4", "factors": {"dep": 1.0}},
+    ],
+    "relevant": ["octo/demo#4"],
+}
+
+CONFIG = {
+    "max_candidates": 5,
+    "n_threshold": 2,
+    "parallelism": 2,
+    "min_match_len": 9,
+    "cache_dir": "cache",
+    "language_filter": "java",
+    "qualifier_mode": "body,comments",
+    "output_format": "table",
+    "weights": {"w_code": 0.5},
+}
+
+ISSUE_FILE = {
+    "ref": "octo/driver#7",
+    "title": "UTFDataFormatException on large objects",
+    "body": DRIVER_BODY,
+    "comments": ["Seen with 1.3.0 too."],
+    "state": "open",
+    "labels": ["bug"],
+}
+
+
 @pytest.fixture()
 def dataset_path(tmp_path):
     path = tmp_path / "dataset.jsonl"
-    entry = {
-        "driver": "octo/driver#99",
-        "candidates": [
-            {"ref": "octo/demo#1", "factors": {"issue_length": 0.2}},
-            {"ref": "octo/demo#4", "factors": {"dep": 1.0}},
-        ],
-        "relevant": ["octo/demo#4"],
-    }
-    path.write_text(json.dumps(entry) + "\n")
+    path.write_text(json.dumps(DATASET_ENTRY) + "\n")
     return path
+
+
+def _input_argv(kind, path, fxdir, workdir):
+    """A command that reads the input file ``path`` of ``kind``. Replay
+    and the cache directory always come from flags, so no file value can
+    send a request to the network or a write outside ``workdir``."""
+    if kind == "dataset":
+        return ["evaluate", str(path)]
+    local = ["--fixture-dir", str(fxdir), "--cache-dir", str(workdir / "cache")]
+    if kind == "config":
+        return ["recommend", "octo/driver#7", "--config", str(path), *local]
+    return ["recommend", str(path), *local]
+
+
+@pytest.mark.parametrize("kind,value,named", [
+    ("dataset", [1, 2], "line 1"),
+    ("dataset", dict(DATASET_ENTRY, driver=5), "line 1"),
+    ("dataset", dict(DATASET_ENTRY, candidates=[5]), "line 1"),
+    ("dataset", dict(DATASET_ENTRY, candidates=None), "line 1"),
+    ("dataset", dict(DATASET_ENTRY, candidates=[
+        {"ref": "octo/demo#4", "factors": {"dep": 1.5}}]), "line 1"),
+    ("dataset", dict(DATASET_ENTRY, candidates=[
+        {"ref": "octo/demo#4", "factors": {"dep": float("nan")}}]), "line 1"),
+    ("config", {"max_candidates": "x"}, "max_candidates"),
+    ("config", {"n_threshold": "3"}, "n_threshold"),
+    ("config", {"parallelism": None}, "parallelism"),
+    ("config", {"min_match_len": 2.5}, "min_match_len"),
+    ("config", {"cache_dir": 7}, "cache_dir"),
+    ("config", {"weights": 5}, "weights"),
+    ("issue", dict(ISSUE_FILE, comments=5), "comments"),
+    ("issue", dict(ISSUE_FILE, body=7), "body"),
+    ("issue", dict(ISSUE_FILE, labels=["bug", 3]), "labels"),
+])
+def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, value, named):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(value) + "\n")
+    rc, _, err = _run(capsys, _input_argv(kind, path, fxdir, tmp_path))
+    assert rc == 1
+    assert err.startswith("error: ") and str(path) in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["dataset", "config", "issue"])
+@pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"ref": "\xff"}'], ids=["deep", "not-utf8"])
+def test_unparseable_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, raw):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(raw)
+    rc, _, err = _run(capsys, _input_argv(kind, path, fxdir, tmp_path))
+    assert rc == 1
+    assert err.startswith("error: ") and str(path) in err
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_reshaped_input_file_exits_with_a_documented_code(fxdir, data):
+    """A dataset line, config file or issue file with any one value
+    replaced or dropped ends its command with an exit code of 0-4."""
+    kind, base = data.draw(st.sampled_from(
+        [("dataset", DATASET_ENTRY), ("config", CONFIG), ("issue", ISSUE_FILE)]
+    ))
+    _, value = _reshape(data, base)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        path = workdir / f"{kind}.json"
+        path.write_text(json.dumps(value) + "\n")
+        argv = _input_argv(kind, path, fxdir, workdir)
+        if kind == "dataset" and data.draw(st.booleans()):
+            argv = ["tune", str(path), "--grid-step", "1.0"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc in range(5), (kind, value, err.getvalue())
 
 
 class TestEvaluate:

@@ -7,12 +7,17 @@ import threading
 
 import pytest
 
-from bugnav.corpus.client import DEFAULT_SNAPSHOT_GLOBS, PlatformClient, match_glob
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.miner import mine_similar_pairs
-from bugnav.corpus.models import IssueRef
+from bugnav.corpus.models import IssueRef, file_kind
 from bugnav.errors import NotFoundError, TransportError, ValidationError
+from bugnav.extract import build_repo_context
 from bugnav.querygen import SearchQuery
-from stubs import StubTransport, put_issue, put_search
+from oracles import file_kinds_reference
+from stubs import StubTransport, put_issue, put_repo_tree, put_search
 
 
 def _b64(text):
@@ -96,6 +101,19 @@ class TestSearchIssues:
         assert len(hits) == 3
         assert len(transport.calls) == 1
 
+    def test_full_page_at_max_results_is_the_last_request(self):
+        transport = StubTransport()
+        q = _query()
+        transport.put(
+            "search_issues", {"q": q.full() + " state:closed", "page": "1", "per_page": "100"},
+            {"total_count": 500, "items": [_item("o", "r", n, "t") for n in range(1, 101)]},
+        )
+        hits = PlatformClient(transport).search_issues(q, max_results=100)
+        assert [h.search_rank for h in hits] == list(range(1, 101))
+        assert transport.calls == [
+            ("search_issues", {"q": q.full() + " state:closed", "page": "1", "per_page": "100"})
+        ]
+
     def test_empty_query_rejected(self):
         with pytest.raises(ValidationError):
             PlatformClient(StubTransport()).search_issues(_query(""))
@@ -154,6 +172,21 @@ class TestFetchIssue:
         doc = PlatformClient(transport).fetch_issue(IssueRef("octo", "demo", 6))
         assert doc.comments == [] and doc.num_comments == 0
         assert doc.patch_refs == []
+
+    def test_full_comment_page_asks_for_the_next(self):
+        transport = StubTransport()
+        comments = [f"comment {n}" for n in range(100)]
+        _put_issue(transport, "octo", "demo", 8, comments=comments)
+        transport.put(
+            "list_comments",
+            {"owner": "octo", "repo": "demo", "number": "8", "page": "2", "per_page": "100"},
+            [],
+        )
+        doc = PlatformClient(transport).fetch_issue(IssueRef("octo", "demo", 8))
+        assert doc.comments == comments
+        pages = [params["page"] for endpoint, params in transport.calls
+                 if endpoint == "list_comments"]
+        assert pages == ["1", "2"]
 
     def test_missing_issue_raises(self):
         transport = StubTransport()
@@ -299,6 +332,20 @@ class TestFetchPatch:
         assert patch.files[0].new_content == JAVA_FIX
         assert patch.files[1].new_content is None  # only code files are fetched
         assert patch.files[0].diff == "@@ -1 +1 @@"
+
+    def test_pull_files_over_two_pages_keep_their_order(self):
+        transport = StubTransport()
+        _put_issue(transport, "octo", "demo", 7, body="fix: https://github.com/octo/demo/pull/9")
+        paths = [f"docs/note{n:03}.md" for n in range(150)]
+        _put_pull(transport, "octo", "demo", 9, [(p, "modified") for p in paths[:100]])
+        transport.put(
+            "get_pull_files",
+            {"owner": "octo", "repo": "demo", "number": "9", "page": "2", "per_page": "100"},
+            [{"filename": p, "status": "modified"} for p in paths[100:]],
+        )
+        client = PlatformClient(transport)
+        patch = client.fetch_patch(client.fetch_issue(IssueRef("octo", "demo", 7)))
+        assert [f.path for f in patch.files] == paths
 
     def test_pull_type_issue_is_its_own_patch(self):
         transport = StubTransport()
@@ -464,6 +511,18 @@ class TestFetchPatch:
 
 
 class TestMatchGlob:
+    """The cases of the path globs the snapshot used to be fetched by.
+    ``file_kind`` gives each path the kind its glob stood for, or None
+    where the glob did not match. The one verdict that flips on purpose
+    is a layout nested below ``res/layout/``, which no extractor read."""
+
+    GLOB_KINDS = {
+        "**/*.java": "java",
+        "**/pom.xml": "pom",
+        "**/build.gradle*": "gradle",
+        "**/AndroidManifest.xml": "manifest",
+        "**/res/layout/**/*.xml": "layout",
+    }
     CASES = [
         ("src/main/A.java", "**/*.java", True),
         ("A.java", "**/*.java", True),
@@ -473,7 +532,7 @@ class TestMatchGlob:
         ("app/build.gradle.kts", "**/build.gradle*", True),
         ("AndroidManifest.xml", "**/AndroidManifest.xml", True),
         ("res/layout/main.xml", "**/res/layout/**/*.xml", True),
-        ("app/src/main/res/layout/sub/row.xml", "**/res/layout/**/*.xml", True),
+        ("app/src/main/res/layout/sub/row.xml", "**/res/layout/**/*.xml", False),
         ("res/values/strings.xml", "**/res/layout/**/*.xml", False),
         ("src/Ajava", "**/*.java", False),
         ("src/A.kt", "**/*.java", False),
@@ -481,7 +540,46 @@ class TestMatchGlob:
 
     @pytest.mark.parametrize("path,pattern,want", CASES)
     def test_cases(self, path, pattern, want):
-        assert match_glob(path, pattern) is want
+        assert file_kind(path) == (self.GLOB_KINDS[pattern] if want else None)
+
+
+_KIND_ORDER = ("java", "pom", "gradle", "manifest", "layout")
+_DIRS = ["res", "src", "app", "", "res-x"]
+_PARENTS = ["layout", "layout-land", "layouts", "values", "res", "sub"]
+_NAMES = [
+    "main.xml", "x.XML", "pom.xml", "build.gradle", "build.gradle.kts", "build.gradle.bak",
+    "AndroidManifest.xml", "A.java", ".java", "A.kt", "Ajava",
+]
+
+
+class TestFileKind:
+    @pytest.mark.parametrize("path,kind", [
+        ("res/layout-land/main.xml", "layout"),
+        ("app/src/main/res/layout-sw600dp/main.xml", "layout"),
+        ("res/layout/sub/row.xml", None),
+        ("layout/main.xml", None),
+        ("res/layout/main.txt", None),
+        ("build.gradle.bak", None),
+        ("app/build.gradle.kts", "gradle"),
+        ("res/layout/pom.xml", "pom"),
+        ("res/layout/AndroidManifest.xml", "manifest"),
+        ("README.md", None),
+    ])
+    def test_cases(self, path, kind):
+        assert file_kind(path) == kind
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_DIRS), max_size=3),
+        st.lists(st.sampled_from(_PARENTS), max_size=2),
+        st.sampled_from(_NAMES),
+    )
+    def test_agrees_with_the_extractors_predicates(self, dirs, parents, name):
+        """A path gets a kind exactly when some extractor read it, and that
+        kind; a name kind wins over a layout directory."""
+        path = "/".join(dirs + parents + [name])
+        kinds = file_kinds_reference(path)
+        assert file_kind(path) == next((k for k in _KIND_ORDER if k in kinds), None)
 
 
 def _put_repo_tree(transport, owner, repo, paths, head="c" * 40, branch="main"):
@@ -520,17 +618,23 @@ class TestFetchRepoSnapshot:
         assert snap.files["pom.xml"] == "<project/>"
         assert snap.head == "c" * 40
 
-    def test_non_matching_globs_give_empty_snapshot(self):
+    def test_only_files_with_a_kind_are_requested(self):
         transport = StubTransport()
-        self._script(transport)
-        snap = PlatformClient(transport).fetch_repo_snapshot(
-            "octo", "demo", include_globs=["**/*.kt"]
+        layout = (
+            '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">'
+            '<Button android:id="@+id/land_btn"/></LinearLayout>'
         )
-        assert snap.files == {}
-
-    def test_empty_globs_rejected(self):
-        with pytest.raises(ValidationError):
-            PlatformClient(StubTransport()).fetch_repo_snapshot("octo", "demo", include_globs=[])
+        put_repo_tree(transport, "octo", "demo", {
+            "app/src/main/res/layout-land/main.xml": layout,
+            "app/src/main/res/layout/sub/row.xml": layout.replace("land", "row"),
+            "app/build.gradle.bak": "implementation 'a:b:1'",
+        })
+        snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
+        assert list(snap.files) == ["app/src/main/res/layout-land/main.xml"]
+        assert "land_btn" in build_repo_context(snap).ui_elements
+        requested = [params["path"] for endpoint, params in transport.calls
+                     if endpoint == "get_file_content"]
+        assert requested == ["app/src/main/res/layout-land/main.xml"]
 
     def test_second_fetch_served_from_cache(self, tmp_path):
         transport = StubTransport()
@@ -558,6 +662,18 @@ class TestFetchRepoSnapshot:
         # repo + tree + one content fetch per snapshot file
         assert len(transport.calls) == calls_before + 2 + len(first.files)
         assert cache_file.read_text() == text
+
+    @pytest.mark.parametrize("name", ["a-file", "nul\x00byte"])
+    def test_unwritable_cache_dir_warns_and_fetches(self, tmp_path, caplog, name):
+        transport = StubTransport()
+        self._script(transport)
+        (tmp_path / "a-file").write_text("")
+        expected = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
+        client = PlatformClient(transport, cache_dir=tmp_path / name)
+        with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
+            assert client.fetch_repo_snapshot("octo", "demo") == expected
+        assert any("cannot write snapshot cache" in r.getMessage() for r in caplog.records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
     def test_concurrent_fetches_share_cache_safely(self, tmp_path):
         transport = StubTransport()
@@ -612,15 +728,6 @@ class TestFetchRepoSnapshot:
         warned = [r for r in caplog.records if "truncated" in r.getMessage()]
         assert len(warned) == (1 if truncated else 0)
         assert all("octo/demo" in r.getMessage() for r in warned)
-
-    def test_cache_ignored_for_different_globs(self, tmp_path):
-        transport = StubTransport()
-        self._script(transport)
-        client = PlatformClient(transport, cache_dir=tmp_path)
-        full = client.fetch_repo_snapshot("octo", "demo")
-        java_only = client.fetch_repo_snapshot("octo", "demo", include_globs=["**/*.java"])
-        assert "pom.xml" in full.files
-        assert "pom.xml" not in java_only.files
 
     def test_missing_repo_raises(self):
         transport = StubTransport()

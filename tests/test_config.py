@@ -76,6 +76,11 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="w_code must be a number"):
             RunConfig.from_dict({"weights": {"w_code": value}})
 
+    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    def test_weight_outside_its_range_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"w_code must lie in \[0, inf\]"):
+            RunConfig.from_dict({"weights": {"w_code": value}})
+
     def test_empty_language_filter_means_no_filter(self):
         assert RunConfig.from_dict({"language_filter": ""}).language_filter is None
         assert RunConfig.from_dict({"language_filter": None}).language_filter is None

@@ -101,7 +101,7 @@ class FakeClient:
     def fetch_patch(self, issue):
         return self.patches.get(issue.ref)
 
-    def fetch_repo_snapshot(self, owner, repo, include_globs=None):
+    def fetch_repo_snapshot(self, owner, repo):
         key = f"{owner}/{repo}"
         if key not in self.snapshots:
             raise NotFoundError(f"no snapshot for {key}")
