@@ -1,6 +1,7 @@
 """Command-line entry point: recommend, evaluate, mine, tune."""
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -50,20 +51,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON file with a full set of ranking weights")
 
 
-_OVERRIDE_FIELDS = (
-    "fixture_dir",
-    "cache_dir",
-    "auth_token_source",
-    "language_filter",
-    "max_candidates",
-    "n_threshold",
-    "qualifier_mode",
-    "output_format",
-    "parallelism",
-    "min_match_len",
-)
-
-
 def _apply_weight_overrides(weights: WeightConfig, specs: List[str]) -> WeightConfig:
     data = weights.to_dict()
     for spec in specs:
@@ -82,13 +69,19 @@ def _apply_weight_overrides(weights: WeightConfig, specs: List[str]) -> WeightCo
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     base = RunConfig.load(args.config) if args.config else RunConfig()
     data = base.to_dict()
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
+    # each field but weights has a flag of the same dest
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[name] = value
+            data[f.name] = value
     weights = base.weights
-    if getattr(args, "weights_file", None):
-        weights = WeightConfig.from_dict(read_json_object(args.weights_file, "weights file"))
+    path = getattr(args, "weights_file", None)
+    if path:
+        raw = read_json_object(path, "weights file")
+        try:
+            weights = WeightConfig.from_dict(raw)
+        except ValidationError as exc:
+            raise ValidationError(f"weights file {path}: {exc}") from exc
     if getattr(args, "weight", None):
         weights = _apply_weight_overrides(weights, args.weight)
     data["weights"] = weights

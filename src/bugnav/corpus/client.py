@@ -282,12 +282,15 @@ class PlatformClient:
             return None
         try:
             data = json.loads(path.read_text())
-            return RepoSnapshot(
-                owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
-            )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            if not _is_snapshot(data):
+                raise ValueError("not a snapshot object")
+        # RecursionError: nesting deeper than the decoder's stack
+        except (OSError, ValueError, RecursionError) as exc:
             log.warning("unreadable snapshot cache %s (%s), refetching", path, exc)
             return None
+        return RepoSnapshot(
+            owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
+        )
 
     def _store_snapshot(self, snapshot: RepoSnapshot) -> None:
         """Write through a temp file in the cache directory and rename it
@@ -319,6 +322,17 @@ class PlatformClient:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+
+
+def _is_snapshot(data) -> bool:
+    """Whether ``data`` has the shape :meth:`PlatformClient._store_snapshot`
+    writes: string owner, repo and head, and files mapping paths to text."""
+    return (
+        isinstance(data, dict)
+        and all(isinstance(data.get(key), str) for key in ("owner", "repo", "head"))
+        and isinstance(data.get("files"), dict)
+        and all(isinstance(text, str) for text in data["files"].values())
+    )
 
 
 def _item_ref(item: dict) -> IssueRef:

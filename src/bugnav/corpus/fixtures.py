@@ -49,6 +49,9 @@ class FixtureStore:
                     continue
                 try:
                     row = json.loads(line)
+                    # what lookup returns: a payload path and a status code
+                    if not (isinstance(row["payload"], str) and isinstance(row["status"], int)):
+                        raise TypeError("payload must be a string and status an integer")
                     self._rows[row["key"]] = row
                 # RecursionError: nesting deeper than the decoder's stack
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:

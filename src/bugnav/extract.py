@@ -17,7 +17,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from bugnav.corpus.models import IssueDocument, RepoSnapshot, file_kind
 from bugnav.textprep import split_camel, stem
@@ -178,9 +178,21 @@ _OPERATORS = [
     ("?", "question"), (":", "colon"), ("@", "at"),
 ]
 
+#: Every token kind by name, and the one character that stands for it in
+#: a lexed stream. All codes are below 128, so streams are compact strs.
+KIND_CODES = {
+    name: chr(code)
+    for code, name in enumerate(
+        ["ident", "str", "chr", "num"]
+        + [f"kw_{word}" for word in sorted(_JAVA_KEYWORDS)]
+        + [name for _, name in _OPERATORS]
+    )
+}
+
 # a word missing from this table is an identifier
-_KINDS = {word: f"kw_{word}" for word in _JAVA_KEYWORDS}
-_KINDS.update(_OPERATORS)
+_KINDS = {word: KIND_CODES[f"kw_{word}"] for word in _JAVA_KEYWORDS}
+_KINDS.update((op, KIND_CODES[name]) for op, name in _OPERATORS)
+_IDENT = KIND_CODES["ident"]
 
 # Alternatives are tried in order at each position, as a hand-written
 # scanner would: skipped text, literals, numbers, words, operators, then
@@ -199,22 +211,23 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize_code(source: str) -> Tuple[str, ...]:
-    """Lex Java-family source into its token kinds.
+def tokenize_code(source: str) -> str:
+    """Lex Java-family source into its token kinds, one character per
+    token, as fixed in :data:`KIND_CODES`.
 
     Identifiers are abstracted to ``ident``. Comments disappear
     entirely; string and char literals collapse to a bare kind with
     their contents excluded, so similarity does not hinge on message
     wording.
     """
-    kinds = []
+    codes = []
     for m in _TOKEN_RE.finditer(source):
         group = m.lastgroup
         if group == "tok":
-            kinds.append(_KINDS.get(m.group(), "ident"))
+            codes.append(_KINDS.get(m.group(), _IDENT))
         elif group is not None:
-            kinds.append(group)
-    return tuple(kinds)
+            codes.append(KIND_CODES[group])
+    return "".join(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +296,7 @@ def extract_mentions(thread: ThreadIndex, vocabulary) -> Set[str]:
     }
 
 
-def code_kinds(snapshot: RepoSnapshot) -> Dict[str, Tuple[str, ...]]:
+def code_kinds(snapshot: RepoSnapshot) -> Dict[str, str]:
     """Token kinds of every Java file in the snapshot, by path, in path order."""
     return {
         path: tokenize_code(snapshot.files[path])

@@ -18,7 +18,7 @@ import dataclasses
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterable, List, Optional, Sequence
 
 from . import extract
 from .corpus.models import IssueDocument, Patch, RepoSnapshot, file_kind
@@ -38,14 +38,6 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
     return len(xs & ys) / min(len(xs), len(ys))
 
 
-def _intern(streams, codes: Dict[Hashable, str]):
-    """Each stream as a str of one character per token, the same character
-    for equal tokens across all of them and every stream interned earlier
-    with ``codes``, so windows hash and compare in C. Tokens new to
-    ``codes`` are added to it with fresh characters."""
-    return ["".join([codes.setdefault(t, chr(len(codes))) for t in s]) for s in streams]
-
-
 _UNMARKED = re.compile(b"\x00+")
 _HITS = re.compile(b"\x01+")
 
@@ -56,7 +48,7 @@ def _windows(s: str, runs, length: int):
     return [(i, s[i : i + length]) for lo, hi in runs for i in range(lo, hi - length + 1)]
 
 
-def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: int):
+def _greedy_tiles(a: str, b: str, min_match_len: int):
     """Greedy string tiling: repeatedly take the longest common unmarked
     substring, ties resolved in ascending (i, j) order within a round.
 
@@ -65,7 +57,6 @@ def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: i
     finds a longer match than the round before. Once L is the longest,
     every pair of equal unmarked L-windows is a maximal match.
     """
-    sa, sb = _intern((a, b), {})
     marked_a = bytearray(len(a))
     marked_b = bytearray(len(b))
     tiles = []
@@ -75,8 +66,8 @@ def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: i
         runs_b = [r.span() for r in _UNMARKED.finditer(marked_b)]
 
         def common(length):
-            in_b = {w for _, w in _windows(sb, runs_b, length)}
-            return not in_b.isdisjoint(w for _, w in _windows(sa, runs_a, length))
+            in_b = {w for _, w in _windows(b, runs_b, length)}
+            return not in_b.isdisjoint(w for _, w in _windows(a, runs_a, length))
 
         lo, hi = min_match_len, longest
         if not common(lo):
@@ -88,10 +79,10 @@ def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: i
             else:
                 hi = mid - 1
         starts_b = defaultdict(list)
-        for j, w in _windows(sb, runs_b, lo):
+        for j, w in _windows(b, runs_b, lo):
             starts_b[w].append(j)
         tile = b"\x01" * lo
-        for i, w in _windows(sa, runs_a, lo):
+        for i, w in _windows(a, runs_a, lo):
             for j in starts_b.get(w, ()):
                 # an earlier tile this round may have occluded this match
                 if marked_a.find(1, i, i + lo) != -1 or marked_b.find(1, j, j + lo) != -1:
@@ -104,13 +95,9 @@ def _greedy_tiles(a: Sequence[Hashable], b: Sequence[Hashable], min_match_len: i
     return tiles
 
 
-def gst_similarity(
-    a: Sequence[Hashable],
-    b: Sequence[Hashable],
-    *,
-    min_match_len: int = DEFAULT_MIN_MATCH_LEN,
-) -> float:
-    """Similarity of two token streams: 2*coverage / (len(a) + len(b))."""
+def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN) -> float:
+    """Similarity of two token streams, strs as :func:`extract.tokenize_code`
+    returns them (or tuples): 2*coverage / (len(a) + len(b))."""
     if min_match_len < 1:
         raise ValueError("min_match_len must be >= 1")
     if not a and not b:
@@ -139,20 +126,18 @@ def _all_windows(s: str, length: int) -> List[str]:
 
 class DriverCode:
     """The driver's Java files, prepared once per run for
-    :func:`code_similarity`: their token kinds, one character per kind,
-    and the ``min_match_len``-windows of each file as a list and a set.
+    :func:`code_similarity`: their token streams from
+    :func:`extract.tokenize_code`, and the ``min_match_len``-windows of
+    each file as a list and a set.
 
-    Only read after construction, so candidates can share it."""
+    Only read after construction, so candidates share it as it is."""
 
-    def __init__(self, kinds: Iterable[Tuple[str, ...]], min_match_len: int):
+    def __init__(self, kinds: Iterable[str], min_match_len: int):
         if min_match_len < 1:
             raise ValueError("min_match_len must be >= 1")
         self.min_match_len = min_match_len
         self.kinds = list(kinds)
-        self.codes: Dict[Hashable, str] = {}
-        self.windows = [
-            _all_windows(s, min_match_len) for s in _intern(self.kinds, self.codes)
-        ]
+        self.windows = [_all_windows(s, min_match_len) for s in self.kinds]
         self.window_sets = [set(w) for w in self.windows]
 
 
@@ -177,10 +162,7 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
     if not driver.kinds or not patch_streams:
         return None
     m = driver.min_match_len
-    # a copy, so kinds only this patch has get characters of their own
-    patch_windows = [
-        _all_windows(s, m) for s in _intern(patch_streams, dict(driver.codes))
-    ]
+    patch_windows = [_all_windows(s, m) for s in patch_streams]
     patch_sets = [set(w) for w in patch_windows]
     pairs = []
     for d, (d_windows, d_set) in enumerate(zip(driver.windows, driver.window_sets)):

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bugnav import cli, pipeline
+from bugnav.config import RunConfig
 from bugnav.corpus import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.ranking import WeightConfig
@@ -251,7 +254,11 @@ class TestRecommend:
         assert out == ""
         assert f"{key}.json" in err
 
-    @pytest.mark.parametrize("line", ['{"key": "abc", "payl', '{"endpoint": "get_repo"}', "[1, 2]"])
+    @pytest.mark.parametrize("line", [
+        '{"key": "abc", "payl', '{"endpoint": "get_repo"}', "[1, 2]",
+        '{"key": "abc", "status": 200}',
+        '{"key": "abc", "payload": "payloads/abc.json", "status": "200"}',
+    ])
     def test_corrupt_index_line_exit_code(self, capsys, fxdir, line):
         index = fxdir / "index.jsonl"
         number = len(index.read_text().splitlines()) + 1
@@ -436,6 +443,8 @@ def _input_argv(kind, path, fxdir, workdir):
     local = ["--fixture-dir", str(fxdir), "--cache-dir", str(workdir / "cache")]
     if kind == "config":
         return ["recommend", "octo/driver#7", "--config", str(path), *local]
+    if kind == "weights":
+        return ["recommend", "octo/driver#7", "--weights-file", str(path), *local]
     return ["recommend", str(path), *local]
 
 
@@ -457,6 +466,9 @@ def _input_argv(kind, path, fxdir, workdir):
     ("issue", dict(ISSUE_FILE, comments=5), "comments"),
     ("issue", dict(ISSUE_FILE, body=7), "body"),
     ("issue", dict(ISSUE_FILE, labels=["bug", 3]), "labels"),
+    ("weights", {"w_code": "x"}, "w_code"),
+    ("weights", {"w_bogus": 1.0}, "w_bogus"),
+    ("weights", [1.0], "weights"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, value, named):
     path = tmp_path / f"{kind}.json"
@@ -467,7 +479,7 @@ def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, va
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["dataset", "config", "issue"])
+@pytest.mark.parametrize("kind", ["dataset", "config", "issue", "weights"])
 @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"ref": "\xff"}'], ids=["deep", "not-utf8"])
 def test_unparseable_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, raw):
     path = tmp_path / f"{kind}.json"
@@ -475,6 +487,24 @@ def test_unparseable_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, 
     rc, _, err = _run(capsys, _input_argv(kind, path, fxdir, tmp_path))
     assert rc == 1
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(RunConfig) if f.name != "weights"]
+)
+def test_each_config_field_is_set_by_its_flag(name):
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    (action,) = [a for a in parser._actions if a.dest == name]
+    default = getattr(RunConfig(), name)
+    if action.choices:
+        value = next(c for c in action.choices if c != default)
+    elif action.type is int:
+        value = default + 1
+    else:
+        value = "x"
+    args = parser.parse_args([action.option_strings[0], str(value)])
+    assert getattr(cli._config_from_args(args), name) == value
 
 
 @settings(

@@ -1,6 +1,7 @@
 """Platform client operations and the similar-pair miner, all offline."""
 
 import base64
+import json
 import logging
 import sys
 import threading
@@ -660,6 +661,27 @@ class TestFetchRepoSnapshot:
         again = client.fetch_repo_snapshot("octo", "demo")
         assert again == first
         # repo + tree + one content fetch per snapshot file
+        assert len(transport.calls) == calls_before + 2 + len(first.files)
+        assert cache_file.read_text() == text
+
+    @pytest.mark.parametrize("damage", [
+        {"files": {"src/A.java": 5}}, {"files": ["src/A.java"]}, {"head": None},
+        "[]", "[" * 100_000,
+    ], ids=["content", "files", "head", "array", "deep"])
+    def test_malformed_cache_file_is_refetched(self, tmp_path, caplog, damage):
+        transport = StubTransport()
+        self._script(transport)
+        client = PlatformClient(transport, cache_dir=tmp_path)
+        first = client.fetch_repo_snapshot("octo", "demo")
+        (cache_file,) = tmp_path.iterdir()
+        text = cache_file.read_text()
+        if isinstance(damage, dict):
+            damage = json.dumps(dict(json.loads(text), **damage))
+        cache_file.write_text(damage)
+        calls_before = len(transport.calls)
+        with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
+            assert client.fetch_repo_snapshot("octo", "demo") == first
+        assert any("unreadable snapshot cache" in r.getMessage() for r in caplog.records)
         assert len(transport.calls) == calls_before + 2 + len(first.files)
         assert cache_file.read_text() == text
 

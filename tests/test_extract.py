@@ -139,14 +139,19 @@ class TestUiElements:
         assert ui == set()
 
 
+def _encoded(kinds):
+    """Kind names as the lexer writes them: one character per kind."""
+    return "".join(extract.KIND_CODES[k] for k in kinds)
+
+
 class TestCodeLexer:
     def test_spec_example(self):
         kinds = extract.tokenize_code("int x = 0; // hi")
-        assert kinds == ("kw_int", "ident", "eq", "num", "semi")
+        assert kinds == _encoded(("kw_int", "ident", "eq", "num", "semi"))
 
     def test_string_contents_dropped(self):
         kinds = extract.tokenize_code('String s = "hello world";')
-        assert kinds == ("ident", "ident", "eq", "str", "semi")
+        assert kinds == _encoded(("ident", "ident", "eq", "str", "semi"))
 
     def test_block_comments_dropped(self):
         a = extract.tokenize_code("int a = 1; /* a long\n comment */ int b = 2;")
@@ -160,10 +165,15 @@ class TestCodeLexer:
 
     def test_multichar_operators(self):
         kinds = extract.tokenize_code("if (a >= b && c != d) { a >>= 2; }")
-        assert "ge" in kinds and "and_and" in kinds and "ne" in kinds
+        assert all(extract.KIND_CODES[k] in kinds for k in ("ge", "and_and", "ne"))
 
     def test_empty_source(self):
-        assert extract.tokenize_code("") == ()
+        assert extract.tokenize_code("") == ""
+
+    def test_kind_codes_are_one_to_one_and_ascii(self):
+        codes = list(extract.KIND_CODES.values())
+        assert len(set(codes)) == len(codes) == 112
+        assert all(len(c) == 1 and c < chr(128) for c in codes)
 
 
 # pieces that open, close or straddle every kind of token: unclosed
@@ -185,7 +195,7 @@ _LEX_PIECES = [
 @example("x²")
 @example("1.5e+3f")
 def test_lexer_equals_reference_scanner(source):
-    assert extract.tokenize_code(source) == tuple(tokenize_code_reference(source))
+    assert extract.tokenize_code(source) == _encoded(tokenize_code_reference(source))
 
 
 class TestMentions:
