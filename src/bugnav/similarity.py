@@ -15,6 +15,7 @@ alone, once per candidate repository (:func:`repo_similarity`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -41,6 +42,16 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
 _UNMARKED = re.compile(b"\x00+")
 _HITS = re.compile(b"\x01+")
 
+# a window index keeps one dict per group of this many files, so that the
+# files holding a window fit the bits of one byte; _BITS[k] maps each such
+# byte to the digit "1" where it holds bit k, else to "0"
+_GROUP = 8
+_BITS = [bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(_GROUP)]
+
+
+def _all_windows(s: str, length: int) -> List[str]:
+    return [s[i : i + length] for i in range(len(s) - length + 1)]
+
 
 def _windows(s: str, runs, length: int):
     """Length-``length`` windows of ``s`` inside the given unmarked runs,
@@ -48,30 +59,82 @@ def _windows(s: str, runs, length: int):
     return [(i, s[i : i + length]) for lo, hi in runs for i in range(lo, hi - length + 1)]
 
 
+def _unshared(windows: Sequence[str], other: AbstractSet[str], length: int, size: int) -> bytearray:
+    """A mark of 1 on each of a stream's ``size`` positions, given its
+    ``length``-windows in order, that lies in no window also in ``other``."""
+    marked = bytearray(b"\x01") * size
+    for run in _HITS.finditer(bytes(map(other.__contains__, windows))):
+        stop = run.end() + length - 1
+        marked[run.start() : stop] = bytes(stop - run.start())
+    return marked
+
+
+def _cover(digits: bytes, length: int) -> int:
+    """Positions of a stream inside some of its ``length``-windows, given
+    one ASCII digit per window in stream order, "1" for those that count."""
+    covered = int(digits or b"0", 2)
+    # widen each window's bit over the `length` positions it spans
+    span = 1
+    while 2 * span <= length:
+        covered |= covered << span
+        span *= 2
+    if span < length:
+        covered |= covered << (length - span)
+    return covered.bit_count()
+
+
 def _greedy_tiles(a: str, b: str, min_match_len: int):
     """Greedy string tiling: repeatedly take the longest common unmarked
     substring, ties resolved in ascending (i, j) order within a round.
 
-    Each round binary-searches the match length L: a common unmarked
-    window of length L implies one of every shorter length, and no round
-    finds a longer match than the round before. Once L is the longest,
-    every pair of equal unmarked L-windows is a maximal match.
+    Every tile is made of ``min_match_len``-windows found in both streams,
+    so positions in no such shared window are marked before round 1. That
+    leaves the common substrings of ``min_match_len`` or more among the
+    unmarked positions, and so every round's tiles, as they were.
+
+    Each round searches the match length L up to the longest unmarked run:
+    a common unmarked window of length L implies one of every shorter
+    length, and no round finds a longer match than the round before.
+    Round 1 gallops up from ``min_match_len`` (L, 2L, 4L, ...); a later
+    round probes the previous L - 1 first, which is the usual answer, and
+    binary-searches below it otherwise. Once L is the longest, every pair
+    of equal unmarked L-windows is a maximal match.
     """
-    marked_a = bytearray(len(a))
-    marked_b = bytearray(len(b))
+    m = min_match_len
+    windows_a, windows_b = _all_windows(a, m), _all_windows(b, m)
+    marked_a = _unshared(windows_a, set(windows_b), m, len(a))
+    marked_b = _unshared(windows_b, set(windows_a), m, len(b))
     tiles = []
-    longest = min(len(a), len(b))
-    while longest >= min_match_len:
-        runs_a = [r.span() for r in _UNMARKED.finditer(marked_a)]
-        runs_b = [r.span() for r in _UNMARKED.finditer(marked_b)]
+    previous = None
+    while True:
+        runs_a = [r.span() for r in _UNMARKED.finditer(marked_a) if r.end() - r.start() >= m]
+        runs_b = [r.span() for r in _UNMARKED.finditer(marked_b) if r.end() - r.start() >= m]
+        if not runs_a or not runs_b:
+            break
+        cap = min(max(hi - lo for lo, hi in runs_a), max(hi - lo for lo, hi in runs_b))
 
         def common(length):
             in_b = {w for _, w in _windows(b, runs_b, length)}
             return not in_b.isdisjoint(w for _, w in _windows(a, runs_a, length))
 
-        lo, hi = min_match_len, longest
-        if not common(lo):
-            break
+        if previous is None:
+            lo, hi = m, cap
+            while lo < hi:
+                probe = min(2 * lo, hi)
+                if not common(probe):
+                    hi = probe - 1
+                    break
+                lo = probe
+        else:
+            hi = min(previous - 1, cap)
+            if hi < m:
+                break
+            if common(hi):
+                lo = hi
+            elif hi > m and common(m):
+                lo, hi = m, hi - 1
+            else:
+                break
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if common(mid):
@@ -91,15 +154,18 @@ def _greedy_tiles(a: str, b: str, min_match_len: int):
                 marked_b[j : j + lo] = tile
                 tiles.append((i, j, lo))
         # every match of this length is now tiled or occluded
-        longest = lo - 1
+        previous = lo
     return tiles
 
 
 def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN) -> float:
     """Similarity of two token streams, strs as :func:`extract.tokenize_code`
-    returns them (or tuples): 2*coverage / (len(a) + len(b))."""
+    returns them (or two tuples): 2*coverage / (len(a) + len(b))."""
     if min_match_len < 1:
         raise ValueError("min_match_len must be >= 1")
+    if type(a) is not type(b):
+        # a str window never equals a tuple window, so the pair would score 0
+        raise TypeError(f"streams of different types: {type(a).__name__}, {type(b).__name__}")
     if not a and not b:
         return 1.0
     if not a or not b:
@@ -108,27 +174,33 @@ def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN
     return 2.0 * covered / (len(a) + len(b))
 
 
-def _shared_cover(windows: Sequence[str], other: AbstractSet[str], length: int) -> int:
-    """Positions of a stream, given as its ``length``-windows in order,
-    that lie inside some window also in ``other``."""
-    hits = bytes(map(other.__contains__, windows))
-    covered = end = 0
-    for run in _HITS.finditer(hits):
-        stop = run.end() + length - 1
-        covered += stop - max(run.start(), end)
-        end = stop
-    return covered
+def _window_index(window_lists: Sequence[Sequence[str]]) -> List[dict]:
+    """One dict per group of ``_GROUP`` files, from each window a file of
+    the group holds to the byte mask of those files (bit k: the group's
+    k-th file)."""
+    index = []
+    for start in range(0, len(window_lists), _GROUP):
+        masks = {}
+        for k, windows in enumerate(window_lists[start : start + _GROUP]):
+            bit = 1 << k
+            for w in set(windows):
+                masks[w] = masks.get(w, 0) | bit
+        index.append(masks)
+    return index
 
 
-def _all_windows(s: str, length: int) -> List[str]:
-    return [s[i : i + length] for i in range(len(s) - length + 1)]
+def _lookup(windows: Sequence[str], index: List[dict]) -> List[bytes]:
+    """A stream's windows looked up in each group of ``index``: per group,
+    one mask byte per window, 0 for a window no file of the group holds."""
+    return [bytes(map(masks.get, windows, itertools.repeat(0))) for masks in index]
 
 
 class DriverCode:
     """The driver's Java files, prepared once per run for
     :func:`code_similarity`: their token streams from
-    :func:`extract.tokenize_code`, and the ``min_match_len``-windows of
-    each file as a list and a set.
+    :func:`extract.tokenize_code`, the ``min_match_len``-windows of each
+    file as a list, and the index from every window to the files that
+    hold it.
 
     Only read after construction, so candidates share it as it is."""
 
@@ -138,7 +210,27 @@ class DriverCode:
         self.min_match_len = min_match_len
         self.kinds = list(kinds)
         self.windows = [_all_windows(s, min_match_len) for s in self.kinds]
-        self.window_sets = [set(w) for w in self.windows]
+        self.index = _window_index(self.windows)
+
+
+def _pair_covers(driver: DriverCode, patch_windows: Sequence[List[str]]) -> List[List[int]]:
+    """For every driver file d and patch file p, the smaller of their two
+    shared covers: the positions of either file inside some window the
+    other file also holds."""
+    m = driver.min_match_len
+    patch_index = _window_index(patch_windows)
+    driver_hits = [_lookup(windows, patch_index) for windows in driver.windows]
+    patch_hits = [_lookup(windows, driver.index) for windows in patch_windows]
+    return [
+        [
+            min(
+                _cover(driver_hits[d][p // _GROUP].translate(_BITS[p % _GROUP]), m),
+                _cover(patch_hits[p][d // _GROUP].translate(_BITS[d % _GROUP]), m),
+            )
+            for p in range(len(patch_windows))
+        ]
+        for d in range(len(driver.windows))
+    ]
 
 
 def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
@@ -150,9 +242,12 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
 
     Every tile is made of windows of ``min_match_len`` tokens that both
     streams contain, so the positions of either stream inside such shared
-    windows bound the pair's coverage. Pairs are scored in descending
-    order of that bound until it is no better than the best score so far,
-    which leaves the max unchanged.
+    windows bound the pair's coverage. Each file's windows are looked up
+    once in the other side's window index, which marks every window with
+    the files that hold it; a pair's shared windows are then one bit of
+    those marks. Pairs are scored in descending order of the bound until
+    it is no better than the best score so far, which leaves the max
+    unchanged.
     """
     patch_streams = [
         extract.tokenize_code(modified.new_content)
@@ -162,21 +257,13 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
     if not driver.kinds or not patch_streams:
         return None
     m = driver.min_match_len
-    patch_windows = [_all_windows(s, m) for s in patch_streams]
-    patch_sets = [set(w) for w in patch_windows]
+    covers = _pair_covers(driver, [_all_windows(s, m) for s in patch_streams])
     pairs = []
-    for d, (d_windows, d_set) in enumerate(zip(driver.windows, driver.window_sets)):
-        for p, patch_stream in enumerate(patch_streams):
+    for d, d_stream in enumerate(driver.kinds):
+        for p, p_stream in enumerate(patch_streams):
             # gst_similarity of the pair is at most `bound`
-            total = len(driver.kinds[d]) + len(patch_stream)
-            if not total:
-                bound = 1.0
-            else:
-                cover = min(
-                    _shared_cover(d_windows, patch_sets[p], m),
-                    _shared_cover(patch_windows[p], d_set, m),
-                )
-                bound = 2.0 * cover / total
+            total = len(d_stream) + len(p_stream)
+            bound = 2.0 * covers[d][p] / total if total else 1.0
             pairs.append((bound, d, p))
     pairs.sort(reverse=True)
     best = 0.0

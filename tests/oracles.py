@@ -7,6 +7,7 @@ against these on inputs small enough for them to finish.
 
 import re
 from fractions import Fraction
+from typing import AbstractSet, Sequence
 
 from bugnav.textprep import split_camel, stem
 
@@ -143,6 +144,25 @@ def optimal_coverage(a, b, min_match_len):
 
     rec(0, 0, 0, 0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# pair bound of code similarity: one set probe per window and pair, as the
+# bound was computed before the window index
+
+_HITS = re.compile(b"\x01+")
+
+
+def shared_cover_reference(windows: Sequence[str], other: AbstractSet[str], length: int) -> int:
+    """Positions of a stream, given as its ``length``-windows in order,
+    that lie inside some window also in ``other``."""
+    hits = bytes(map(other.__contains__, windows))
+    covered = end = 0
+    for run in _HITS.finditer(hits):
+        stop = run.end() + length - 1
+        covered += stop - max(run.start(), end)
+        end = stop
+    return covered
 
 
 # ---------------------------------------------------------------------------

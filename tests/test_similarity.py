@@ -21,6 +21,7 @@ from oracles import (
     greedy_tiles_reference,
     optimal_coverage,
     overlap_reference,
+    shared_cover_reference,
 )
 
 
@@ -76,6 +77,16 @@ class TestGstSimilarity:
 
     def test_below_min_match_len_scores_zero(self):
         assert similarity.gst_similarity("ABC", "ABC", min_match_len=9) == 0.0
+
+    def test_mixed_stream_types_raise(self):
+        # a str window never equals a tuple window: mixing the two would
+        # score 0.0 for equal streams instead of failing
+        a = "ABCDEFGHIJK"
+        with pytest.raises(TypeError):
+            similarity.gst_similarity(a, tuple(a), min_match_len=9)
+        with pytest.raises(TypeError):
+            similarity.gst_similarity(tuple(a), a, min_match_len=9)
+        assert similarity.gst_similarity(tuple(a), tuple(a), min_match_len=9) == 1.0
 
     def test_matches_greedy_reference_on_random_streams(self):
         rng = random.Random(5)
@@ -135,6 +146,53 @@ def _stream_pairs(draw):
 def test_greedy_tiles_equal_reference_tile_for_tile(case):
     a, b, mml = case
     assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
+
+
+@st.composite
+def _planted_pairs(draw):
+    """Streams of up to about 200 tokens around a common core of up to 120,
+    copied into ``b`` with a few point changes: round 1 gallops through
+    several doublings, and the pieces of the core give later rounds
+    lengths just below the previous one."""
+    alphabet = "ABCDEFGH"[: draw(st.integers(2, 8))]
+
+    def text(lo, hi):
+        # sizes drawn as integers spread more evenly than text's own
+        size = draw(st.integers(lo, hi))
+        return draw(st.text(alphabet, min_size=size, max_size=size))
+
+    core = text(16, 120)
+    copy = list(core)
+    for at in draw(st.lists(st.integers(0, len(core) - 1), max_size=3)):
+        copy[at] = "Z"
+    a = text(0, 40) + core + text(0, 40)
+    b = text(0, 40) + "".join(copy) + text(0, 40)
+    return a, b, draw(st.integers(2, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted_pairs())
+@example(("X" + "ABCDEFGH" * 12 + "Y", "ABCDEFGH" * 12, 3))
+def test_greedy_tiles_on_planted_core_equal_reference(case):
+    a, b, mml = case
+    assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
+
+
+def test_cover_mask_leaves_run_piece_shorter_than_min_match_len():
+    # Every position of `a` lies in a window `b` also holds, but "q" lies in
+    # none of `a`'s, so the mask splits `b` into ABCDEF and EFGH. Round 1
+    # tiles ABCDEF, which leaves GH of `a`: a piece of a covered run that is
+    # shorter than min_match_len, against EFGH still unmarked in `b`.
+    a, b, mml = "ABCDEFGH", "ABCDEFqEFGH", 4
+    windows_a = similarity._all_windows(a, mml)
+    windows_b = similarity._all_windows(b, mml)
+    assert similarity._unshared(windows_a, set(windows_b), mml, len(a)) == bytes(8)
+    assert similarity._unshared(windows_b, set(windows_a), mml, len(b)) == bytes(
+        [0] * 6 + [1] + [0] * 4
+    )
+    assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml) == [
+        (0, 0, 6)
+    ]
 
 
 def _snapshot(files, project="octo/demo"):
@@ -226,13 +284,14 @@ _FRAGMENTS = [
     "/* block */",
 ]
 COMMENT_ONLY = "// nothing but a comment\n/* and another */"
-_java_files = st.lists(
-    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(" ".join), min_size=1, max_size=4
-)
+_java_file = st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(" ".join)
+_java_files = st.lists(_java_file, min_size=1, max_size=4)
+# more than 16 files a side cross two group boundaries of the window index
+_many_java_files = st.lists(_java_file, min_size=1, max_size=20)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_java_files, _java_files, st.integers(1, 6))
+@given(_many_java_files, _many_java_files, st.integers(1, 6))
 @example([COMMENT_ONLY], ["int a = 0; return a;"], 1)
 @example(["int a = 0; return a;", "x.y(z);"], [COMMENT_ONLY], 1)
 @example([COMMENT_ONLY], [COMMENT_ONLY, "/* block */"], 3)
@@ -247,6 +306,24 @@ def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sou
         for p in patch_sources
     )
     assert similarity.code_similarity(driver, patch) == brute
+
+
+_kind_streams = st.lists(st.text("ABC", max_size=30), min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kind_streams, _kind_streams, st.integers(1, 6))
+@example(["ABCABC", "", "CAB"] * 3, ["BCABCA", "AAAA"] * 9, 2)
+def test_pair_covers_equal_both_way_set_probes(driver_streams, patch_streams, mml):
+    driver = similarity.DriverCode(driver_streams, mml)
+    patch_windows = [similarity._all_windows(s, mml) for s in patch_streams]
+    covers = similarity._pair_covers(driver, patch_windows)
+    for d, d_windows in enumerate(driver.windows):
+        for p, p_windows in enumerate(patch_windows):
+            assert covers[d][p] == min(
+                shared_cover_reference(d_windows, set(p_windows), mml),
+                shared_cover_reference(p_windows, set(d_windows), mml),
+            )
 
 
 # token kinds no _FRAGMENTS line has, so patches can bring kinds new to the driver
