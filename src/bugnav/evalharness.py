@@ -180,12 +180,6 @@ def _ranked_pairs(dataset: EvalDataset, weights: WeightConfig):
     return [(rerank_entry(entry, weights), entry.relevant) for entry in dataset.entries]
 
 
-def reranked_mrr(dataset: EvalDataset, weights: WeightConfig) -> float:
-    """MRR of the re-ranked system alone, the one number of
-    :func:`evaluate` that depends on the weights."""
-    return mean_reciprocal_rank(_ranked_pairs(dataset, weights))
-
-
 def _system_metrics(pairs) -> SystemMetrics:
     prec = {
         k: sum(precision_at_k(ranked, relevant, k) for ranked, relevant in pairs)

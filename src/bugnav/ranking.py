@@ -13,7 +13,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .corpus.models import IssueDocument
 from .errors import ValidationError
@@ -171,9 +171,14 @@ def normalize_factors(metrics: QualityMetrics, sims: SimilarityVector) -> Factor
     )
 
 
+def _dot(values: Sequence[float], weights: Sequence[float]) -> float:
+    """The score arithmetic: the products summed in FACTORS order."""
+    return sum(map(operator.mul, values, weights))
+
+
 def score(factors: FactorVector, weights: WeightConfig) -> float:
     """Weighted sum of factors."""
-    return sum(f * w for f, w in zip(factors.as_tuple(), weights.as_tuple()))
+    return _dot(factors.as_tuple(), weights.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -195,12 +200,17 @@ class RankedCandidate:
     final_rank: int
 
 
+def _best_first(scores: Sequence[float]) -> List[int]:
+    """Indices of scores in ranking order: score descending, equal scores
+    in index order. The one ranking order, for rank() and the tuner."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
 def score_order(factors: Sequence[FactorVector], weights: WeightConfig) -> List[Tuple[int, float]]:
     """(index, score) of each factor vector, best first: score descending,
     equal scores in index order, which callers give in platform order."""
     scores = [score(f, weights) for f in factors]
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return [(i, scores[i]) for i in order]
+    return [(i, scores[i]) for i in _best_first(scores)]
 
 
 def rank(candidates: Sequence[RankInput], weights: WeightConfig) -> List[RankedCandidate]:
@@ -230,9 +240,17 @@ def rank(candidates: Sequence[RankInput], weights: WeightConfig) -> List[RankedC
 _SIMPLEX_TOLERANCE = 4e-4 + 1e-9
 
 
-def _swept_grid(base: WeightConfig, grid_step: float) -> List[Tuple[float, float, float, float]]:
+# The factors whose weights the tuner sweeps, and their places in a
+# weight tuple.
+_SWEPT = ("code", "dep", "perm", "ui")
+_SWEPT_AT = tuple([name for name, _ in FACTORS].index(name) for name in _SWEPT)
+
+
+def _swept_grid(base: WeightConfig, grid_step: float) -> Iterator[Tuple[float, ...]]:
     """All (w_code, w_dep, w_perm, w_ui) multiples of grid_step that,
-    with the fixed quality weights, sum to ~1. Lexicographic order."""
+    with the fixed quality weights, sum to ~1, yielded in lexicographic
+    order without building the grid: k * grid_step grows strictly with
+    k, so the order of the integer multiples is the order of the tuples."""
     fixed = base.w_issue_length + base.w_num_comment
     max_units = int(round(1.0 / grid_step))
     totals = [
@@ -240,22 +258,44 @@ def _swept_grid(base: WeightConfig, grid_step: float) -> List[Tuple[float, float
         for t in range(max_units + 1)
         if abs(fixed + t * grid_step - 1.0) <= _SIMPLEX_TOLERANCE
     ]
-    grid = []
-    for total in totals:
-        for k_code in range(total + 1):
-            for k_dep in range(total - k_code + 1):
-                for k_perm in range(total - k_code - k_dep + 1):
-                    k_ui = total - k_code - k_dep - k_perm
-                    grid.append(
-                        (
+    top = max(totals, default=-1)
+    for k_code in range(top + 1):
+        for k_dep in range(top - k_code + 1):
+            for k_perm in range(top - k_code - k_dep + 1):
+                used = k_code + k_dep + k_perm
+                for total in totals:
+                    if total >= used:
+                        yield (
                             k_code * grid_step,
                             k_dep * grid_step,
                             k_perm * grid_step,
-                            k_ui * grid_step,
+                            (total - used) * grid_step,
                         )
-                    )
-    grid.sort()
-    return grid
+
+
+def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
+    """(swept tuple, MRR of the re-ranked system) at each grid point, in
+    grid order. Each candidate's factor tuple and each entry's relevant
+    candidate indices are prepared once; a point costs one dot product
+    per candidate and one sort per entry."""
+    from .evalharness import mean_reciprocal_rank
+
+    prepared = [
+        (
+            [c.factors.as_tuple() for c in entry.candidates],
+            {i for i, c in enumerate(entry.candidates) if c.ref in entry.relevant},
+        )
+        for entry in dataset.entries
+    ]
+    weights = list(base.as_tuple())
+    for swept in _swept_grid(base, grid_step):
+        for at, value in zip(_SWEPT_AT, swept):
+            weights[at] = value
+        pairs = [
+            (_best_first([_dot(f, weights) for f in factors]), relevant)
+            for factors, relevant in prepared
+        ]
+        yield swept, mean_reciprocal_rank(pairs)
 
 
 def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> WeightConfig:
@@ -265,8 +305,6 @@ def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> Wei
     Ties go to the lexicographically smallest weight tuple. A step too
     coarse to hit the simplex at all returns the base weights.
     """
-    from .evalharness import reranked_mrr
-
     if not dataset.entries:
         raise ValidationError("tuning needs a non-empty dataset")
     if not 0.0 < grid_step <= 1.0:
@@ -274,22 +312,13 @@ def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> Wei
     if base is None:
         base = WeightConfig()
 
-    grid = _swept_grid(base, grid_step)
-    if not grid:
+    # the grid ascends, so keeping strict improvements leaves the
+    # lexicographically smallest tuple as the tie winner
+    best = best_mrr = None
+    for swept, mrr in _grid_mrrs(dataset, base, grid_step):
+        if best is None or mrr > best_mrr:
+            best, best_mrr = swept, mrr
+    if best is None:
         return base
-
-    def evaluate_point(swept):
-        weights = dataclasses.replace(
-            base, w_code=swept[0], w_dep=swept[1], w_perm=swept[2], w_ui=swept[3]
-        )
-        return reranked_mrr(dataset, weights), weights
-
-    results = list(map(evaluate_point, grid))
-
-    # grid is sorted ascending, so keeping strict improvements leaves
-    # the lexicographically smallest tuple as the tie winner
-    best_mrr, best_weights = results[0]
-    for mrr, weights in results[1:]:
-        if mrr > best_mrr:
-            best_mrr, best_weights = mrr, weights
-    return best_weights
+    names = [WeightConfig._names[at] for at in _SWEPT_AT]
+    return dataclasses.replace(base, **dict(zip(names, best)))

@@ -5,6 +5,7 @@ no data structures fancier than a list. The production code is checked
 against these on inputs small enough for them to finish.
 """
 
+import dataclasses
 import re
 from fractions import Fraction
 from typing import AbstractSet, Sequence
@@ -334,3 +335,71 @@ def dot_reference(values, weights):
     for v, w in zip(values, weights):
         total += v * w
     return total
+
+
+# ---------------------------------------------------------------------------
+# weight tuning
+
+
+def swept_grid_reference(base, grid_step):
+    """The tuner's grid as it was built before it became lazy: every
+    admissible tuple in a list, sorted."""
+    fixed = base.w_issue_length + base.w_num_comment
+    max_units = int(round(1.0 / grid_step))
+    totals = [
+        t
+        for t in range(max_units + 1)
+        if abs(fixed + t * grid_step - 1.0) <= 4e-4 + 1e-9
+    ]
+    grid = []
+    for total in totals:
+        for k_code in range(total + 1):
+            for k_dep in range(total - k_code + 1):
+                for k_perm in range(total - k_code - k_dep + 1):
+                    k_ui = total - k_code - k_dep - k_perm
+                    grid.append(
+                        (
+                            k_code * grid_step,
+                            k_dep * grid_step,
+                            k_perm * grid_step,
+                            k_ui * grid_step,
+                        )
+                    )
+    grid.sort()
+    return grid
+
+
+def tune_weights_reference(dataset, grid_step, *, base=None):
+    """The grid search as it was before it scored from prepared factor
+    tuples: a WeightConfig per point, and the MRR of each point read
+    from a full evaluation report."""
+    from bugnav.evalharness import evaluate
+    from bugnav.errors import ValidationError
+    from bugnav.ranking import WeightConfig
+
+    if not dataset.entries:
+        raise ValidationError("tuning needs a non-empty dataset")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValidationError("grid_step must be in (0, 1]")
+    if base is None:
+        base = WeightConfig()
+
+    grid = swept_grid_reference(base, grid_step)
+    if not grid:
+        return base
+
+    def evaluate_point(swept):
+        weights = dataclasses.replace(
+            base, w_code=swept[0], w_dep=swept[1], w_perm=swept[2], w_ui=swept[3]
+        )
+        return evaluate(dataset, weights).mrr, weights
+
+    results = list(map(evaluate_point, grid))
+
+    # grid is sorted ascending, so keeping strict improvements leaves
+    # the lexicographically smallest tuple as the tie winner
+    best_mrr, best_weights = results[0]
+    for mrr, weights in results[1:]:
+        if mrr > best_mrr:
+            best_mrr, best_weights = mrr, weights
+    return best_weights

@@ -14,7 +14,7 @@ from bugnav.corpus.models import IssueDocument, IssueRef, PatchRef
 from bugnav.errors import ValidationError
 from bugnav.evalharness import EvalDataset, EvalEntry, LabeledCandidate, rerank_entry
 from bugnav.similarity import SimilarityVector
-from oracles import dot_reference
+from oracles import dot_reference, swept_grid_reference, tune_weights_reference
 
 DEFAULTS = ranking.WeightConfig()
 
@@ -301,10 +301,10 @@ def _tuner_dataset():
     return EvalDataset(entries=[entry])
 
 
-def _grid_tuples(step):
+def _grid_tuples(step, base=DEFAULTS):
     """Brute-force oracle: every admissible swept tuple, in lexicographic
     order."""
-    fixed = DEFAULTS.w_issue_length + DEFAULTS.w_num_comment
+    fixed = base.w_issue_length + base.w_num_comment
     out = []
     top = int(round(1.0 / step)) + 1
     for ks in itertools.product(range(top), repeat=4):
@@ -357,14 +357,18 @@ class TestTuneWeights:
         assert ranking.tune_weights(dataset, grid_step=0.0714) == expected
 
     def test_reranked_mrr_is_the_reports_mrr(self):
-        from bugnav.evalharness import evaluate, reranked_mrr
+        """The MRR the tuner computes at each of the 364 points is the
+        report's, bit for bit."""
+        from bugnav.evalharness import evaluate
 
         dataset = EvalDataset.load(Path(__file__).parent.parent / "fixtures/eval/dataset.jsonl")
-        for swept in _grid_tuples(0.0714)[::7]:
+        points = list(ranking._grid_mrrs(dataset, DEFAULTS, 0.0714))
+        assert [swept for swept, _ in points] == _grid_tuples(0.0714)
+        for swept, mrr in points:
             w = dataclasses.replace(
                 DEFAULTS, w_code=swept[0], w_dep=swept[1], w_perm=swept[2], w_ui=swept[3]
             )
-            assert reranked_mrr(dataset, w) == evaluate(dataset, w).mrr
+            assert mrr == evaluate(dataset, w).mrr
 
     def test_all_irrelevant_returns_lexicographically_smallest(self):
         dataset = _tuner_dataset()
@@ -394,3 +398,75 @@ class TestTuneWeights:
         after = evaluate(dataset, tuned).per_system["reranked"].mrr
         assert after > before
         assert before == 0.5 and after == 1.0
+
+
+class TestSweptGrid:
+    @pytest.mark.parametrize("step", [0.0714, 0.1, 0.125, 0.25, 1.0])
+    @pytest.mark.parametrize(
+        "base", [DEFAULTS, ranking.WeightConfig(w_issue_length=0.1, w_num_comment=0.1)]
+    )
+    def test_yields_the_sorted_grid(self, base, step):
+        assert list(ranking._swept_grid(base, step)) == _grid_tuples(step, base)
+
+    def test_several_totals_interleave(self):
+        # five swept totals (8-12 steps) lie within the tolerance of 1
+        base = ranking.WeightConfig(w_issue_length=0.998, w_num_comment=0.0)
+        assert list(ranking._swept_grid(base, 0.0002)) == swept_grid_reference(base, 0.0002)
+
+    def test_fine_step_is_lazy(self):
+        # the whole grid at this step has 81,550,514 tuples
+        first = list(itertools.islice(ranking._swept_grid(DEFAULTS, 0.001), 3))
+        assert first == [(0.0, 0.0, k * 0.001, (786 - k) * 0.001) for k in range(3)]
+
+
+_BASES = st.builds(
+    lambda fixed, has_fix, keywords: dataclasses.replace(
+        DEFAULTS,
+        w_issue_length=fixed[0],
+        w_num_comment=fixed[1],
+        w_has_fix=has_fix,
+        w_keywords=keywords,
+    ),
+    # (w_issue_length, w_num_comment) that put some grid on the simplex
+    st.sampled_from([(0.0714, 0.1428), (0.1, 0.1), (0.125, 0.125), (0.25, 0.0), (0.0, 0.0)]),
+    st.sampled_from([0.0, 0.17, 0.3, 1.0]),
+    st.sampled_from([0.0, 0.17, 0.5]),
+)
+
+
+@st.composite
+def _tune_entries(draw):
+    entries = []
+    for number in range(draw(st.integers(1, 6))):
+        candidates = [
+            LabeledCandidate(
+                ref=IssueRef("octo", "cand", 100 * number + i),
+                factors=ranking.FactorVector(*[draw(_LEVELS) for _ in ranking.FACTORS]),
+            )
+            for i in range(draw(st.integers(1, 12)))
+        ]
+        relevant = draw(
+            st.lists(st.sampled_from(candidates), max_size=2, unique_by=lambda c: c.ref)
+        )
+        entries.append(
+            EvalEntry(
+                driver=IssueRef("octo", "driver", number),
+                candidates=candidates,
+                relevant=frozenset(c.ref for c in relevant),
+            )
+        )
+    return EvalDataset(entries=entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dataset=_tune_entries(),
+    base=_BASES,
+    step=st.sampled_from([0.0714, 0.1, 0.125, 0.25]),
+)
+def test_tune_weights_matches_reference(dataset, base, step):
+    """Tuning from prepared factor tuples picks what a full evaluation
+    per grid point picks, ties and empty grids included."""
+    assert ranking.tune_weights(dataset, step, base=base) == tune_weights_reference(
+        dataset, step, base=base
+    )
