@@ -10,6 +10,7 @@ import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .corpus.client import SEARCH_RESULT_LIMIT
 from .errors import ValidationError, read_json_object
 from .querygen import DEFAULT_N_THRESHOLD
 from .ranking import WeightConfig
@@ -18,9 +19,6 @@ from .similarity import DEFAULT_MIN_MATCH_LEN
 OUTPUT_FORMATS = ("structured", "table")
 QUALIFIER_MODES = ("body,comments", "body")
 DEFAULT_TOKEN_ENV = "GITHUB_TOKEN"
-
-# Same hard ceiling the platform puts on search results.
-_MAX_CANDIDATE_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,8 @@ class RunConfig:
             raise ValidationError(f"unknown qualifier mode: {self.qualifier_mode!r}")
         if self.n_threshold < 1:
             raise ValidationError("n_threshold must be at least 1")
-        if not 1 <= self.max_candidates <= _MAX_CANDIDATE_LIMIT:
-            raise ValidationError(f"max_candidates must be in 1..{_MAX_CANDIDATE_LIMIT}")
+        if not 1 <= self.max_candidates <= SEARCH_RESULT_LIMIT:
+            raise ValidationError(f"max_candidates must be in 1..{SEARCH_RESULT_LIMIT}")
         if self.parallelism < 1:
             raise ValidationError("parallelism must be at least 1")
         if self.min_match_len < 1:

@@ -23,6 +23,7 @@ from ..errors import (
     checked_field,
     checked_list,
 )
+from .fixtures import canonical_key
 from .models import (
     MAX_QUERY_LEN,
     IssueDocument,
@@ -129,6 +130,8 @@ class PlatformClient:
             raise TransportError(
                 f"issue {ref} has a non-numeric comment count: {payload.get('comments')!r}"
             ) from exc
+        if num_comments < 0:
+            raise TransportError(f"issue {ref} has a negative comment count: {num_comments}")
         where = f"get_issue {ref}"
         body = _field(payload, "body", str, where, "")
         labels = [
@@ -272,7 +275,10 @@ class PlatformClient:
     def _snapshot_cache_path(self, owner, repo, head) -> Optional[Path]:
         if self._cache_dir is None:
             return None
-        return self._cache_dir / f"{owner}__{repo}__{head}.json"
+        # reply values name the file only through a hash, so none can
+        # reach outside the cache directory or overrun a name's length
+        key = canonical_key("snapshot", {"owner": owner, "repo": repo, "head": head})
+        return self._cache_dir / f"{key}.json"
 
     def _cached_snapshot(self, owner, repo, head) -> Optional[RepoSnapshot]:
         """The cached snapshot, or None on a miss; a cache file that cannot
@@ -299,15 +305,7 @@ class PlatformClient:
         path = self._snapshot_cache_path(snapshot.owner, snapshot.repo, snapshot.head)
         if path is None:
             return
-        text = json.dumps(
-            {
-                "owner": snapshot.owner,
-                "repo": snapshot.repo,
-                "head": snapshot.head,
-                "files": snapshot.files,
-            },
-            sort_keys=True,
-        )
+        text = json.dumps(vars(snapshot), sort_keys=True)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")

@@ -13,6 +13,7 @@ import email.utils
 import string
 import threading
 import time
+import urllib.parse
 from datetime import datetime, timezone
 from typing import Dict, Optional, Tuple
 
@@ -120,7 +121,9 @@ class LiveTransport:
         path_fields = {
             name for _, name, _, _ in string.Formatter().parse(template) if name
         }
-        url = self._base_url + template.format(**{k: params[k] for k in path_fields})
+        # "/" stays so a content path keeps its directories
+        quoted = {k: urllib.parse.quote(params[k], safe="/") for k in path_fields}
+        url = self._base_url + template.format(**quoted)
         query = {k: v for k, v in params.items() if k not in path_fields}
         headers = {"Accept": "application/vnd.github+json"}
         if self._token:

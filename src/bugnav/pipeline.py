@@ -116,8 +116,6 @@ def _snapshot(client: PlatformClient, owner: str, repo: str) -> RepoSnapshot:
 
 def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) -> Recommendation:
     """Run the full pipeline for one driver issue."""
-    home = (driver.ref.owner, driver.ref.repo)
-    side = Driver.prepare(driver, _snapshot(client, *home), min_match_len=config.min_match_len)
 
     def search(query):
         return client.search_issues(
@@ -136,6 +134,10 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
         raise NoCandidatesError(
             f"search returned no candidates for {driver.ref} (strategies tried: {tried})"
         )
+    # not before there are candidates: the driver's snapshot costs one
+    # request per repository file
+    home = (driver.ref.owner, driver.ref.repo)
+    side = Driver.prepare(driver, _snapshot(client, *home), min_match_len=config.min_match_len)
 
     def fetch(hit: IssueHit):
         try:
@@ -197,17 +199,10 @@ def _candidate_to_dict(c: RankedCandidate) -> dict:
         "title": c.issue.title,
         "score": c.score,
         "factors": c.factors.to_dict(),
+        # a non-applicable similarity (None) prints as 0.0
         "similarities": {
-            "code": c.sims.code,
-            "dependency": c.sims.dependency,
-            "permission": c.sims.permission,
-            "ui": c.sims.ui,
+            **{name: value or 0.0 for name, value in vars(c.sims).items()},
             "applicable": sorted(c.sims.applicable),
         },
-        "metrics": {
-            "word_count": c.metrics.word_count,
-            "has_fix_commit": c.metrics.has_fix_commit,
-            "comment_count": c.metrics.comment_count,
-            "keyword_count": c.metrics.keyword_count,
-        },
+        "metrics": dict(vars(c.metrics)),
     }

@@ -47,11 +47,6 @@ class QualityMetrics:
     comment_count: int
     keyword_count: int
 
-    def __post_init__(self):
-        for name in ("word_count", "comment_count", "keyword_count"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
-
 
 # The ranking factors with their shipped default weights, in the order
 # score() sums them; FactorVector and WeightConfig both follow it.
@@ -157,15 +152,15 @@ def quality_metrics(issue: IssueDocument) -> QualityMetrics:
 
 
 def normalize_factors(metrics: QualityMetrics, sims: SimilarityVector) -> FactorVector:
-    """Map raw counts onto [0, 1]; similarity components pass through
-    (non-applicable ones already carry 0)."""
+    """Map raw counts onto [0, 1]; similarity components pass through,
+    a non-applicable one (None) as 0.0."""
     return FactorVector(
         issue_length=min(1.0, metrics.word_count / WORD_COUNT_CAP),
         num_comment=min(1.0, metrics.comment_count / COMMENT_COUNT_CAP),
-        code=sims.code,
-        dep=sims.dependency,
-        perm=sims.permission,
-        ui=sims.ui,
+        code=sims.code or 0.0,
+        dep=sims.dependency or 0.0,
+        perm=sims.permission or 0.0,
+        ui=sims.ui or 0.0,
         has_fix=1.0 if metrics.has_fix_commit else 0.0,
         keywords=min(1.0, metrics.keyword_count / KEYWORD_COUNT_CAP),
     )
@@ -190,13 +185,9 @@ class RankInput:
 
 
 @dataclass(frozen=True)
-class RankedCandidate:
-    issue: IssueDocument
-    metrics: QualityMetrics
-    sims: SimilarityVector
+class RankedCandidate(RankInput):
     factors: FactorVector
     score: float
-    search_rank: int
     final_rank: int
 
 
@@ -221,16 +212,9 @@ def rank(candidates: Sequence[RankInput], weights: WeightConfig) -> List[RankedC
         raise ValidationError("candidates must carry distinct search ranks")
     platform = sorted(candidates, key=lambda c: c.search_rank)
     factors = [normalize_factors(cand.metrics, cand.sims) for cand in platform]
+    # a shallow copy of the input's fields: asdict would deep-copy each issue
     return [
-        RankedCandidate(
-            issue=platform[i].issue,
-            metrics=platform[i].metrics,
-            sims=platform[i].sims,
-            factors=factors[i],
-            score=value,
-            search_rank=platform[i].search_rank,
-            final_rank=position,
-        )
+        RankedCandidate(**vars(platform[i]), factors=factors[i], score=value, final_rank=position)
         for position, (i, value) in enumerate(score_order(factors, weights), start=1)
     ]
 

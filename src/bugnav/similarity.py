@@ -3,8 +3,8 @@
 Four orthogonal signals: token-level code similarity between the driver
 repository and a candidate's fix patch, plus overlap of dependencies,
 Android permissions, and Android UI elements. Each signal is only
-applicable when both sides actually have something to compare; callers
-get that distinction through :class:`SimilarityVector.applicable`.
+applicable when both sides actually have something to compare; a signal
+that is not holds None in :class:`SimilarityVector`.
 
 Every candidate is compared against the same driver, so the driver side
 is prepared once per run (:class:`Driver`), and the dependency,
@@ -18,18 +18,13 @@ import dataclasses
 import itertools
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, List, Optional, Sequence
 
 from . import extract
 from .corpus.models import IssueDocument, Patch, RepoSnapshot, file_kind
 
 DEFAULT_MIN_MATCH_LEN = 9
-
-FACTOR_CODE = "code"
-FACTOR_DEPENDENCY = "dependency"
-FACTOR_PERMISSION = "permission"
-FACTOR_UI = "ui"
 
 
 def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
@@ -276,14 +271,18 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
 
 @dataclass(frozen=True)
 class SimilarityVector:
-    """Per-factor similarity in [0, 1]; a factor outside ``applicable``
-    carries 0.0 and means "nothing to compare", not "compared and failed"."""
+    """Per-factor similarity in [0, 1], or None for a factor with nothing
+    to compare, which means "not applicable", not "compared and failed"."""
 
-    code: float = 0.0
-    dependency: float = 0.0
-    permission: float = 0.0
-    ui: float = 0.0
-    applicable: frozenset = field(default_factory=frozenset)
+    code: Optional[float] = None
+    dependency: Optional[float] = None
+    permission: Optional[float] = None
+    ui: Optional[float] = None
+
+    @property
+    def applicable(self) -> frozenset:
+        """The names of the factors that had something to compare."""
+        return frozenset(name for name, value in vars(self).items() if value is not None)
 
 
 @dataclass(frozen=True)
@@ -326,36 +325,24 @@ def repo_similarity(driver: Driver, candidate: extract.RepoContext) -> Similarit
     names a library counts as depending on it even if the driver project
     never declares it.
     """
-    applicable = set()
     ctx = driver.context
-    dependency = 0.0
     cand_deps = {d.canonical for d in candidate.dependencies}
     driver_deps = _mention_widened(
         driver,
         {d.canonical for d in ctx.dependencies},
         {d.canonical: d.artifact for d in candidate.dependencies},
     )
-    if driver_deps and cand_deps:
-        dependency = overlap_coefficient(driver_deps, cand_deps)
-        applicable.add(FACTOR_DEPENDENCY)
-
-    permission = 0.0
-    ui = 0.0
-    if ctx.is_android and candidate.is_android:
-        cand_perms = candidate.permissions
-        permission = overlap_coefficient(
-            _mention_widened(driver, ctx.permissions, cand_perms), cand_perms
-        )
-        applicable.add(FACTOR_PERMISSION)
-        cand_ui = candidate.ui_elements
-        ui = overlap_coefficient(_mention_widened(driver, ctx.ui_elements, cand_ui), cand_ui)
-        applicable.add(FACTOR_UI)
-
+    dependency = overlap_coefficient(driver_deps, cand_deps) if driver_deps and cand_deps else None
+    if not (ctx.is_android and candidate.is_android):
+        return SimilarityVector(dependency=dependency)
+    cand_perms = candidate.permissions
+    cand_ui = candidate.ui_elements
     return SimilarityVector(
         dependency=dependency,
-        permission=permission,
-        ui=ui,
-        applicable=frozenset(applicable),
+        permission=overlap_coefficient(
+            _mention_widened(driver, ctx.permissions, cand_perms), cand_perms
+        ),
+        ui=overlap_coefficient(_mention_widened(driver, ctx.ui_elements, cand_ui), cand_ui),
     )
 
 
@@ -365,7 +352,5 @@ def similarity_vector(
     """One candidate's vector across all factors: its repository's
     factors (:func:`repo_similarity`) plus the code similarity of its
     fix patch against the driver's sources."""
-    best = None if patch is None else code_similarity(driver.code, patch)
-    if best is None:
-        return repo
-    return dataclasses.replace(repo, code=best, applicable=repo.applicable | {FACTOR_CODE})
+    code = None if patch is None else code_similarity(driver.code, patch)
+    return dataclasses.replace(repo, code=code)

@@ -6,6 +6,7 @@ frozen strings are load-bearing: a mismatch means the code drifted,
 not the test.
 """
 
+import dataclasses
 import json
 import random
 import socket
@@ -175,7 +176,6 @@ def _random_rank_inputs(rng, *, equal_quality=False, n=None):
             dependency=rng.random(),
             permission=rng.random(),
             ui=rng.random(),
-            applicable=frozenset({"code", "dependency", "permission", "ui"}),
         )
         inputs.append(
             ranking.RankInput(
@@ -210,14 +210,8 @@ def test_05_ranking_properties():
         target = inputs[pick]
         sims = target.sims
         field_name = rng.choice(("code", "dependency", "permission", "ui"))
-        bumped = SimilarityVector(
-            code=min(1.0, sims.code + 0.1) if field_name == "code" else sims.code,
-            dependency=min(1.0, sims.dependency + 0.1)
-            if field_name == "dependency" else sims.dependency,
-            permission=min(1.0, sims.permission + 0.1)
-            if field_name == "permission" else sims.permission,
-            ui=min(1.0, sims.ui + 0.1) if field_name == "ui" else sims.ui,
-            applicable=sims.applicable,
+        bumped = dataclasses.replace(
+            sims, **{field_name: min(1.0, getattr(sims, field_name) + 0.1)}
         )
         if getattr(bumped, field_name) == getattr(sims, field_name):
             continue

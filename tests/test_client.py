@@ -229,7 +229,7 @@ class TestMalformedPayloads:
         with pytest.raises(TransportError, match="malformed search result item"):
             PlatformClient(transport).search_issues(_query())
 
-    @pytest.mark.parametrize("count", ["many", None])
+    @pytest.mark.parametrize("count", ["many", None, -3])
     def test_non_numeric_comment_count(self, count):
         transport = StubTransport()
         put_issue(transport, "o", "r", 1)
@@ -594,7 +594,7 @@ def _put_repo_tree(transport, owner, repo, paths, head="c" * 40, branch="main"):
 
 
 class TestFetchRepoSnapshot:
-    def _script(self, transport):
+    def _script(self, transport, head="c" * 40):
         paths = {
             "src/A.java": "class A {}",
             "src/B.java": "class B {}",
@@ -602,11 +602,11 @@ class TestFetchRepoSnapshot:
             "pom.xml": "<project/>",
             "README.md": "# readme",
         }
-        _put_repo_tree(transport, "octo", "demo", list(paths))
+        _put_repo_tree(transport, "octo", "demo", list(paths), head=head)
         for p, content in paths.items():
             transport.put(
                 "get_file_content",
-                {"owner": "octo", "repo": "demo", "path": p, "ref": "c" * 40},
+                {"owner": "octo", "repo": "demo", "path": p, "ref": head},
                 {"content": _b64(content), "encoding": "base64"},
             )
         return paths
@@ -648,6 +648,19 @@ class TestFetchRepoSnapshot:
         # only the head lookup (repo + tree) repeats; contents come from disk
         assert len(transport.calls) == calls_after_first + 2
         assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("head", ["x/../../../escaped", "c" * 300], ids=["dots", "long"])
+    def test_cache_file_stays_in_the_cache_dir(self, tmp_path, head):
+        transport = StubTransport()
+        self._script(transport, head)
+        # deep enough that a "../" in the name stays inside tmp_path
+        cache = tmp_path / "a" / "b" / "cache"
+        client = PlatformClient(transport, cache_dir=cache)
+        first = client.fetch_repo_snapshot("octo", "demo")
+        calls_after_first = len(transport.calls)
+        assert client.fetch_repo_snapshot("octo", "demo") == first
+        assert len(transport.calls) == calls_after_first + 2
+        assert [p.parent for p in tmp_path.rglob("*.json")] == [cache]
 
     def test_truncated_cache_file_is_refetched(self, tmp_path):
         transport = StubTransport()

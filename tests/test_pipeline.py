@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from collections import Counter
@@ -18,9 +19,16 @@ from bugnav.corpus import (
     ReplayTransport,
     RepoSnapshot,
 )
-from bugnav.errors import NoCandidatesError, NotFoundError, TransportError, ValidationError
+from bugnav.errors import (
+    NoCandidatesError,
+    NotFoundError,
+    QueryConstructionError,
+    TransportError,
+    ValidationError,
+)
 from bugnav.ranking import WeightConfig
-from stubs import SHARED_CANDIDATES, StubTransport, put_shared_repos
+from bugnav.similarity import SimilarityVector
+from stubs import SHARED_CANDIDATES, SHARED_QUERY, StubTransport, put_search, put_shared_repos
 
 DRIVER_BODY = """\
 Serialization fails once the values pass a certain size:
@@ -268,6 +276,33 @@ class TestPerRunSharing:
         for ref in ("acme/gone#31", "acme/gone#32"):
             cand = next(c for c in out["candidates"] if c["ref"] == ref)
             assert cand["similarities"]["applicable"] == []
+        names = [f.name for f in dataclasses.fields(SimilarityVector)]
+        for cand in out["candidates"]:
+            sims = cand["similarities"]
+            assert set(sims) == {*names, "applicable"}
+            for name in set(names) - set(sims["applicable"]):
+                assert json.dumps(sims[name]) == "0.0"
+
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            # the stack-trace rung finds nothing and the title gives no other
+            ({"title": ""}, NoCandidatesError),
+            ({"title": "the", "body": "no trace here"}, QueryConstructionError),
+        ],
+        ids=["no-hits", "no-query"],
+    )
+    def test_no_repository_requests_without_candidates(self, changes, error):
+        transport = StubTransport()
+        put_shared_repos(transport)
+        put_search(transport, SHARED_QUERY, [])
+        client = PlatformClient(transport)
+        driver = dataclasses.replace(client.fetch_issue(_ref("octo", "driver", 7)), **changes)
+        transport.calls.clear()
+        with pytest.raises(error):
+            pipeline.recommend(driver, RunConfig(n_threshold=2), client)
+        requested = {endpoint for endpoint, _ in transport.calls}
+        assert not requested & {"get_repo", "get_tree", "get_file_content"}
 
     def test_other_snapshot_errors_propagate(self):
         transport = StubTransport()

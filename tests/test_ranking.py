@@ -106,10 +106,7 @@ class TestNormalizeFactors:
         assert f.as_tuple() == (0.0,) * 8
 
     def test_similarities_pass_through(self):
-        sims = SimilarityVector(
-            code=0.594, dependency=1.0, permission=0.25, ui=0.5,
-            applicable=frozenset({"code", "dependency", "permission", "ui"}),
-        )
+        sims = SimilarityVector(code=0.594, dependency=1.0, permission=0.25, ui=0.5)
         f = ranking.normalize_factors(ranking.QualityMetrics(0, False, 0, 0), sims)
         assert (f.code, f.dep, f.perm, f.ui) == (0.594, 1.0, 0.25, 0.5)
 
@@ -169,7 +166,7 @@ def _rank_input(number, search_rank, *, word_count=0, comments=0, sims=None, fix
 class TestRank:
     def test_orders_by_score_descending(self):
         a = _rank_input(1, 1, word_count=50)
-        b = _rank_input(2, 2, sims=SimilarityVector(dependency=1.0, applicable=frozenset({"dependency"})))
+        b = _rank_input(2, 2, sims=SimilarityVector(dependency=1.0))
         out = ranking.rank([a, b], DEFAULTS)
         assert [c.issue.ref.number for c in out] == [2, 1]
         assert [c.final_rank for c in out] == [1, 2]
@@ -239,11 +236,19 @@ class TestRank:
 
 # few levels each, so scores tie often
 _LEVELS = st.sampled_from([0.0, 0.5, 1.0])
+# None: nothing to compare, which scores as 0.0
+_SIM_LEVELS = st.sampled_from([None, 0.0, 0.5, 1.0])
 _RANK_INPUT_PARTS = st.tuples(
     st.sampled_from([0, 250, 500]),
     st.sampled_from([0, 10]),
     st.booleans(),
-    st.builds(SimilarityVector, code=_LEVELS, dependency=_LEVELS, permission=_LEVELS, ui=_LEVELS),
+    st.builds(
+        SimilarityVector,
+        code=_SIM_LEVELS,
+        dependency=_SIM_LEVELS,
+        permission=_SIM_LEVELS,
+        ui=_SIM_LEVELS,
+    ),
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bugnav import extract, similarity
+from bugnav import extract, ranking, similarity
 from bugnav.corpus.models import (
     IssueDocument,
     IssueRef,
@@ -218,6 +218,19 @@ def _vector(driver, candidate_ctx, patch=None):
     return similarity.similarity_vector(driver, repo, patch)
 
 
+# the ranking factor each similarity feeds
+_FACTOR_OF = {"code": "code", "dependency": "dep", "permission": "perm", "ui": "ui"}
+
+
+def _assert_not_applicable(vec, name):
+    """Nothing to compare: the factor is None, outside ``applicable``,
+    and 0.0 once normalized for scoring."""
+    assert getattr(vec, name) is None
+    assert name not in vec.applicable
+    factors = ranking.normalize_factors(ranking.QualityMetrics(0, False, 0, 0), vec)
+    assert getattr(factors, _FACTOR_OF[name]) == 0.0
+
+
 def _patch(files):
     return Patch(
         ref=PatchRef("pull", "octo", "demo", "7"),
@@ -397,8 +410,7 @@ class TestSimilarityVector:
         vec = _vector(driver, cand_ctx)
         assert "dependency" in vec.applicable
         assert vec.dependency == 1.0  # cand declares 1 dep, shared -> 1/min(2,1)
-        assert "code" not in vec.applicable
-        assert vec.code == 0.0
+        _assert_not_applicable(vec, "code")
 
     def test_mentioned_dependency_counts_for_driver(self):
         # driver declares nothing but the report text names the library
@@ -416,8 +428,7 @@ class TestSimilarityVector:
         driver = _driver({"src/A.java": "class A {}"})
         cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="a/b")
         vec = _vector(driver, cand_ctx)
-        assert "dependency" not in vec.applicable
-        assert vec.dependency == 0.0
+        _assert_not_applicable(vec, "dependency")
 
     def test_android_permissions_and_ui(self):
         files = {
@@ -436,9 +447,8 @@ class TestSimilarityVector:
         d = _driver({"pom.xml": "<project/>", "src/A.java": "class A {}"})
         n = _ctx({"AndroidManifest.xml": MANIFEST}, "a/b")
         vec = _vector(d, n)
-        assert "permission" not in vec.applicable
-        assert "ui" not in vec.applicable
-        assert vec.permission == 0.0 and vec.ui == 0.0
+        _assert_not_applicable(vec, "permission")
+        _assert_not_applicable(vec, "ui")
 
     def test_code_component_uses_patch(self):
         shared = "int a = readHeader(buf); if (a > limit) { throw fail(a); } return a;"
@@ -453,5 +463,6 @@ class TestSimilarityVector:
         d = _driver({"AndroidManifest.xml": MANIFEST, "src/A.java": "int a = 0;"})
         n = _ctx({"AndroidManifest.xml": MANIFEST.replace("INTERNET", "CAMERA")}, "a/b")
         vec = _vector(d, n)
-        for name in ("code", "dependency", "permission", "ui"):
+        assert vec.applicable == {"permission", "ui"}
+        for name in vec.applicable:
             assert 0.0 <= getattr(vec, name) <= 1.0

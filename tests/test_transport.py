@@ -5,6 +5,7 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
+import requests
 
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.corpus.transport import (
@@ -201,6 +202,22 @@ class TestLiveTransport:
         assert call["url"] == "https://api.github.com/search/issues"
         assert call["params"] == {"q": "crash", "page": "2", "per_page": "100"}
         assert "Authorization" not in call["headers"]
+
+    @pytest.mark.parametrize(
+        "path, sent",
+        [
+            ("res/layout/a#b.xml", "res/layout/a%23b.xml"),
+            ("src/My Class?.java", "src/My%20Class%3F.java"),
+            ("src/main/java/A.java", "src/main/java/A.java"),
+        ],
+        ids=["hash", "space-and-question-mark", "plain"],
+    )
+    def test_path_fields_are_quoted(self, path, sent):
+        transport, session, _ = _live([FakeResponse(200, {})])
+        transport.fetch_raw("get_file_content", {"owner": "o", "repo": "r", "path": path, "ref": "v1"})
+        call = session.calls[0]
+        prepared = requests.Request("GET", call["url"], params=call["params"]).prepare()
+        assert prepared.url == f"https://api.github.com/repos/o/r/contents/{sent}?ref=v1"
 
     def test_retries_server_errors_with_backoff(self):
         transport, session, clock = _live(
