@@ -18,7 +18,7 @@ from .errors import (
     read_json_object,
 )
 from .evalharness import EvalDataset, evaluate
-from .ranking import WeightConfig, tune_weights
+from .ranking import WeightConfig, grid_size, tune_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +143,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    tuned = tune_weights(EvalDataset.load(args.dataset), args.grid_step, base=config.weights)
+    dataset = EvalDataset.load(args.dataset)
+    points = grid_size(config.weights, args.grid_step)
+    print(f"tune: searching {points:,} grid points", file=sys.stderr)
+    tuned = tune_weights(dataset, args.grid_step, base=config.weights)
     payload = json.dumps(tuned.to_dict(), indent=2, sort_keys=True) + "\n"
     _emit(payload, args.output)
     return EXIT_OK

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import requests
 
-from ..errors import NotFoundError, RateLimitError, ReplayMissError, TransportError
+from ..errors import NotFoundError, RateLimitError, ReplayMissError, RequestFailedError
 from .fixtures import FixtureStore
 
 API_BASE = "https://api.github.com"
@@ -88,7 +88,7 @@ def perform(transport, endpoint: str, params: Dict[str, str]):
     message = _payload_message(payload)
     if status == 429 or (status == 403 and "rate limit" in message.lower()):
         raise RateLimitError(message or f"{endpoint}: rate limited")
-    raise TransportError(f"{endpoint} failed with status {status}: {message}")
+    raise RequestFailedError(f"{endpoint} failed with status {status}: {message}")
 
 
 class LiveTransport:
@@ -139,14 +139,14 @@ class LiveTransport:
                 )
             except requests.RequestException as exc:
                 if attempt >= self._max_retries:
-                    raise TransportError(f"{endpoint}: {exc}") from exc
+                    raise RequestFailedError(f"{endpoint}: {exc}") from exc
                 self._sleep(2.0 ** attempt)
                 attempt += 1
                 continue
             status = response.status_code
             if status in _RETRYABLE:
                 if attempt >= self._max_retries:
-                    raise TransportError(f"{endpoint} failed with status {status}")
+                    raise RequestFailedError(f"{endpoint} failed with status {status}")
                 self._sleep(2.0 ** attempt)
                 attempt += 1
                 continue

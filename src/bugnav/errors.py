@@ -28,7 +28,12 @@ class TransportError(BugnavError):
     """Network or fixture layer failed in a way retries did not fix."""
 
 
-class NotFoundError(TransportError):
+class RequestFailedError(TransportError):
+    """One request failed: the platform answered it with an error status,
+    or could not be reached within the allowed retries."""
+
+
+class NotFoundError(RequestFailedError):
     """The platform says the requested object does not exist."""
 
 

@@ -28,6 +28,7 @@ from .corpus import (
 from .errors import (
     NoCandidatesError,
     NotFoundError,
+    RequestFailedError,
     ValidationError,
     checked_field,
     read_json_object,
@@ -115,7 +116,9 @@ def _snapshot(client: PlatformClient, owner: str, repo: str) -> RepoSnapshot:
 
 
 def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) -> Recommendation:
-    """Run the full pipeline for one driver issue."""
+    """Run the full pipeline for one driver issue. A candidate whose issue
+    or patch request fails is dropped with a warning; a rate limit, a
+    replay miss or a malformed reply ends the run."""
 
     def search(query):
         return client.search_issues(
@@ -142,10 +145,11 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
     def fetch(hit: IssueHit):
         try:
             issue = client.fetch_issue(hit.ref)
-        except NotFoundError:
-            log.warning("candidate %s cannot be fetched, dropping it", hit.ref)
+            patch = client.fetch_patch(issue)
+        except RequestFailedError as exc:
+            log.warning("candidate %s cannot be fetched, dropping it: %s", hit.ref, exc)
             return None
-        return hit, issue, client.fetch_patch(issue)
+        return hit, issue, patch
 
     def repo_context(repo):
         return side.context if repo == home else build_repo_context(_snapshot(client, *repo))

@@ -230,18 +230,33 @@ _SWEPT = ("code", "dep", "perm", "ui")
 _SWEPT_AT = tuple([name for name, _ in FACTORS].index(name) for name in _SWEPT)
 
 
+def _grid_totals(base: WeightConfig, grid_step: float) -> List[int]:
+    """The totals t, in grid steps, of the swept weights that bring the
+    sum of all weights within _SIMPLEX_TOLERANCE of 1."""
+    # 1 / grid_step overflows below the smallest normal float, 2**-1022
+    if not 2.0**-1022 <= grid_step <= 1.0:
+        raise ValidationError("grid_step must be in [2**-1022, 1]")
+    fixed = base.w_issue_length + base.w_num_comment
+    if not math.isfinite(fixed):
+        return []
+    # the band around (1 - fixed) / grid_step, one total wider on either
+    # side for the rounding of the divisions
+    lo, hi = ((1.0 - fixed + d) / grid_step for d in (-_SIMPLEX_TOLERANCE, _SIMPLEX_TOLERANCE))
+    band = range(max(0, math.ceil(lo) - 1), min(round(1.0 / grid_step), math.floor(hi) + 1) + 1)
+    return [t for t in band if abs(fixed + t * grid_step - 1.0) <= _SIMPLEX_TOLERANCE]
+
+
+def grid_size(base: WeightConfig, grid_step: float) -> int:
+    """Number of points :func:`tune_weights` searches: C(t + 3, 3) per total t."""
+    return sum(math.comb(t + 3, 3) for t in _grid_totals(base, grid_step))
+
+
 def _swept_grid(base: WeightConfig, grid_step: float) -> Iterator[Tuple[float, ...]]:
     """All (w_code, w_dep, w_perm, w_ui) multiples of grid_step that,
     with the fixed quality weights, sum to ~1, yielded in lexicographic
     order without building the grid: k * grid_step grows strictly with
     k, so the order of the integer multiples is the order of the tuples."""
-    fixed = base.w_issue_length + base.w_num_comment
-    max_units = int(round(1.0 / grid_step))
-    totals = [
-        t
-        for t in range(max_units + 1)
-        if abs(fixed + t * grid_step - 1.0) <= _SIMPLEX_TOLERANCE
-    ]
+    totals = _grid_totals(base, grid_step)
     top = max(totals, default=-1)
     for k_code in range(top + 1):
         for k_dep in range(top - k_code + 1):
@@ -291,8 +306,6 @@ def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> Wei
     """
     if not dataset.entries:
         raise ValidationError("tuning needs a non-empty dataset")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValidationError("grid_step must be in (0, 1]")
     if base is None:
         base = WeightConfig()
 

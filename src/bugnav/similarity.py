@@ -6,6 +6,10 @@ Android permissions, and Android UI elements. Each signal is only
 applicable when both sides actually have something to compare; a signal
 that is not holds None in :class:`SimilarityVector`.
 
+Code similarity is greedy string tiling (GST) of token-kind streams,
+laid in one pass over the streams' maximal matches
+(:func:`_greedy_tiles`).
+
 Every candidate is compared against the same driver, so the driver side
 is prepared once per run (:class:`Driver`), and the dependency,
 permission and UI factors, which depend on a candidate's repository
@@ -14,6 +18,7 @@ alone, once per candidate repository (:func:`repo_similarity`).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import re
@@ -34,9 +39,6 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
     return len(xs & ys) / min(len(xs), len(ys))
 
 
-_UNMARKED = re.compile(b"\x00+")
-_HITS = re.compile(b"\x01+")
-
 # a window index keeps one dict per group of this many files, so that the
 # files holding a window fit the bits of one byte; _BITS[k] maps each such
 # byte to the digit "1" where it holds bit k, else to "0"
@@ -46,22 +48,6 @@ _BITS = [bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(_GROUP)]
 
 def _all_windows(s: str, length: int) -> List[str]:
     return [s[i : i + length] for i in range(len(s) - length + 1)]
-
-
-def _windows(s: str, runs, length: int):
-    """Length-``length`` windows of ``s`` inside the given unmarked runs,
-    with their start positions, in ascending order."""
-    return [(i, s[i : i + length]) for lo, hi in runs for i in range(lo, hi - length + 1)]
-
-
-def _unshared(windows: Sequence[str], other: AbstractSet[str], length: int, size: int) -> bytearray:
-    """A mark of 1 on each of a stream's ``size`` positions, given its
-    ``length``-windows in order, that lies in no window also in ``other``."""
-    marked = bytearray(b"\x01") * size
-    for run in _HITS.finditer(bytes(map(other.__contains__, windows))):
-        stop = run.end() + length - 1
-        marked[run.start() : stop] = bytes(stop - run.start())
-    return marked
 
 
 def _cover(digits: bytes, length: int) -> int:
@@ -78,78 +64,66 @@ def _cover(digits: bytes, length: int) -> int:
     return covered.bit_count()
 
 
+def _match_length(a: str, b: str, i: int, j: int, known: int) -> int:
+    """Length of the longest common prefix of ``a[i:]`` and ``b[j:]``,
+    whose first ``known`` tokens (at least 1) are equal."""
+    limit = min(len(a) - i, len(b) - j)
+    lo = step = known
+    # gallop while a[i:i+lo] == b[j:j+lo] holds, then bisect the next step
+    while lo < limit and a[i + lo : i + lo + step] == b[j + lo : j + lo + step]:
+        lo, step = min(lo + step, limit), 2 * step
+    ends = range(lo + 1, min(lo + step, limit) + 1)
+    return lo + bisect.bisect(ends, False, key=lambda k: a[i + lo : i + k] != b[j + lo : j + k])
+
+
 def _greedy_tiles(a: str, b: str, min_match_len: int):
     """Greedy string tiling: repeatedly take the longest common unmarked
     substring, ties resolved in ascending (i, j) order within a round.
 
-    Every tile is made of ``min_match_len``-windows found in both streams,
-    so positions in no such shared window are marked before round 1. That
-    leaves the common substrings of ``min_match_len`` or more among the
-    unmarked positions, and so every round's tiles, as they were.
-
-    Each round searches the match length L up to the longest unmarked run:
-    a common unmarked window of length L implies one of every shorter
-    length, and no round finds a longer match than the round before.
-    Round 1 gallops up from ``min_match_len`` (L, 2L, 4L, ...); a later
-    round probes the previous L - 1 first, which is the usual answer, and
-    binary-searches below it otherwise. Once L is the longest, every pair
-    of equal unmarked L-windows is a maximal match.
+    One pass over the maximal matches, as in Running Karp-Rabin GST and
+    JPlag. A match starts with an equal window whose preceding tokens
+    differ, so ``b``'s windows are indexed by the token before them and
+    each window of ``a`` skips the group that continues a match: each
+    diagonal run is found once, also on periodic streams. The matches are
+    bucketed by length and the buckets taken longest first, each in
+    (i, j) order, which is a round. A match still wholly unmarked becomes
+    a tile; otherwise each piece of its diagonal unmarked on both sides
+    and of ``min_match_len`` or more goes to the bucket of its length.
     """
     m = min_match_len
     windows_a, windows_b = _all_windows(a, m), _all_windows(b, m)
-    marked_a = _unshared(windows_a, set(windows_b), m, len(a))
-    marked_b = _unshared(windows_b, set(windows_a), m, len(b))
+    shared = set(windows_a).intersection(windows_b)
+    starts_b = {}
+    for j in itertools.compress(range(len(windows_b)), map(shared.__contains__, windows_b)):
+        starts_b.setdefault(windows_b[j], {}).setdefault(b[j - 1 : j], []).append(j)
+    buckets = defaultdict(list)
+    for i in itertools.compress(range(len(windows_a)), map(shared.__contains__, windows_a)):
+        # at i = 0 no group continues a match; b[-1:0] keys j = 0 as empty
+        before = a[i - 1 : i] if i else None
+        for token, js in starts_b[windows_a[i]].items():
+            if token != before:
+                for j in js:
+                    buckets[_match_length(a, b, i, j, m)].append((i, j))
+    # runs of m or more "0"s, written with a literal prefix, which re
+    # scans for much faster than for "0{m,}"
+    pieces = re.compile("0" * m + "0*")
+    # bit p of a mark: position p of the stream lies in a tile
+    marked_a = marked_b = 0
     tiles = []
-    previous = None
-    while True:
-        runs_a = [r.span() for r in _UNMARKED.finditer(marked_a) if r.end() - r.start() >= m]
-        runs_b = [r.span() for r in _UNMARKED.finditer(marked_b) if r.end() - r.start() >= m]
-        if not runs_a or not runs_b:
-            break
-        cap = min(max(hi - lo for lo, hi in runs_a), max(hi - lo for lo, hi in runs_b))
-
-        def common(length):
-            in_b = {w for _, w in _windows(b, runs_b, length)}
-            return not in_b.isdisjoint(w for _, w in _windows(a, runs_a, length))
-
-        if previous is None:
-            lo, hi = m, cap
-            while lo < hi:
-                probe = min(2 * lo, hi)
-                if not common(probe):
-                    hi = probe - 1
-                    break
-                lo = probe
-        else:
-            hi = min(previous - 1, cap)
-            if hi < m:
-                break
-            if common(hi):
-                lo = hi
-            elif hi > m and common(m):
-                lo, hi = m, hi - 1
-            else:
-                break
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if common(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        starts_b = defaultdict(list)
-        for j, w in _windows(b, runs_b, lo):
-            starts_b[w].append(j)
-        tile = b"\x01" * lo
-        for i, w in _windows(a, runs_a, lo):
-            for j in starts_b.get(w, ()):
-                # an earlier tile this round may have occluded this match
-                if marked_a.find(1, i, i + lo) != -1 or marked_b.find(1, j, j + lo) != -1:
-                    continue
-                marked_a[i : i + lo] = tile
-                marked_b[j : j + lo] = tile
-                tiles.append((i, j, lo))
-        # every match of this length is now tiled or occluded
-        previous = lo
+    # a piece is shorter than its match, so its bucket is still to come
+    for k in range(max(buckets, default=0), m - 1, -1):
+        span = (1 << k) - 1
+        for i, j in sorted(buckets.pop(k, ())):
+            # bit t: position t of the match is marked on either side
+            taken = (marked_a >> i | marked_b >> j) & span
+            if not taken:
+                marked_a |= span << i
+                marked_b |= span << j
+                tiles.append((i, j, k))
+                continue
+            for piece in pieces.finditer(f"{taken:0{k}b}"[::-1]):
+                start, stop = piece.span()
+                buckets[stop - start].append((i + start, j + start))
     return tiles
 
 

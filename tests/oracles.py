@@ -403,3 +403,122 @@ def tune_weights_reference(dataset, grid_step, *, base=None):
         if mrr > best_mrr:
             best_mrr, best_weights = mrr, weights
     return best_weights
+
+
+# ---------------------------------------------------------------------------
+# recommend, end to end
+
+
+def _repo_factors_reference(driver, ours, theirs):
+    """The dependency, permission and UI factors of one candidate
+    repository, each driver set widened by the candidate vocabulary the
+    report thread mentions."""
+    their_deps = {d.canonical for d in theirs.dependencies}
+    our_deps = {d.canonical for d in ours.dependencies} | extract_mentions_reference(
+        driver, {d.canonical: d.artifact for d in theirs.dependencies}
+    )
+    factors = {"dependency": None}
+    if our_deps and their_deps:
+        factors["dependency"] = float(overlap_reference(our_deps, their_deps))
+    if ours.is_android and theirs.is_android:
+        for name, mine, other in (
+            ("permission", ours.permissions, theirs.permissions),
+            ("ui", ours.ui_elements, theirs.ui_elements),
+        ):
+            widened = set(mine) | extract_mentions_reference(driver, other)
+            factors[name] = float(overlap_reference(widened, other))
+    return factors
+
+
+def recommend_reference(driver, config, client):
+    """The recommendation pipeline from the reference pieces above: each
+    candidate fetched and compared on its own, its code similarity the
+    plain max of the reference GST over every pair of driver and patch
+    Java file, its score an accumulator dot product, and the ranking a
+    sort on (-score, platform index). The query ladder, the fetches, the
+    repository facts, the quality metrics and the normalization are the
+    program's own."""
+    from bugnav.corpus.models import RepoSnapshot, file_kind
+    from bugnav.errors import NoCandidatesError, NotFoundError, RequestFailedError
+    from bugnav.extract import build_repo_context
+    from bugnav.pipeline import Recommendation
+    from bugnav.querygen import build_query
+    from bugnav.ranking import RankedCandidate, normalize_factors, quality_metrics
+    from bugnav.similarity import SimilarityVector
+
+    def search(query):
+        return client.search_issues(
+            query,
+            language=config.language_filter,
+            state="closed",
+            max_results=config.max_candidates,
+        )
+
+    def snapshot(ref):
+        try:
+            return client.fetch_repo_snapshot(ref.owner, ref.repo)
+        except NotFoundError:
+            return RepoSnapshot(owner=ref.owner, repo=ref.repo, head="", files={})
+
+    def java_streams(files):
+        return [
+            tokenize_code_reference(content)
+            for path, content in files
+            if file_kind(path) == "java" and content is not None
+        ]
+
+    outcome = build_query(
+        driver, search, n_threshold=config.n_threshold, scope=config.qualifier_mode
+    )
+    hits = sorted(
+        (hit for hit in outcome.hits if hit.ref != driver.ref), key=lambda hit: hit.search_rank
+    )
+    if not hits:
+        raise NoCandidatesError(f"no candidates for {driver.ref}")
+    home = snapshot(driver.ref)
+    ours = build_repo_context(home)
+    driver_code = java_streams(home.files.items())
+    rows = []
+    for hit in hits:
+        try:
+            issue = client.fetch_issue(hit.ref)
+            patch = client.fetch_patch(issue)
+        except RequestFailedError:
+            continue
+        code = None
+        if patch is not None:
+            patch_code = java_streams((f.path, f.new_content) for f in patch.files)
+            if driver_code and patch_code:
+                code = float(
+                    max(
+                        greedy_similarity_reference(d, p, config.min_match_len)
+                        for d in driver_code
+                        for p in patch_code
+                    )
+                )
+        theirs = build_repo_context(snapshot(hit.ref))
+        sims = SimilarityVector(code=code, **_repo_factors_reference(driver, ours, theirs))
+        metrics = quality_metrics(issue)
+        factors = normalize_factors(metrics, sims)
+        score = dot_reference(factors.as_tuple(), config.weights.as_tuple())
+        rows.append((score, issue, metrics, sims, hit.search_rank, factors))
+    if not rows:
+        raise NoCandidatesError(f"every candidate for {driver.ref} failed to fetch")
+    order = sorted(range(len(rows)), key=lambda k: (-rows[k][0], k))
+    candidates = []
+    for position, k in enumerate(order, start=1):
+        score, issue, metrics, sims, search_rank, factors = rows[k]
+        candidates.append(
+            RankedCandidate(
+                issue=issue,
+                metrics=metrics,
+                sims=sims,
+                search_rank=search_rank,
+                factors=factors,
+                score=score,
+                final_rank=position,
+            )
+        )
+    return Recommendation(
+        driver=driver, outcome=outcome, weights=config.weights, candidates=candidates
+    )

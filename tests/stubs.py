@@ -118,7 +118,7 @@ def put_repo_tree(target, owner, repo, files, head="c" * 40, branch="main"):
         put_file(target, owner, repo, path, head, content)
 
 
-_TRACE_BODY = """\
+TRACE_BODY = """\
 Serialization fails once the values pass a certain size:
 
 java.io.UTFDataFormatException: encoded string too long: 93067 bytes
@@ -159,7 +159,7 @@ def put_shared_repos(target):
     Java sits in the driver's repository, in acme/alpha and in the patch
     of acme/alpha#11, which is the same code as the driver's."""
     put_issue(target, "octo", "driver", 7, title="UTFDataFormatException on large objects",
-              body=_TRACE_BODY, state="open")
+              body=TRACE_BODY, state="open")
     put_repo_tree(target, "octo", "driver", {"pom.xml": _POM, "src/Main.java": _JAVA})
     put_search(target, SHARED_QUERY, [item(o, r, n, f"{r} bug") for o, r, n in SHARED_CANDIDATES])
     for owner, repo, number in SHARED_CANDIDATES:

@@ -16,7 +16,8 @@ from bugnav import cli, pipeline
 from bugnav.config import RunConfig
 from bugnav.corpus import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
-from bugnav.ranking import WeightConfig
+from bugnav.evalharness import EvalDataset
+from bugnav.ranking import WeightConfig, tune_weights
 from stubs import (
     SHARED_QUERY,
     FixtureScripter,
@@ -579,6 +580,13 @@ class TestTune:
         assert rc == 0
         assert json.loads(out) == WeightConfig().to_dict()
         assert json.loads(out_path.read_text()) == WeightConfig().to_dict()
+
+    def test_grid_size_goes_to_stderr(self, capsys, dataset_path):
+        rc, out, err = _run(capsys, ["tune", str(dataset_path)])
+        assert rc == 0
+        assert err == "tune: searching 364 grid points\n"
+        tuned = tune_weights(EvalDataset.load(str(dataset_path)), 0.0714)
+        assert out == json.dumps(tuned.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def test_missing_dataset(self, capsys, tmp_path):
         rc, _, err = _run(capsys, ["tune", str(tmp_path / "nope.jsonl")])

@@ -4,6 +4,8 @@ import logging
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bugnav import pipeline
 from bugnav.config import RunConfig
@@ -23,12 +25,26 @@ from bugnav.errors import (
     NoCandidatesError,
     NotFoundError,
     QueryConstructionError,
+    RateLimitError,
     TransportError,
     ValidationError,
 )
 from bugnav.ranking import WeightConfig
 from bugnav.similarity import SimilarityVector
-from stubs import SHARED_CANDIDATES, SHARED_QUERY, StubTransport, put_search, put_shared_repos
+from oracles import recommend_reference
+from stubs import (
+    SHARED_CANDIDATES,
+    SHARED_QUERY,
+    TRACE_BODY,
+    StubTransport,
+    item,
+    put_file,
+    put_issue,
+    put_pull,
+    put_repo_tree,
+    put_search,
+    put_shared_repos,
+)
 
 DRIVER_BODY = """\
 Serialization fails once the values pass a certain size:
@@ -310,6 +326,171 @@ class TestPerRunSharing:
         transport.put("get_repo", {"owner": "acme", "repo": "beta"}, {"message": "boom"}, status=500)
         with pytest.raises(TransportError, match="500"):
             _shared_run(1, transport)
+
+
+class TestCandidateFailures:
+    @pytest.mark.parametrize(
+        "endpoint, params, ref",
+        [
+            ("get_issue", {"owner": "acme", "repo": "beta", "number": "21"}, "acme/beta#21"),
+            # acme/alpha#11 links pull 9, its patch
+            (
+                "get_pull_files",
+                {"owner": "acme", "repo": "alpha", "number": "9", "page": "1", "per_page": "100"},
+                "acme/alpha#11",
+            ),
+        ],
+        ids=["issue", "patch"],
+    )
+    def test_failing_candidate_is_dropped(self, caplog, endpoint, params, ref):
+        _, before = _shared_run(1)
+        transport = StubTransport()
+        put_shared_repos(transport)
+        transport.put(endpoint, params, {"message": "boom"}, status=500)
+        with caplog.at_level(logging.WARNING, logger="bugnav.pipeline"):
+            _, after = _shared_run(1, transport)
+        kept = [(c["ref"], c["score"]) for c in before["candidates"] if c["ref"] != ref]
+        assert [(c["ref"], c["score"]) for c in after["candidates"]] == kept
+        assert any(ref in r.getMessage() and "500" in r.getMessage() for r in caplog.records)
+
+    def test_every_candidate_failing_is_no_candidates(self):
+        transport = StubTransport()
+        put_shared_repos(transport)
+        for owner, repo, number in SHARED_CANDIDATES:
+            params = {"owner": owner, "repo": repo, "number": str(number)}
+            transport.put("get_issue", params, {"message": "boom"}, status=502)
+        with pytest.raises(NoCandidatesError, match="failed to fetch"):
+            _shared_run(1, transport)
+
+    def test_rate_limit_still_aborts(self):
+        transport = StubTransport()
+        put_shared_repos(transport)
+        params = {"owner": "acme", "repo": "beta", "number": "21"}
+        transport.put("get_issue", params, {"message": "API rate limit exceeded"}, status=403)
+        with pytest.raises(RateLimitError):
+            _shared_run(1, transport)
+
+
+_JAVA_SOURCES = [
+    MAIN_JAVA,
+    MAIN_JAVA.replace("return 0;", "return -1;"),
+    "class Empty { }\n",
+    "// nothing but a comment\n",
+    "class Sum { int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } return s; } }\n",
+]
+_DEPENDENCIES = [("com.typesafe", "config"), ("junit", "junit"), ("com.squareup.okhttp3", "okhttp")]
+_PERMISSIONS = ["android.permission.CAMERA", "android.permission.INTERNET", "RECORD_AUDIO"]
+_WIDGETS = ["Button", "TextView", "RecyclerView"]
+# the texts name some of the dependencies, permissions and widgets above
+_TEXTS = [
+    "Steps to reproduce the crash are below.",
+    "Expected no error, actual exception.",
+    "identical filler words here",
+    "The camera button in the recycler view fails after the okhttp upgrade.",
+    "Record audio stops when the text view scrolls; junit shows it.",
+]
+_REPOS = [("octo", "driver"), ("acme", "alpha"), ("acme", "beta"), ("acme", "gamma")]
+_ANDROID_NS = 'xmlns:android="http://schemas.android.com/apk/res/android"'
+
+
+@st.composite
+def _repo_files(draw):
+    """A snapshot's files: a pom, perhaps an Android manifest and layout,
+    and up to two Java files."""
+    files = {}
+    deps = draw(st.lists(st.sampled_from(_DEPENDENCIES), unique=True, max_size=2))
+    if deps:
+        files["pom.xml"] = "<project><dependencies>%s</dependencies></project>" % "".join(
+            f"<dependency><groupId>{g}</groupId><artifactId>{a}</artifactId></dependency>"
+            for g, a in deps
+        )
+    if draw(st.booleans()):
+        perms = draw(st.lists(st.sampled_from(_PERMISSIONS), unique=True, max_size=3))
+        files["AndroidManifest.xml"] = f"<manifest {_ANDROID_NS}>%s</manifest>" % "".join(
+            f'<uses-permission android:name="{p}"/>' for p in perms
+        )
+        widgets = draw(st.lists(st.sampled_from(_WIDGETS), unique=True, max_size=2))
+        files["res/layout/main.xml"] = f"<LinearLayout {_ANDROID_NS}>%s</LinearLayout>" % "".join(
+            f"<{w}/>" for w in widgets
+        )
+    for k, source in enumerate(draw(st.lists(st.sampled_from(_JAVA_SOURCES), max_size=2))):
+        files[f"src/C{k}.java"] = source
+    return files
+
+
+@st.composite
+def _corpora(draw):
+    """A scripted platform for driver octo/driver#7 and one to five
+    candidates from four repositories, and the run's configuration.
+
+    A repository may have no snapshot; a candidate may link no patch, a
+    patch that does not resolve or one with Java and other files, and its
+    issue may fail with a 500."""
+    transport = StubTransport()
+    for owner, repo in _REPOS:
+        if draw(st.booleans()):
+            put_repo_tree(transport, owner, repo, draw(_repo_files()))
+        else:
+            transport.put("get_repo", {"owner": owner, "repo": repo}, {"message": "Not Found"},
+                          status=404)
+    put_issue(transport, "octo", "driver", 7, title="UTFDataFormatException on large objects",
+              body=TRACE_BODY, state="open",
+              comments=draw(st.lists(st.sampled_from(_TEXTS), max_size=2)))
+    items = []
+    for k in range(draw(st.integers(1, 5))):
+        owner, repo = draw(st.sampled_from(_REPOS))
+        number, pull = 10 + k, str(100 + k)
+        comments = draw(st.lists(st.sampled_from(_TEXTS), max_size=2))
+        patch = draw(st.sampled_from(["files", "none", "unresolved"]))
+        if patch != "none":
+            comments.append(f"Fixed by https://github.com/{owner}/{repo}/pull/{pull}")
+        put_issue(transport, owner, repo, number, title=f"{repo} bug",
+                  body=draw(st.sampled_from(_TEXTS)), comments=comments)
+        if patch == "files":
+            paths = ["src/Fix.java", "src/Gone.java", "README.md", "res/layout/main.xml"]
+            picked = draw(st.lists(st.sampled_from(paths), unique=True, min_size=1, max_size=3))
+            put_pull(transport, owner, repo, pull,
+                     [(p, "removed" if p == "src/Gone.java" else "modified") for p in picked])
+            if "src/Fix.java" in picked:
+                source = draw(st.sampled_from(_JAVA_SOURCES))
+                put_file(transport, owner, repo, "src/Fix.java", "f" * 40, source)
+        elif patch == "unresolved":
+            transport.put("get_pull", {"owner": owner, "repo": repo, "number": pull},
+                          {"message": "Not Found"}, status=404)
+        if draw(st.integers(0, 5)) == 5:
+            transport.put("get_issue", {"owner": owner, "repo": repo, "number": str(number)},
+                          {"message": "boom"}, status=500)
+        items.append(item(owner, repo, number, f"{repo} bug"))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), item("octo", "driver", 7, "driver"))
+    put_search(transport, SHARED_QUERY, items)
+    # zero weights tie every score
+    weights = draw(st.sampled_from(
+        [WeightConfig(), WeightConfig(**dict.fromkeys(WeightConfig().to_dict(), 0.0))]
+    ))
+    config = RunConfig(
+        n_threshold=1,
+        weights=weights,
+        min_match_len=draw(st.sampled_from([3, 9])),
+        parallelism=draw(st.sampled_from([1, 3])),
+    )
+    return transport, config
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_corpora())
+def test_recommend_equals_reference(corpus):
+    transport, config = corpus
+    client = PlatformClient(transport)
+    driver = client.fetch_issue(_ref("octo", "driver", 7))
+
+    def output(recommend):
+        try:
+            return pipeline.recommendation_to_dict(recommend(driver, config, client))
+        except NoCandidatesError:
+            return None
+
+    assert output(pipeline.recommend) == output(recommend_reference)
 
 
 class TestRecommendationDict:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -394,6 +396,13 @@ class TestTuneWeights:
         with pytest.raises(ValidationError):
             ranking.tune_weights(EvalDataset(entries=[]), grid_step=0.5)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, 1.5, math.nan, 1e-320])
+    def test_step_outside_unit_interval_rejected(self, step):
+        with pytest.raises(ValidationError, match="grid_step"):
+            ranking.tune_weights(_tuner_dataset(), grid_step=step)
+        with pytest.raises(ValidationError, match="grid_step"):
+            ranking.grid_size(DEFAULTS, step)
+
     def test_improves_over_defaults_on_tuner_dataset(self):
         from bugnav.evalharness import evaluate
 
@@ -417,6 +426,25 @@ class TestSweptGrid:
         # five swept totals (8-12 steps) lie within the tolerance of 1
         base = ranking.WeightConfig(w_issue_length=0.998, w_num_comment=0.0)
         assert list(ranking._swept_grid(base, 0.0002)) == swept_grid_reference(base, 0.0002)
+
+    @pytest.mark.parametrize("step", [0.0714, 0.05, 0.1])
+    @pytest.mark.parametrize(
+        "base", [DEFAULTS, ranking.WeightConfig(w_issue_length=0.1, w_num_comment=0.1)]
+    )
+    def test_size_counts_the_grid(self, base, step):
+        assert ranking.grid_size(base, step) == len(list(ranking._swept_grid(base, step)))
+
+    def test_fine_step_is_sized_from_the_band(self):
+        # a scan of every total up to 1 / step took seconds here
+        start = time.process_time()
+        assert ranking.grid_size(DEFAULTS, 0.001) == 81_550_514
+        assert ranking.grid_size(DEFAULTS, 1e-7) > 0
+        assert time.process_time() - start < 0.5
+
+    def test_infinite_quality_weight_leaves_no_grid(self):
+        base = ranking.WeightConfig(w_issue_length=math.inf)
+        assert ranking.grid_size(base, 0.1) == 0
+        assert list(ranking._swept_grid(base, 0.1)) == []
 
     def test_fine_step_is_lazy(self):
         # the whole grid at this step has 81,550,514 tuples

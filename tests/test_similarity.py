@@ -1,6 +1,7 @@
 """Similarity analyses against the reference oracles."""
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +144,12 @@ def _stream_pairs(draw):
 @given(_stream_pairs())
 @example(("ABCDE", "BCDEABC", 2))
 @example(("A" * 40, "A" * 17, 3))
+# Every position of `a` lies in a window `b` also holds, but "q" lies in
+# none of `a`'s, which splits `b` into ABCDEF and EFGH. The first tile is
+# ABCDEF, which leaves GH of `a`: a piece of a match that is shorter than
+# min_match_len, against EFGH still unmarked in `b`. The tiling is
+# [(0, 0, 6)].
+@example(("ABCDEFGH", "ABCDEFqEFGH", 4))
 def test_greedy_tiles_equal_reference_tile_for_tile(case):
     a, b, mml = case
     assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
@@ -178,21 +185,42 @@ def test_greedy_tiles_on_planted_core_equal_reference(case):
     assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
 
 
-def test_cover_mask_leaves_run_piece_shorter_than_min_match_len():
-    # Every position of `a` lies in a window `b` also holds, but "q" lies in
-    # none of `a`'s, so the mask splits `b` into ABCDEF and EFGH. Round 1
-    # tiles ABCDEF, which leaves GH of `a`: a piece of a covered run that is
-    # shorter than min_match_len, against EFGH still unmarked in `b`.
-    a, b, mml = "ABCDEFGH", "ABCDEFqEFGH", 4
-    windows_a = similarity._all_windows(a, mml)
-    windows_b = similarity._all_windows(b, mml)
-    assert similarity._unshared(windows_a, set(windows_b), mml, len(a)) == bytes(8)
-    assert similarity._unshared(windows_b, set(windows_a), mml, len(b)) == bytes(
-        [0] * 6 + [1] + [0] * 4
-    )
-    assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml) == [
-        (0, 0, 6)
-    ]
+@st.composite
+def _periodic_pairs(draw):
+    """Two cuts of one motif of 1-4 symbols repeated, each with up to two
+    point edits: streams whose equal windows pair up quadratically."""
+    motif = draw(st.text("ABCD", min_size=1, max_size=4))
+
+    def cut():
+        start = draw(st.integers(0, len(motif) - 1))
+        stream = list((motif * 40)[start : start + draw(st.integers(0, 40))])
+        for _ in range(draw(st.integers(0, 2)) if stream else 0):
+            stream[draw(st.integers(0, len(stream) - 1))] = draw(st.sampled_from("ABCDZ"))
+        return "".join(stream)
+
+    return cut(), cut(), draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_periodic_pairs())
+@example(("ABABABABAB", "BABABABA", 2))
+def test_greedy_tiles_on_periodic_streams_equal_reference(case):
+    a, b, mml = case
+    assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("0" * 4000, "0" * 3000), ("01" * 2000, "01" * 1500), ("012" * 1300, "012" * 1000)],
+    ids=["0", "01", "012"],
+)
+def test_long_periodic_streams_tile_fast(a, b):
+    # every window of one stream equals a quadratic number of the other's;
+    # listing those pairs takes seconds at this size
+    start = time.process_time()
+    tiles = similarity._greedy_tiles(a, b, 9)
+    assert time.process_time() - start < 1.0
+    assert tiles == [(0, 0, 3000)]
 
 
 def _snapshot(files, project="octo/demo"):
