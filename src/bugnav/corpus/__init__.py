@@ -2,6 +2,7 @@ from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.corpus.miner import MINING_PHRASES, mine_similar_pairs
 from bugnav.corpus.models import (
+    FILE_KINDS,
     MAX_QUERY_LEN,
     IssueDocument,
     IssueHit,
@@ -22,6 +23,7 @@ from bugnav.corpus.transport import (
 )
 
 __all__ = [
+    "FILE_KINDS",
     "FixtureStore",
     "IssueDocument",
     "IssueHit",

@@ -14,7 +14,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import AbstractSet, Dict, Iterator, List, Optional
 
 from ..errors import (
     NotFoundError,
@@ -25,6 +25,7 @@ from ..errors import (
 )
 from .fixtures import canonical_key
 from .models import (
+    FILE_KINDS,
     MAX_QUERY_LEN,
     IssueDocument,
     IssueHit,
@@ -238,9 +239,13 @@ class PlatformClient:
 
     # -- repository snapshots ---------------------------------------------
 
-    def fetch_repo_snapshot(self, owner: str, repo: str) -> RepoSnapshot:
-        """Contents of every file that has a :func:`file_kind`, at the
-        current head of the default branch. Cached on disk per (repo, head)."""
+    def fetch_repo_snapshot(
+        self, owner: str, repo: str, kinds: AbstractSet[str] = FILE_KINDS
+    ) -> RepoSnapshot:
+        """Contents of every file whose :func:`file_kind` is in ``kinds``, at
+        the current head of the default branch. Cached on disk per (repo,
+        head, kinds), so a snapshot of fewer kinds never stands in for one
+        of more."""
         meta = self._call("get_repo", owner=owner, repo=repo)
         branch = _field(meta, "default_branch", str, "get_repo", "") or "main"
         tree = self._call(
@@ -252,7 +257,8 @@ class PlatformClient:
                 owner, repo,
             )
         head = _field(tree, "sha", str, "get_tree", "") or branch
-        cached = self._cached_snapshot(owner, repo, head)
+        cache_path = self._snapshot_cache_path(owner, repo, head, kinds)
+        cached = self._cached_snapshot(cache_path)
         if cached is not None:
             return cached
 
@@ -261,7 +267,7 @@ class PlatformClient:
             for entry in _field(tree, "tree", list, "get_tree", [])
             if entry.get("type") == "blob"
         ]
-        paths = sorted(path for path in blobs if file_kind(path))
+        paths = sorted(path for path in blobs if file_kind(path) in kinds)
         files: Dict[str, str] = {}
         for path in paths:
             try:
@@ -269,21 +275,25 @@ class PlatformClient:
             except NotFoundError:
                 log.warning("tree lists %s but content fetch failed, skipping", path)
         snapshot = RepoSnapshot(owner=owner, repo=repo, head=head, files=files)
-        self._store_snapshot(snapshot)
+        self._store_snapshot(cache_path, snapshot)
         return snapshot
 
-    def _snapshot_cache_path(self, owner, repo, head) -> Optional[Path]:
+    def _snapshot_cache_path(self, owner, repo, head, kinds) -> Optional[Path]:
         if self._cache_dir is None:
             return None
         # reply values name the file only through a hash, so none can
         # reach outside the cache directory or overrun a name's length
-        key = canonical_key("snapshot", {"owner": owner, "repo": repo, "head": head})
+        key = canonical_key(
+            "snapshot",
+            {"owner": owner, "repo": repo, "head": head, "kinds": ",".join(sorted(kinds))},
+        )
         return self._cache_dir / f"{key}.json"
 
-    def _cached_snapshot(self, owner, repo, head) -> Optional[RepoSnapshot]:
-        """The cached snapshot, or None on a miss; a cache file that cannot
-        be read or parsed (say, cut short by a crash) is a miss too."""
-        path = self._snapshot_cache_path(owner, repo, head)
+    @staticmethod
+    def _cached_snapshot(path: Optional[Path]) -> Optional[RepoSnapshot]:
+        """The snapshot cached at ``path``, or None on a miss; a cache file
+        that cannot be read or parsed (say, cut short by a crash) is a miss
+        too."""
         if path is None or not path.is_file():
             return None
         try:
@@ -298,11 +308,11 @@ class PlatformClient:
             owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
         )
 
-    def _store_snapshot(self, snapshot: RepoSnapshot) -> None:
+    @staticmethod
+    def _store_snapshot(path: Optional[Path], snapshot: RepoSnapshot) -> None:
         """Write through a temp file in the cache directory and rename it
         into place, so concurrent readers and writers never see a partial
         file."""
-        path = self._snapshot_cache_path(snapshot.owner, snapshot.repo, snapshot.head)
         if path is None:
             return
         text = json.dumps(vars(snapshot), sort_keys=True)

@@ -36,6 +36,10 @@ _KIND_BY_NAME = {
 MAX_QUERY_LEN = 256
 
 
+# every kind :func:`file_kind` gives
+FILE_KINDS = frozenset({"java", "pom", "gradle", "manifest", "layout"})
+
+
 def file_kind(path: str) -> Optional[str]:
     """What a repository file tells the comparison, by its path: "java"
     source, a "pom" or "gradle" build file, the Android "manifest", or a

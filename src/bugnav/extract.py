@@ -7,7 +7,9 @@ they log a warning and return what they could read.
 
 Only the driver's Java files are ever compared (against candidates'
 patches), so a :class:`RepoContext` carries no token streams:
-:func:`code_kinds` lexes the driver's sources once per run.
+:func:`code_kinds` lexes the driver's sources once per run. A context
+reads only the :data:`CONTEXT_KINDS` files, so a candidate repository's
+snapshot is fetched without its Java.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
-from bugnav.corpus.models import IssueDocument, RepoSnapshot, file_kind
+from bugnav.corpus.models import FILE_KINDS, IssueDocument, RepoSnapshot, file_kind
 from bugnav.textprep import split_camel, stem
 
 log = logging.getLogger(__name__)
@@ -31,6 +33,9 @@ _GRADLE_MAP_RE = re.compile(
     r"""group\s*:\s*['"]([\w.-]+)['"]\s*,\s*name\s*:\s*['"]([\w.-]+)['"]"""
 )
 _ANDROID_PERMISSION_PREFIX = "android.permission."
+
+# the file kinds build_repo_context reads; code_kinds reads "java"
+CONTEXT_KINDS = FILE_KINDS - {"java"}
 
 
 @dataclass(frozen=True)

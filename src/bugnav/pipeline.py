@@ -3,8 +3,9 @@
 Phase one is online: build a search query from the driver issue and
 collect candidate issues from the platform. Phase two is offline: fetch
 each candidate's thread and patch, then each distinct candidate
-repository's snapshot once, compare them against the driver (prepared
-once per run), and re-rank.
+repository's snapshot once (without its Java, which only the driver's
+side compares), compare them against the driver (prepared once per
+run), and re-rank.
 """
 
 import logging
@@ -15,6 +16,7 @@ from typing import List
 
 from .config import RunConfig
 from .corpus import (
+    FILE_KINDS,
     FixtureStore,
     IssueDocument,
     IssueHit,
@@ -33,7 +35,7 @@ from .errors import (
     checked_field,
     read_json_object,
 )
-from .extract import build_repo_context
+from .extract import CONTEXT_KINDS, build_repo_context
 from .querygen import QueryOutcome, build_query
 from .ranking import RankInput, RankedCandidate, WeightConfig, quality_metrics, rank
 from .similarity import Driver, repo_similarity, similarity_vector
@@ -106,10 +108,10 @@ def resolve_driver(source: str, client: PlatformClient) -> IssueDocument:
     return client.fetch_issue(ref)
 
 
-def _snapshot(client: PlatformClient, owner: str, repo: str) -> RepoSnapshot:
-    """The repository's snapshot; an empty one when the platform has none."""
+def _snapshot(client: PlatformClient, owner: str, repo: str, kinds) -> RepoSnapshot:
+    """The repository's files of ``kinds``; none when the platform has no snapshot."""
     try:
-        return client.fetch_repo_snapshot(owner, repo)
+        return client.fetch_repo_snapshot(owner, repo, kinds)
     except NotFoundError:
         log.warning("no snapshot for %s/%s, comparing without repository context", owner, repo)
         return RepoSnapshot(owner=owner, repo=repo, head="", files={})
@@ -140,7 +142,8 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
     # not before there are candidates: the driver's snapshot costs one
     # request per repository file
     home = (driver.ref.owner, driver.ref.repo)
-    side = Driver.prepare(driver, _snapshot(client, *home), min_match_len=config.min_match_len)
+    home_snapshot = _snapshot(client, *home, FILE_KINDS)
+    side = Driver.prepare(driver, home_snapshot, min_match_len=config.min_match_len)
 
     def fetch(hit: IssueHit):
         try:
@@ -152,7 +155,9 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
         return hit, issue, patch
 
     def repo_context(repo):
-        return side.context if repo == home else build_repo_context(_snapshot(client, *repo))
+        if repo == home:
+            return side.context
+        return build_repo_context(_snapshot(client, *repo, CONTEXT_KINDS))
 
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         fetched = [f for f in pool.map(fetch, hits) if f is not None]

@@ -4,6 +4,7 @@ here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def test_every_target_is_traced(tracer, capsys):
         for module_name, attr in tracer.AGGREGATED:
             assert getattr(importlib.import_module(module_name), attr).__name__ == attr
     assert "not traced" not in capsys.readouterr().err
+
+
+def test_snapshot_fetch_takes_owner_and_repo_first():
+    """``tracer._note_snapshot`` reads the repository from a traced call's
+    positional arguments, ``args[1]`` and ``args[2]`` after ``self``."""
+    from bugnav.corpus import PlatformClient
+
+    params = list(inspect.signature(PlatformClient.fetch_repo_snapshot).parameters.values())
+    assert [p.name for p in params[:3]] == ["self", "owner", "repo"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:3])
 
 
 def test_run_names_resolve(tracer, monkeypatch):

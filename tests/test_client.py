@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.miner import mine_similar_pairs
-from bugnav.corpus.models import IssueRef, file_kind
+from bugnav.corpus.fixtures import canonical_key
+from bugnav.corpus.models import FILE_KINDS, IssueRef, file_kind
 from bugnav.errors import NotFoundError, TransportError, ValidationError
-from bugnav.extract import build_repo_context
+from bugnav.extract import CONTEXT_KINDS, build_repo_context
 from bugnav.querygen import SearchQuery
 from oracles import file_kinds_reference
 from stubs import StubTransport, put_issue, put_repo_tree, put_search
@@ -636,6 +637,47 @@ class TestFetchRepoSnapshot:
         requested = [params["path"] for endpoint, params in transport.calls
                      if endpoint == "get_file_content"]
         assert requested == ["app/src/main/res/layout-land/main.xml"]
+
+    def test_kinds_select_the_files_requested(self):
+        transport = StubTransport()
+        self._script(transport)
+        snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo", CONTEXT_KINDS)
+        assert list(snap.files) == ["pom.xml"]
+        requested = [params["path"] for endpoint, params in transport.calls
+                     if endpoint == "get_file_content"]
+        assert requested == ["pom.xml"]
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [(CONTEXT_KINDS, FILE_KINDS), (FILE_KINDS, CONTEXT_KINDS)],
+        ids=["candidate-then-driver", "driver-then-candidate"],
+    )
+    def test_kinds_are_part_of_the_cache_key(self, tmp_path, first, then):
+        transport = StubTransport()
+        paths = self._script(transport)
+        PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo", first)
+        expected = sorted(path for path in paths if file_kind(path) in then)
+        for hit in (False, True):
+            transport.calls.clear()
+            client = PlatformClient(transport, cache_dir=tmp_path)
+            snap = client.fetch_repo_snapshot("octo", "demo", then)
+            assert sorted(snap.files) == expected
+            requested = sorted(params["path"] for endpoint, params in transport.calls
+                               if endpoint == "get_file_content")
+            # a miss first, since the cache holds other kinds; then a hit
+            assert requested == ([] if hit else expected)
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_cache_file_of_an_earlier_version_is_a_miss(self, tmp_path):
+        transport = StubTransport()
+        self._script(transport)
+        # earlier versions keyed a snapshot by repository and head alone
+        old = canonical_key("snapshot", {"owner": "octo", "repo": "demo", "head": "c" * 40})
+        stale = {"owner": "octo", "repo": "demo", "head": "c" * 40, "files": {"pom.xml": "old"}}
+        (tmp_path / f"{old}.json").write_text(json.dumps(stale))
+        snap = PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo")
+        assert snap.files["pom.xml"] == "<project/>"
+        assert "src/A.java" in snap.files
 
     def test_second_fetch_served_from_cache(self, tmp_path):
         transport = StubTransport()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +22,7 @@ from bugnav.corpus import (
     ReplayTransport,
     RepoSnapshot,
 )
+from bugnav.corpus.models import FILE_KINDS, file_kind
 from bugnav.errors import (
     NoCandidatesError,
     NotFoundError,
@@ -125,11 +127,13 @@ class FakeClient:
     def fetch_patch(self, issue):
         return self.patches.get(issue.ref)
 
-    def fetch_repo_snapshot(self, owner, repo):
+    def fetch_repo_snapshot(self, owner, repo, kinds=FILE_KINDS):
         key = f"{owner}/{repo}"
         if key not in self.snapshots:
             raise NotFoundError(f"no snapshot for {key}")
-        return self.snapshots[key]
+        snapshot = self.snapshots[key]
+        files = {path: text for path, text in snapshot.files.items() if file_kind(path) in kinds}
+        return dataclasses.replace(snapshot, files=files)
 
 
 def _hit(ref, rank, title="t"):
@@ -371,6 +375,78 @@ class TestCandidateFailures:
             _shared_run(1, transport)
 
 
+def _requests(calls):
+    return Counter((endpoint, json.dumps(params, sort_keys=True)) for endpoint, params in calls)
+
+
+def _recording_snapshots(client):
+    """Route the client's snapshot fetches through a recorder: the paths
+    each returned snapshot holds, by repository."""
+    seen = {}
+    fetch = client.fetch_repo_snapshot
+
+    def recording(owner, repo, kinds=FILE_KINDS):
+        snapshot = fetch(owner, repo, kinds)
+        seen[owner, repo] = sorted(snapshot.files)
+        return snapshot
+
+    client.fetch_repo_snapshot = recording
+    return seen
+
+
+class TestFetchByRole:
+    def test_no_candidate_repository_java_is_requested(self):
+        for workers in (1, 4):
+            calls, _ = _shared_run(workers)
+            java = Counter(
+                (params["owner"], params["repo"], params["path"], params["ref"])
+                for endpoint, params in calls
+                if endpoint == "get_file_content" and params["path"].endswith(".java")
+            )
+            # the driver's own source and the patch of acme/alpha#11; acme/alpha's
+            # src/A.java sits in a candidate repository and is never asked for
+            assert java == Counter({
+                ("octo", "driver", "src/Main.java", "c" * 40): 1,
+                ("acme", "alpha", "src/Fix.java", "f" * 40): 1,
+            })
+
+    def test_requests_drop_and_output_stays(self):
+        calls, out = _shared_run(1)
+        with mock.patch.object(pipeline, "CONTEXT_KINDS", FILE_KINDS):
+            all_calls, all_out = _shared_run(1)
+        assert out == all_out
+        assert _requests(all_calls) - _requests(calls) == _requests([
+            ("get_file_content",
+             {"owner": "acme", "repo": "alpha", "path": "src/A.java", "ref": "c" * 40}),
+        ])
+        assert not _requests(calls) - _requests(all_calls)
+
+    def test_roles_swap_on_one_cache(self, tmp_path):
+        """acme/alpha is a candidate repository in the first run and the
+        driver's in the second; octo/driver the other way round. Each gets
+        the files of its role, whatever the cache already holds."""
+        transport = StubTransport()
+        put_shared_repos(transport)
+        client = PlatformClient(transport, cache_dir=tmp_path)
+        first = _recording_snapshots(client)
+        driver = client.fetch_issue(_ref("octo", "driver", 7))
+        pipeline.recommend(driver, RunConfig(n_threshold=2, parallelism=1), client)
+        assert first["octo", "driver"] == ["pom.xml", "src/Main.java"]
+        assert first["acme", "alpha"] == ["pom.xml"]
+
+        swapped = dataclasses.replace(driver, ref=_ref("acme", "alpha", 11))
+        outs = []
+        for cache_dir in (tmp_path, None):
+            client = PlatformClient(transport, cache_dir=cache_dir)
+            second = _recording_snapshots(client)
+            rec = pipeline.recommend(swapped, RunConfig(n_threshold=2, parallelism=1), client)
+            assert second["acme", "alpha"] == ["pom.xml", "src/A.java"]
+            assert second["octo", "driver"] == ["pom.xml"]
+            outs.append(pipeline.recommendation_to_dict(rec))
+        # served from the cache or not, the second run's output is the same
+        assert outs[0] == outs[1]
+
+
 _JAVA_SOURCES = [
     MAIN_JAVA,
     MAIN_JAVA.replace("return 0;", "return -1;"),
@@ -491,6 +567,35 @@ def test_recommend_equals_reference(corpus):
             return None
 
     assert output(pipeline.recommend) == output(recommend_reference)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_corpora())
+def test_candidate_snapshots_skip_only_their_java(corpus):
+    """Against candidate snapshots of every kind, fetching by role drops
+    only the candidate repositories' Java requests, and the output stays."""
+    transport, config = corpus
+    driver = PlatformClient(transport).fetch_issue(_ref("octo", "driver", 7))
+
+    def run():
+        transport.calls.clear()
+        try:
+            rec = pipeline.recommend(driver, config, PlatformClient(transport))
+            out = pipeline.recommendation_to_dict(rec)
+        except NoCandidatesError:
+            out = None
+        return _requests(transport.calls), out
+
+    calls, out = run()
+    with mock.patch.object(pipeline, "CONTEXT_KINDS", FILE_KINDS):
+        all_calls, all_out = run()
+    assert out == all_out
+    assert not calls - all_calls
+    for endpoint, params in (all_calls - calls).elements():
+        params = json.loads(params)
+        assert endpoint == "get_file_content" and params["path"].endswith(".java")
+        assert (params["owner"], params["repo"]) != ("octo", "driver")
+        assert params["ref"] == "c" * 40
 
 
 class TestRecommendationDict:
