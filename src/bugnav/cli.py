@@ -90,8 +90,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {output}: {exc.strerror}") from exc
     sys.stdout.write(text)
 
 

@@ -160,10 +160,6 @@ class RepoSnapshot:
     head: str
     files: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def project(self) -> str:
-        return f"{self.owner}/{self.repo}"
-
 
 def find_patch_refs(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
     """Scan issue texts for patch pointers, in document order.

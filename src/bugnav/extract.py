@@ -52,7 +52,6 @@ class DependencyId:
 class RepoContext:
     """Everything the similarity analyses want to know about one repo."""
 
-    project: str
     dependencies: Set[DependencyId] = field(default_factory=set)
     permissions: Set[str] = field(default_factory=set)
     ui_elements: Set[str] = field(default_factory=set)
@@ -313,7 +312,6 @@ def code_kinds(snapshot: RepoSnapshot) -> Dict[str, str]:
 def build_repo_context(snapshot: RepoSnapshot) -> RepoContext:
     """Run every fact extractor over a snapshot and bundle the results."""
     return RepoContext(
-        project=snapshot.project,
         dependencies=extract_dependencies(snapshot),
         permissions=extract_permissions(snapshot),
         ui_elements=extract_ui_elements(snapshot),

@@ -116,8 +116,11 @@ class WeightConfig(_PerFactorRecord):
 
     def __post_init__(self):
         for name, value in zip(self._names, self.as_tuple()):
-            if value < 0:
-                raise ValidationError(f"{name} must be non-negative")
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and non-negative: {value}")
+        # every score is at most this sum, so finite with it
+        if not math.isfinite(sum(self.as_tuple())):
+            raise ValidationError("the weights must have a finite sum")
 
 
 @_per_factor("", "factor", [0.0] * len(FACTORS), 1.0)
@@ -237,7 +240,8 @@ def _grid_totals(base: WeightConfig, grid_step: float) -> List[int]:
     if not 2.0**-1022 <= grid_step <= 1.0:
         raise ValidationError("grid_step must be in [2**-1022, 1]")
     fixed = base.w_issue_length + base.w_num_comment
-    if not math.isfinite(fixed):
+    # no total brings the sum back down; the band below would overflow
+    if fixed - 1.0 > _SIMPLEX_TOLERANCE:
         return []
     # the band around (1 - fixed) / grid_step, one total wider on either
     # side for the rounding of the divisions

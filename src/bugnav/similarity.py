@@ -10,10 +10,11 @@ Code similarity is greedy string tiling (GST) of token-kind streams,
 laid in one pass over the streams' maximal matches
 (:func:`_greedy_tiles`).
 
-Every candidate is compared against the same driver, so the driver side
-is prepared once per run (:class:`Driver`), and the dependency,
-permission and UI factors, which depend on a candidate's repository
-alone, once per candidate repository (:func:`repo_similarity`).
+Every candidate is compared against the same driver, so the driver side,
+its Java files' window sets included, is prepared once per run
+(:class:`Driver`), and the dependency, permission and UI factors, which
+depend on a candidate's repository alone, once per candidate repository
+(:func:`repo_similarity`).
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
     return len(xs & ys) / min(len(xs), len(ys))
 
 
-# a window index keeps one dict per group of this many files, so that the
-# files holding a window fit the bits of one byte; _BITS[k] maps each such
-# byte to the digit "1" where it holds bit k, else to "0"
-_GROUP = 8
-_BITS = [bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(_GROUP)]
+# _cover's digits from a stream's per-window set probes (False/True bytes)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _all_windows(s: str, length: int) -> List[str]:
@@ -143,33 +141,11 @@ def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN
     return 2.0 * covered / (len(a) + len(b))
 
 
-def _window_index(window_lists: Sequence[Sequence[str]]) -> List[dict]:
-    """One dict per group of ``_GROUP`` files, from each window a file of
-    the group holds to the byte mask of those files (bit k: the group's
-    k-th file)."""
-    index = []
-    for start in range(0, len(window_lists), _GROUP):
-        masks = {}
-        for k, windows in enumerate(window_lists[start : start + _GROUP]):
-            bit = 1 << k
-            for w in set(windows):
-                masks[w] = masks.get(w, 0) | bit
-        index.append(masks)
-    return index
-
-
-def _lookup(windows: Sequence[str], index: List[dict]) -> List[bytes]:
-    """A stream's windows looked up in each group of ``index``: per group,
-    one mask byte per window, 0 for a window no file of the group holds."""
-    return [bytes(map(masks.get, windows, itertools.repeat(0))) for masks in index]
-
-
 class DriverCode:
     """The driver's Java files, prepared once per run for
     :func:`code_similarity`: their token streams from
-    :func:`extract.tokenize_code`, the ``min_match_len``-windows of each
-    file as a list, and the index from every window to the files that
-    hold it.
+    :func:`extract.tokenize_code` and the set of ``min_match_len``-windows
+    of each file.
 
     Only read after construction, so candidates share it as it is."""
 
@@ -178,27 +154,19 @@ class DriverCode:
             raise ValueError("min_match_len must be >= 1")
         self.min_match_len = min_match_len
         self.kinds = list(kinds)
-        self.windows = [_all_windows(s, min_match_len) for s in self.kinds]
-        self.index = _window_index(self.windows)
+        self.window_sets = [set(_all_windows(s, min_match_len)) for s in self.kinds]
 
 
 def _pair_covers(driver: DriverCode, patch_windows: Sequence[List[str]]) -> List[List[int]]:
-    """For every driver file d and patch file p, the smaller of their two
-    shared covers: the positions of either file inside some window the
-    other file also holds."""
+    """For every driver file d and patch file p, the shared cover of p:
+    the positions of p inside some window that d also holds."""
     m = driver.min_match_len
-    patch_index = _window_index(patch_windows)
-    driver_hits = [_lookup(windows, patch_index) for windows in driver.windows]
-    patch_hits = [_lookup(windows, driver.index) for windows in patch_windows]
     return [
         [
-            min(
-                _cover(driver_hits[d][p // _GROUP].translate(_BITS[p % _GROUP]), m),
-                _cover(patch_hits[p][d // _GROUP].translate(_BITS[d % _GROUP]), m),
-            )
-            for p in range(len(patch_windows))
+            _cover(bytes(map(held.__contains__, windows)).translate(_DIGITS), m)
+            for windows in patch_windows
         ]
-        for d in range(len(driver.windows))
+        for held in driver.window_sets
     ]
 
 
@@ -210,13 +178,11 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
     without fetched content can't be tokenized and are skipped.
 
     Every tile is made of windows of ``min_match_len`` tokens that both
-    streams contain, so the positions of either stream inside such shared
-    windows bound the pair's coverage. Each file's windows are looked up
-    once in the other side's window index, which marks every window with
-    the files that hold it; a pair's shared windows are then one bit of
-    those marks. Pairs are scored in descending order of the bound until
-    it is no better than the best score so far, which leaves the max
-    unchanged.
+    streams contain, so the positions of the patch file inside windows
+    the driver file also holds bound the pair's coverage: one probe of
+    the driver file's window set per patch window. Pairs are scored in
+    descending order of the bound until it is no better than the best
+    score so far, which leaves the max unchanged.
     """
     patch_streams = [
         extract.tokenize_code(modified.new_content)

@@ -148,8 +148,8 @@ def optimal_coverage(a, b, min_match_len):
 
 
 # ---------------------------------------------------------------------------
-# pair bound of code similarity: one set probe per window and pair, as the
-# bound was computed before the window index
+# pair bound of code similarity: the shared cover by a scan over runs of
+# set hits, independent of similarity._cover's bit widening
 
 _HITS = re.compile(b"\x01+")
 

@@ -316,6 +316,28 @@ class TestRecommend:
         rc, _, err = _recommend(capsys, fxdir, "--weight", "nonsense")
         assert rc == 1
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
+    def test_non_finite_weight_flag(self, capsys, fxdir, value):
+        rc, out, err = _recommend(capsys, fxdir, "--weight", f"w_has_fix={value}")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "w_has_fix" in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"w_code": Infinity}', "w_code"),
+            ('{"w_code": 1e308, "w_dep": 1e308}', "finite sum"),
+        ],
+    )
+    def test_non_finite_weights_file(self, capsys, fxdir, tmp_path, text, named):
+        path = tmp_path / "weights.json"
+        path.write_text(text)
+        rc, out, err = _recommend(capsys, fxdir, "--weights-file", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
     def test_missing_fixture_dir(self, capsys, tmp_path):
         rc, _, err = _run(capsys, [
             "recommend", "octo/driver#7", "--fixture-dir", str(tmp_path / "gone"),
@@ -569,6 +591,19 @@ class TestMine:
         rc, out, _ = _run(capsys, ["mine", "--fixture-dir", str(fxdir)])
         assert rc == 0
         assert out == "alpha/one#1 gamma/three#30\n"
+
+
+def test_unwritable_output_is_a_usage_error(capsys, fxdir, dataset_path, tmp_path):
+    target = tmp_path / "gone" / "out.txt"
+    for argv in (
+        ["mine", "--fixture-dir", str(fxdir)],
+        ["tune", str(dataset_path), "--grid-step", "1.0"],
+    ):
+        rc, out, err = _run(capsys, [*argv, "--output", str(target)])
+        assert rc == 1
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("error:") and str(target) in last
 
 
 class TestTune:

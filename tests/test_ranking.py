@@ -441,9 +441,19 @@ class TestSweptGrid:
         assert ranking.grid_size(DEFAULTS, 1e-7) > 0
         assert time.process_time() - start < 0.5
 
-    def test_infinite_quality_weight_leaves_no_grid(self):
-        base = ranking.WeightConfig(w_issue_length=math.inf)
-        assert ranking.grid_size(base, 0.1) == 0
+    def test_non_finite_weights_are_rejected(self):
+        for weights in (
+            {"w_issue_length": math.inf},
+            {"w_code": math.nan},
+            {"w_issue_length": 1e308, "w_num_comment": 1e308},
+        ):
+            with pytest.raises(ValidationError):
+                ranking.WeightConfig(**weights)
+
+    def test_huge_quality_weight_leaves_no_grid(self):
+        # (1 - 1e10) / 1e-300 overflows to -inf
+        base = ranking.WeightConfig(w_issue_length=1e10)
+        assert ranking.grid_size(base, 1e-300) == 0
         assert list(ranking._swept_grid(base, 0.1)) == []
 
     def test_fine_step_is_lazy(self):

@@ -327,7 +327,7 @@ _FRAGMENTS = [
 COMMENT_ONLY = "// nothing but a comment\n/* and another */"
 _java_file = st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(" ".join)
 _java_files = st.lists(_java_file, min_size=1, max_size=4)
-# more than 16 files a side cross two group boundaries of the window index
+# up to 20 files a side, so the bound has many pairs to order and prune
 _many_java_files = st.lists(_java_file, min_size=1, max_size=20)
 
 
@@ -355,16 +355,27 @@ _kind_streams = st.lists(st.text("ABC", max_size=30), min_size=1, max_size=20)
 @settings(max_examples=200, deadline=None)
 @given(_kind_streams, _kind_streams, st.integers(1, 6))
 @example(["ABCABC", "", "CAB"] * 3, ["BCABCA", "AAAA"] * 9, 2)
-def test_pair_covers_equal_both_way_set_probes(driver_streams, patch_streams, mml):
+def test_pair_covers_equal_patch_side_set_probes(driver_streams, patch_streams, mml):
     driver = similarity.DriverCode(driver_streams, mml)
     patch_windows = [similarity._all_windows(s, mml) for s in patch_streams]
     covers = similarity._pair_covers(driver, patch_windows)
-    for d, d_windows in enumerate(driver.windows):
+    for d, d_stream in enumerate(driver_streams):
+        d_windows = set(similarity._all_windows(d_stream, mml))
         for p, p_windows in enumerate(patch_windows):
-            assert covers[d][p] == min(
-                shared_cover_reference(d_windows, set(p_windows), mml),
-                shared_cover_reference(p_windows, set(d_windows), mml),
-            )
+            assert covers[d][p] == shared_cover_reference(p_windows, d_windows, mml)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kind_streams, _kind_streams, st.integers(1, 6))
+@example(["ABABAB"], ["BABA", "ABABABAB"], 2)
+def test_pair_cover_bounds_each_pairs_coverage(driver_streams, patch_streams, mml):
+    driver = similarity.DriverCode(driver_streams, mml)
+    covers = similarity._pair_covers(
+        driver, [similarity._all_windows(s, mml) for s in patch_streams]
+    )
+    for d, d_stream in enumerate(driver_streams):
+        for p, p_stream in enumerate(patch_streams):
+            assert greedy_coverage_reference(d_stream, p_stream, mml) <= covers[d][p]
 
 
 # token kinds no _FRAGMENTS line has, so patches can bring kinds new to the driver
