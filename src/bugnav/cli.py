@@ -27,6 +27,15 @@ EXIT_NO_QUERY = 3
 EXIT_TRANSPORT = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An invalid flag or value exits with EXIT_USAGE, not argparse's 2,
+    which here means that no candidates survived. Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON file with configuration fields")
     parser.add_argument("--fixture-dir", dest="fixture_dir", metavar="DIR",
@@ -41,6 +50,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-threshold", dest="n_threshold", type=int,
                         help="minimum hits before a query strategy is accepted")
     parser.add_argument("--scope", dest="qualifier_mode", choices=QUALIFIER_MODES,
+                        metavar="{" + "|".join(QUALIFIER_MODES) + "}",
                         help="where the stack-trace query searches")
     parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS)
     parser.add_argument("--parallelism", dest="parallelism", type=int)
@@ -156,7 +166,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bugnav",
         description="Recommend closed lookalike issues for an open bug report.",
     )

@@ -108,7 +108,6 @@ class PlatformClient:
                 ref=_item_ref(item),
                 title=_field(item, "title", str, "search_issues", ""),
                 search_rank=rank,
-                is_pull="pull_request" in item,
             )
             for rank, item in enumerate(itertools.islice(items, max_results), start=1)
         ]

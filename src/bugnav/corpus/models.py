@@ -22,6 +22,8 @@ _COMMIT_URL_RE = re.compile(
 # an abbreviated or full commit id mentioned in prose: 7-40 lowercase hex
 # digits bounded by non-word characters (and not inside a URL path)
 _BARE_SHA_RE = re.compile(r"(?<![\w/])([0-9a-f]{7,40})(?![\w/])")
+# a bare id inside any URL, say a comment anchor, is not one
+_ANY_URL_RE = re.compile(r"https?://\S+")
 
 # files recognised by their name alone, wherever they sit
 _KIND_BY_NAME = {
@@ -117,7 +119,6 @@ class IssueHit:
     ref: IssueRef
     title: str
     search_rank: int  # 1-based
-    is_pull: bool = False
 
 
 @dataclass
@@ -184,8 +185,7 @@ def find_patch_refs(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
             events.append((m.start(), PatchRef("pull", m.group(1), m.group(2), m.group(3))))
         for m in _COMMIT_URL_RE.finditer(text):
             events.append((m.start(), PatchRef("commit", m.group(1), m.group(2), m.group(3))))
-        url_spans = [m.span() for m in _ISSUE_URL_RE.finditer(text)]
-        url_spans += [m.span() for m in _COMMIT_URL_RE.finditer(text)]
+        url_spans = [m.span() for m in _ANY_URL_RE.finditer(text)]
         for m in _BARE_SHA_RE.finditer(text):
             inside_url = any(s <= m.start(1) < e for s, e in url_spans)
             if not inside_url:

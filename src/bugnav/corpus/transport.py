@@ -197,9 +197,5 @@ class ReplayTransport:
     def fetch_raw(self, endpoint: str, params: Dict[str, str]) -> Tuple[int, object]:
         found = self._store.lookup(endpoint, params)
         if found is None:
-            raise ReplayMissError(
-                f"no fixture recorded for {endpoint} {dict(params)}",
-                endpoint=endpoint,
-                params=dict(params),
-            )
+            raise ReplayMissError(f"no fixture recorded for {endpoint} {dict(params)}")
         return found

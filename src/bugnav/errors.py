@@ -48,11 +48,6 @@ class RateLimitError(TransportError):
 class ReplayMissError(TransportError):
     """Replay mode got a request the fixture set has no recording for."""
 
-    def __init__(self, message, endpoint=None, params=None):
-        super().__init__(message)
-        self.endpoint = endpoint
-        self.params = params
-
 
 def read_json_object(path, what: str) -> dict:
     """The JSON object in the local file ``path``. A file that cannot be

@@ -17,9 +17,8 @@ from __future__ import annotations
 import logging
 import re
 import xml.etree.ElementTree as ET
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, Mapping, Optional, Set
 
 from bugnav.corpus.models import FILE_KINDS, IssueDocument, RepoSnapshot, file_kind
 from bugnav.textprep import split_camel, stem
@@ -38,21 +37,12 @@ _ANDROID_PERMISSION_PREFIX = "android.permission."
 CONTEXT_KINDS = FILE_KINDS - {"java"}
 
 
-@dataclass(frozen=True)
-class DependencyId:
-    group: str
-    artifact: str
-
-    @property
-    def canonical(self) -> str:
-        return f"{self.group}:{self.artifact}"
-
-
 @dataclass
 class RepoContext:
     """Everything the similarity analyses want to know about one repo."""
 
-    dependencies: Set[DependencyId] = field(default_factory=set)
+    # "group:artifact" -> artifact, both lowercased
+    dependencies: Dict[str, str] = field(default_factory=dict)
     permissions: Set[str] = field(default_factory=set)
     ui_elements: Set[str] = field(default_factory=set)
     is_android: bool = False
@@ -70,9 +60,10 @@ def _parse_xml(path: str, text: str) -> Optional[ET.Element]:
         return None
 
 
-def extract_dependencies(snapshot: RepoSnapshot) -> Set[DependencyId]:
-    """Declared dependencies from every pom.xml and build.gradle found."""
-    deps: Set[DependencyId] = set()
+def extract_dependencies(snapshot: RepoSnapshot) -> Dict[str, str]:
+    """Declared dependencies from every pom.xml and build.gradle found, as
+    ``"group:artifact"`` mapped to the artifact, both lowercased."""
+    pairs = []
     for path, text in snapshot.files.items():
         kind = file_kind(path)
         if kind == "pom":
@@ -89,17 +80,13 @@ def extract_dependencies(snapshot: RepoSnapshot) -> Set[DependencyId]:
                     elif _localname(child.tag) == "artifactId":
                         artifact = (child.text or "").strip()
                 if group and artifact:
-                    deps.add(DependencyId(group.lower(), artifact.lower()))
+                    pairs.append((group, artifact))
         elif kind == "gradle":
             for line in text.splitlines():
-                m = _GRADLE_COORD_RE.search(line)
+                m = _GRADLE_COORD_RE.search(line) or _GRADLE_MAP_RE.search(line)
                 if m:
-                    deps.add(DependencyId(m.group(1).lower(), m.group(2).lower()))
-                    continue
-                m = _GRADLE_MAP_RE.search(line)
-                if m:
-                    deps.add(DependencyId(m.group(1).lower(), m.group(2).lower()))
-    return deps
+                    pairs.append(m.groups())
+    return {f"{group.lower()}:{artifact.lower()}": artifact.lower() for group, artifact in pairs}
 
 
 def _named_attr(elem: ET.Element, leaf: str) -> Optional[str]:
@@ -237,54 +224,24 @@ def tokenize_code(source: str) -> str:
 # ---------------------------------------------------------------------------
 # mentions
 
-def _stemmed_words(text: str) -> List[str]:
-    """Flatten text into stemmed lowercase subtokens, camelCase split."""
-    out: List[str] = []
-    for word in re.findall(r"[A-Za-z0-9]+", text):
-        for part in split_camel(word):
-            out.append(stem(part))
-    return out
+def _spaced_stems(words: Iterable[str]) -> str:
+    """The stemmed lowercase subtokens of ``words``, camelCase split,
+    joined and enclosed by single spaces; " " when there are none."""
+    return " ".join(["", *(stem(part) for word in words for part in split_camel(word)), ""])
 
 
-def _entry_tokens(match_text: str) -> List[str]:
-    out: List[str] = []
-    for piece in re.split(r"[-_.\s]+", match_text):
-        if not piece:
-            continue
-        for part in split_camel(piece):
-            out.append(stem(part))
-    return out
+def stemmed_thread(issue: IssueDocument) -> str:
+    """The report thread as its stemmed words, joined and enclosed by
+    single spaces, so that :func:`extract_mentions` finds a phrase with
+    one substring test. No stemmed word holds whitespace: thread words
+    are ``[A-Za-z0-9]+`` runs, and entries are split on whitespace."""
+    return _spaced_stems(re.findall(r"[A-Za-z0-9]+", " ".join(issue.thread_texts())))
 
 
-class ThreadIndex:
-    """A report thread as stemmed lowercase words, with the positions of
-    each word, so a phrase is found without scanning the whole thread.
-
-    Built once per driver report and only read afterwards."""
-
-    def __init__(self, issue: IssueDocument):
-        words: List[str] = []
-        for text in issue.thread_texts():
-            words.extend(_stemmed_words(text))
-        self.words = tuple(words)
-        starts: Dict[str, List[int]] = defaultdict(list)
-        for i, word in enumerate(self.words):
-            starts[word].append(i)
-        self._starts = dict(starts)
-
-    def contains(self, phrase: Sequence[str]) -> bool:
-        """Whether the words of ``phrase`` occur contiguously, in order."""
-        if not phrase:
-            return False
-        phrase = tuple(phrase)
-        size = len(phrase)
-        return any(
-            self.words[i : i + size] == phrase for i in self._starts.get(phrase[0], ())
-        )
-
-
-def extract_mentions(thread: ThreadIndex, vocabulary) -> Set[str]:
-    """Which vocabulary entries does the report thread mention?
+def extract_mentions(thread: str, vocabulary) -> Set[str]:
+    """Which vocabulary entries does the report thread mention, as
+    :func:`stemmed_thread` returns it? An entry is mentioned where its
+    stemmed words occur contiguously, in order.
 
     `vocabulary` maps a canonical entry to the text to match on (for a
     dependency that is its artifact name); a plain set matches entries
@@ -293,11 +250,12 @@ def extract_mentions(thread: ThreadIndex, vocabulary) -> Set[str]:
     """
     if not isinstance(vocabulary, Mapping):
         vocabulary = {entry: entry for entry in vocabulary}
-    return {
-        canonical
-        for canonical, match_text in vocabulary.items()
-        if thread.contains(_entry_tokens(match_text))
-    }
+    found = set()
+    for canonical, match_text in vocabulary.items():
+        phrase = _spaced_stems(piece for piece in re.split(r"[-_.\s]+", match_text) if piece)
+        if phrase != " " and phrase in thread:
+            found.add(canonical)
+    return found
 
 
 def code_kinds(snapshot: RepoSnapshot) -> Dict[str, str]:

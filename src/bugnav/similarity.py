@@ -228,10 +228,11 @@ class SimilarityVector:
 @dataclass(frozen=True)
 class Driver:
     """The driver side of every comparison in one run, prepared once and
-    shared read-only by all candidates: the report thread stemmed and
-    indexed for mentions, the repository's facts, and its Java files."""
+    shared read-only by all candidates: the report thread as one string
+    of stemmed words for mentions (:func:`extract.stemmed_thread`), the
+    repository's facts, and its Java files."""
 
-    thread: extract.ThreadIndex
+    thread: str
     context: extract.RepoContext
     code: DriverCode
 
@@ -244,7 +245,7 @@ class Driver:
         min_match_len: int,
     ) -> "Driver":
         return cls(
-            thread=extract.ThreadIndex(issue),
+            thread=extract.stemmed_thread(issue),
             context=extract.build_repo_context(snapshot),
             code=DriverCode(extract.code_kinds(snapshot).values(), min_match_len),
         )
@@ -266,12 +267,9 @@ def repo_similarity(driver: Driver, candidate: extract.RepoContext) -> Similarit
     never declares it.
     """
     ctx = driver.context
-    cand_deps = {d.canonical for d in candidate.dependencies}
-    driver_deps = _mention_widened(
-        driver,
-        {d.canonical for d in ctx.dependencies},
-        {d.canonical: d.artifact for d in candidate.dependencies},
-    )
+    cand_deps = candidate.dependencies.keys()
+    # a dependency is mentioned where its artifact name is
+    driver_deps = _mention_widened(driver, ctx.dependencies.keys(), candidate.dependencies)
     dependency = overlap_coefficient(driver_deps, cand_deps) if driver_deps and cand_deps else None
     if not (ctx.is_android and candidate.is_android):
         return SimilarityVector(dependency=dependency)

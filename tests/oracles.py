@@ -413,10 +413,8 @@ def _repo_factors_reference(driver, ours, theirs):
     """The dependency, permission and UI factors of one candidate
     repository, each driver set widened by the candidate vocabulary the
     report thread mentions."""
-    their_deps = {d.canonical for d in theirs.dependencies}
-    our_deps = {d.canonical for d in ours.dependencies} | extract_mentions_reference(
-        driver, {d.canonical: d.artifact for d in theirs.dependencies}
-    )
+    their_deps = set(theirs.dependencies)
+    our_deps = set(ours.dependencies) | extract_mentions_reference(driver, theirs.dependencies)
     factors = {"dependency": None}
     if our_deps and their_deps:
         factors["dependency"] = float(overlap_reference(our_deps, their_deps))

@@ -513,6 +513,27 @@ def test_unparseable_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, 
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["recommend", "octo/driver#7", "--bogus", "x"],
+     ["recommend", "octo/driver#7", "--max-candidates", "abc"],
+     []],
+    ids=["unknown-flag", "bad-int", "no-subcommand"],
+)
+def test_argument_errors_exit_with_the_usage_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero_and_names_each_scope(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["recommend", "--help"])
+    assert exc.value.code == 0
+    assert "--scope {body,comments|body}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "name", [f.name for f in dataclasses.fields(RunConfig) if f.name != "weights"]
 )
 def test_each_config_field_is_set_by_its_flag(name):

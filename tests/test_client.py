@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.miner import mine_similar_pairs
 from bugnav.corpus.fixtures import canonical_key
-from bugnav.corpus.models import FILE_KINDS, IssueRef, file_kind
+from bugnav.corpus.models import FILE_KINDS, IssueRef, PatchRef, file_kind, find_patch_refs
 from bugnav.errors import NotFoundError, TransportError, ValidationError
 from bugnav.extract import CONTEXT_KINDS, build_repo_context
 from bugnav.querygen import SearchQuery
@@ -59,9 +59,7 @@ class TestSearchIssues:
         hits = PlatformClient(transport).search_issues(q, language="java", state="closed")
         assert [h.search_rank for h in hits] == [1, 2]
         assert hits[0].ref == IssueRef("geotools", "geotools", 1723)
-        assert hits[0].is_pull is True
         assert hits[1].ref == IssueRef("octo", "demo", 4)
-        assert hits[1].is_pull is False
 
     def test_no_filters_means_bare_query(self):
         transport = StubTransport()
@@ -148,6 +146,21 @@ def _put_issue(transport, owner, repo, number, *, title="t", body="", state="clo
         {"owner": owner, "repo": repo, "number": str(number), "page": "1", "per_page": "100"},
         [{"body": c} for c in comments],
     )
+
+
+@pytest.mark.parametrize(
+    "text, refs",
+    [
+        ("https://github.com/o/r/issues/5#issuecomment-1234567890", []),
+        ("https://github.com/o/r/pull/5#pullrequestreview-987654321", [("pull", "o", "r", "5")]),
+        ("https://github.com/o/r/issues/5 then fixed in a1b2c3d.", [("commit", "h", "home", "a1b2c3d")]),
+        ("see https://github.com/x/y/commit/a1b2c3d", [("commit", "x", "y", "a1b2c3d")]),
+        ("fixed in a1b2c3d, see the log", [("commit", "h", "home", "a1b2c3d")]),
+        ("https://github.com/a.deadbeef1.b/r/issues/3", []),
+    ],
+)
+def test_find_patch_refs_skips_ids_inside_urls(text, refs):
+    assert find_patch_refs("h", "home", [text]) == [PatchRef(*ref) for ref in refs]
 
 
 class TestFetchIssue:

@@ -79,32 +79,35 @@ def _snapshot(files, owner="octo", repo="demo"):
 class TestDependencies:
     def test_pom(self):
         deps = extract.extract_dependencies(_snapshot({"pom.xml": POM}))
-        canon = {d.canonical for d in deps}
-        assert canon == {"org.annolab.tt4j:org.annolab.tt4j", "junit:junit"}
+        assert deps == {
+            "org.annolab.tt4j:org.annolab.tt4j": "org.annolab.tt4j",
+            "junit:junit": "junit",
+        }
 
     def test_pom_with_namespace(self):
         deps = extract.extract_dependencies(_snapshot({"pom.xml": POM_NAMESPACED}))
-        assert {d.canonical for d in deps} == {"org.apache.opennlp:opennlp-tools"}
+        assert deps == {"org.apache.opennlp:opennlp-tools": "opennlp-tools"}
 
     def test_gradle_both_styles(self):
         deps = extract.extract_dependencies(_snapshot({"app/build.gradle": GRADLE}))
-        canon = {d.canonical for d in deps}
-        assert "com.google.android.material:material" in canon
-        assert "androidx.appcompat:appcompat" in canon
-        assert "org.nd4j:nd4j-native" in canon
-        assert "junit:junit" in canon
+        assert deps == {
+            "com.google.android.material:material": "material",
+            "androidx.appcompat:appcompat": "appcompat",
+            "org.nd4j:nd4j-native": "nd4j-native",  # map style
+            "junit:junit": "junit",
+        }
 
     def test_malformed_pom_degrades_to_empty(self):
         deps = extract.extract_dependencies(_snapshot({"pom.xml": "<project><depend"}))
-        assert deps == set()
+        assert deps == {}
 
     def test_no_build_files(self):
-        assert extract.extract_dependencies(_snapshot({"src/A.java": "class A {}"})) == set()
+        assert extract.extract_dependencies(_snapshot({"src/A.java": "class A {}"})) == {}
 
     def test_canonical_is_lowercase(self):
         pom = POM.replace("junit", "JUnit")
         deps = extract.extract_dependencies(_snapshot({"pom.xml": pom}))
-        assert "junit:junit" in {d.canonical for d in deps}
+        assert deps["junit:junit"] == "junit"
 
 
 class TestPermissions:
@@ -200,7 +203,7 @@ def test_lexer_equals_reference_scanner(source):
 
 class TestMentions:
     def _issue(self, body, comments=()):
-        return extract.ThreadIndex(
+        return extract.stemmed_thread(
             IssueDocument(
                 ref=IssueRef("octo", "demo", 1),
                 title="a title",
@@ -236,6 +239,9 @@ class TestMentions:
         issue = self._issue("body says nothing", comments=["try the camera fix"])
         assert extract.extract_mentions(issue, {"camera": "camera"}) == {"camera"}
 
+    def test_thread_is_stemmed_words_between_single_spaces(self):
+        assert self._issue("SnowballStemmers, v2") == " a titl snowbal stemmer v2 "
+
 
 # few stems, so phrases recur and partly match; camelCase, digits and
 # the entry separators (- _ . whitespace) exercise the word splitting
@@ -256,12 +262,15 @@ _texts = st.lists(
     ),
 )
 @example(["save btn", "the save btn save button"], {"save_btn": "save_btn", "b": "save"})
-@example(["", ""], {"empty": ""})
-def test_indexed_thread_mentions_equal_reference_scan(texts, vocabulary):
+@example(["", ""], {"empty": "", "dots": ".-_"})
+@example(["save", "btn here"], {"save_btn": "save_btn"})
+@example(["cameraman", ""], {"camera": "camera"})
+@example(["x y", ""], {"x-é-y": "x-é-y"})
+def test_thread_mentions_equal_reference_scan(texts, vocabulary):
     issue = IssueDocument(
         ref=IssueRef("octo", "demo", 1), title=texts[0], body=texts[1], comments=texts[2:]
     )
-    assert extract.extract_mentions(extract.ThreadIndex(issue), vocabulary) == (
+    assert extract.extract_mentions(extract.stemmed_thread(issue), vocabulary) == (
         extract_mentions_reference(issue, vocabulary)
     )
 
@@ -280,7 +289,7 @@ class TestRepoContext:
         assert ctx.is_android
         assert "camera" in ctx.permissions
         assert "save_btn" in ctx.ui_elements
-        assert "com.google.android.material:material" in {d.canonical for d in ctx.dependencies}
+        assert ctx.dependencies["com.google.android.material:material"] == "material"
         assert list(extract.code_kinds(snap)) == ["app/src/main/java/com/example/app/Main.java"]
 
     def test_plain_java_context(self):

@@ -137,7 +137,7 @@ class FakeClient:
 
 
 def _hit(ref, rank, title="t"):
-    return IssueHit(ref=ref, title=title, search_rank=rank, is_pull=False)
+    return IssueHit(ref=ref, title=title, search_rank=rank)
 
 
 def _scenario():
