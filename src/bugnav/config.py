@@ -37,9 +37,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name, hint in typing.get_type_hints(type(self)).items():
-            # Optional[str] admits (str, NoneType)
+            # Optional[str] admits (str, NoneType); a bool is an int to
+            # isinstance, but JSON true is no count
             value = getattr(self, name)
-            if not isinstance(value, typing.get_args(hint) or hint):
+            if isinstance(value, bool) or not isinstance(value, typing.get_args(hint) or hint):
                 raise ValidationError(f"{name} has the wrong type: {value!r:.40}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValidationError(f"unknown output format: {self.output_format!r}")

@@ -179,27 +179,25 @@ class PlatformClient:
         return None
 
     def _resolve_patch(self, ref: PatchRef) -> Patch:
+        """A pull's or commit's files. Each branch picks only the entries, the
+        repository and sha to read (a pull's head, maybe a fork) and the endpoint."""
         if ref.kind == "pull":
-            pull = self._call(
-                "get_pull", owner=ref.owner, repo=ref.repo, number=ref.ref
-            )
+            endpoint = "get_pull_files"
+            pull = self._call("get_pull", owner=ref.owner, repo=ref.repo, number=ref.ref)
             head = _field(pull, "head", dict, "get_pull", {})
             sha = _field(head, "sha", str, "get_pull", "")
             head_repo = _field(head, "repo", dict, "get_pull", {})
             full_name = _field(head_repo, "full_name", str, "get_pull", "")
-            head_owner, _, head_name = (full_name or f"{ref.owner}/{ref.repo}").partition("/")
-            entries = self._pages("get_pull_files", owner=ref.owner, repo=ref.repo, number=ref.ref)
-            files = [
-                self._modified_file(e, head_owner, head_name, sha, "get_pull_files")
-                for e in entries
-            ]
-            return Patch(ref=ref, files=files)
-        commit = self._call("get_commit", owner=ref.owner, repo=ref.repo, sha=ref.ref)
-        sha = _field(commit, "sha", str, "get_commit", "") or ref.ref
-        files = [
-            self._modified_file(e, ref.owner, ref.repo, sha, "get_commit")
-            for e in _field(commit, "files", list, "get_commit", [])
-        ]
+            owner, _, repo = (full_name or f"{ref.owner}/{ref.repo}").partition("/")
+            entries = self._pages(endpoint, owner=ref.owner, repo=ref.repo, number=ref.ref)
+        else:
+            endpoint = "get_commit"
+            commit = self._call(endpoint, owner=ref.owner, repo=ref.repo, sha=ref.ref)
+            sha = _field(commit, "sha", str, endpoint, "") or ref.ref
+            owner, repo = ref.owner, ref.repo
+            entries = _field(commit, "files", list, endpoint, [])
+        # pull entries are paged lazily, so contents are requested between pages
+        files = [self._modified_file(e, owner, repo, sha, endpoint) for e in entries]
         return Patch(ref=ref, files=files)
 
     def _modified_file(
@@ -209,18 +207,13 @@ class PlatformClient:
         status = _field(entry, "status", str, endpoint, "modified")
         content = None
         # only source files feed the code comparison, so only they are
-        # worth a content request
+        # worth a content request; a removed file has none
         if file_kind(path) == "java" and status != "removed" and sha:
             try:
                 content = self._file_content(owner, repo, path, sha)
             except NotFoundError:
                 log.warning("no content for %s at %s", path, sha[:12])
-        return ModifiedFile(
-            path=path,
-            status=status,
-            new_content=content,
-            diff=_field(entry, "patch", str, endpoint, None),
-        )
+        return ModifiedFile(path=path, new_content=content)
 
     def _file_content(self, owner: str, repo: str, path: str, ref: str) -> str:
         payload = self._call(

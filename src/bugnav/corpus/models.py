@@ -143,9 +143,7 @@ class IssueDocument:
 @dataclass
 class ModifiedFile:
     path: str
-    status: str = "modified"
     new_content: Optional[str] = None
-    diff: Optional[str] = None
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Dependencies from Maven and Gradle build files, permissions from the
 Android manifest, widget names and ids from layout XML, and token
 kinds from Java sources. Extractors never raise on malformed input;
-they log a warning and return what they could read.
+they log a warning and return what they could read. The XML extractors
+share one walk, :func:`_xml_elements`, which skips a file that does not parse.
 
 Only the driver's Java files are ever compared (against candidates'
 patches), so a :class:`RepoContext` carries no token streams:
@@ -18,7 +19,7 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from bugnav.corpus.models import FILE_KINDS, IssueDocument, RepoSnapshot, file_kind
 from bugnav.textprep import split_camel, stem
@@ -52,87 +53,66 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _parse_xml(path: str, text: str) -> Optional[ET.Element]:
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError as exc:
-        log.warning("skipping unparseable xml %s: %s", path, exc)
-        return None
+def _xml_elements(snapshot: RepoSnapshot, kind: str) -> Iterator[Tuple[str, ET.Element]]:
+    """``(local tag, element)`` for every element of every file of ``kind``
+    that parses, in document order; a file that does not parse is logged
+    and skipped."""
+    for path, text in snapshot.files.items():
+        if file_kind(path) != kind:
+            continue
+        try:
+            root = ET.fromstring(text)
+        except ET.ParseError as exc:
+            log.warning("skipping unparseable xml %s: %s", path, exc)
+            continue
+        for elem in root.iter():
+            yield _localname(elem.tag), elem
+
+
+def _named_attr(elem: ET.Element, leaf: str) -> Optional[str]:
+    """The value of the first attribute named ``leaf`` in any namespace."""
+    for key, value in elem.attrib.items():
+        if _localname(key) == leaf:
+            return value
+    return None
 
 
 def extract_dependencies(snapshot: RepoSnapshot) -> Dict[str, str]:
     """Declared dependencies from every pom.xml and build.gradle found, as
     ``"group:artifact"`` mapped to the artifact, both lowercased."""
     pairs = []
+    for tag, elem in _xml_elements(snapshot, "pom"):
+        if tag == "dependency":
+            # a repeated child counts with its last value
+            named = {_localname(child.tag): (child.text or "").strip() for child in elem}
+            pairs.append((named.get("groupId"), named.get("artifactId")))
     for path, text in snapshot.files.items():
-        kind = file_kind(path)
-        if kind == "pom":
-            root = _parse_xml(path, text)
-            if root is None:
-                continue
-            for elem in root.iter():
-                if _localname(elem.tag) != "dependency":
-                    continue
-                group = artifact = None
-                for child in elem:
-                    if _localname(child.tag) == "groupId":
-                        group = (child.text or "").strip()
-                    elif _localname(child.tag) == "artifactId":
-                        artifact = (child.text or "").strip()
-                if group and artifact:
-                    pairs.append((group, artifact))
-        elif kind == "gradle":
+        if file_kind(path) == "gradle":
             for line in text.splitlines():
                 m = _GRADLE_COORD_RE.search(line) or _GRADLE_MAP_RE.search(line)
                 if m:
                     pairs.append(m.groups())
-    return {f"{group.lower()}:{artifact.lower()}": artifact.lower() for group, artifact in pairs}
-
-
-def _named_attr(elem: ET.Element, leaf: str) -> Optional[str]:
-    for key, value in elem.attrib.items():
-        if key == leaf or key.endswith("}" + leaf) or key == f"android:{leaf}":
-            return value
-    return None
+    return {f"{g.lower()}:{a.lower()}": a.lower() for g, a in pairs if g and a}
 
 
 def extract_permissions(snapshot: RepoSnapshot) -> Set[str]:
     """uses-permission values, lowercased, platform prefix stripped."""
     perms: Set[str] = set()
-    for path, text in snapshot.files.items():
-        if file_kind(path) != "manifest":
-            continue
-        root = _parse_xml(path, text)
-        if root is None:
-            continue
-        for elem in root.iter():
-            if _localname(elem.tag) != "uses-permission":
-                continue
-            value = _named_attr(elem, "name")
-            if not value:
-                continue
-            value = value.strip()
-            if value.startswith(_ANDROID_PERMISSION_PREFIX):
-                value = value[len(_ANDROID_PERMISSION_PREFIX):]
-            perms.add(value.lower())
+    for tag, elem in _xml_elements(snapshot, "manifest"):
+        value = tag == "uses-permission" and _named_attr(elem, "name")
+        if value:
+            perms.add(value.strip().removeprefix(_ANDROID_PERMISSION_PREFIX).lower())
     return perms
 
 
 def extract_ui_elements(snapshot: RepoSnapshot) -> Set[str]:
     """Widget tag names and android:id leaf names from layout files."""
     ui: Set[str] = set()
-    for path, text in snapshot.files.items():
-        if file_kind(path) != "layout":
-            continue
-        root = _parse_xml(path, text)
-        if root is None:
-            continue
-        for elem in root.iter():
-            tag = _localname(elem.tag)
-            ui.add(tag.rsplit(".", 1)[-1].lower())
-            ident = _named_attr(elem, "id")
-            if ident and "/" in ident:
-                ui.add(ident.rsplit("/", 1)[-1].lower())
+    for tag, elem in _xml_elements(snapshot, "layout"):
+        ui.add(tag.rsplit(".", 1)[-1].lower())
+        ident = _named_attr(elem, "id")
+        if ident and "/" in ident:
+            ui.add(ident.rsplit("/", 1)[-1].lower())
     return ui
 
 

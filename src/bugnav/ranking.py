@@ -101,6 +101,9 @@ class _PerFactorRecord:
         upper = cls._upper
         for name, value in data.items():
             try:
+                # float() would read JSON true as 1.0
+                if isinstance(value, bool):
+                    raise TypeError(value)
                 values[name] = number = float(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{cls._noun} {name} must be a number: {value!r}") from exc

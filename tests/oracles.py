@@ -6,7 +6,9 @@ against these on inputs small enough for them to finish.
 """
 
 import dataclasses
+import logging
 import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from typing import AbstractSet, Sequence
 
@@ -40,6 +42,111 @@ def file_kinds_reference(path):
     ):
         kinds.add("layout")
     return kinds
+
+
+# ---------------------------------------------------------------------------
+# repository facts
+
+_log = logging.getLogger(__name__)
+
+_GRADLE_COORD_RE = re.compile(r"""['"]([\w.-]+):([\w.-]+):[^'"]+['"]""")
+_GRADLE_MAP_RE = re.compile(
+    r"""group\s*:\s*['"]([\w.-]+)['"]\s*,\s*name\s*:\s*['"]([\w.-]+)['"]"""
+)
+_ANDROID_PERMISSION_PREFIX = "android.permission."
+
+
+def _localname(tag):
+    return tag.rsplit("}", 1)[-1]
+
+
+def _parse_xml(path, text):
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        _log.warning("skipping unparseable xml %s: %s", path, exc)
+        return None
+
+
+def _named_attr(elem, leaf):
+    for key, value in elem.attrib.items():
+        if key == leaf or key.endswith("}" + leaf) or key == f"android:{leaf}":
+            return value
+    return None
+
+
+def repo_context_reference(snapshot):
+    """The repository facts by the three extractors as each once parsed
+    its own files: one loop per extractor, each filtering the snapshot by
+    kind, parsing and skipping what does not parse."""
+    from bugnav.corpus.models import file_kind
+    from bugnav.extract import RepoContext
+
+    pairs = []
+    for path, text in snapshot.files.items():
+        kind = file_kind(path)
+        if kind == "pom":
+            root = _parse_xml(path, text)
+            if root is None:
+                continue
+            for elem in root.iter():
+                if _localname(elem.tag) != "dependency":
+                    continue
+                group = artifact = None
+                for child in elem:
+                    if _localname(child.tag) == "groupId":
+                        group = (child.text or "").strip()
+                    elif _localname(child.tag) == "artifactId":
+                        artifact = (child.text or "").strip()
+                if group and artifact:
+                    pairs.append((group, artifact))
+        elif kind == "gradle":
+            for line in text.splitlines():
+                m = _GRADLE_COORD_RE.search(line) or _GRADLE_MAP_RE.search(line)
+                if m:
+                    pairs.append(m.groups())
+    dependencies = {
+        f"{group.lower()}:{artifact.lower()}": artifact.lower() for group, artifact in pairs
+    }
+
+    perms = set()
+    for path, text in snapshot.files.items():
+        if file_kind(path) != "manifest":
+            continue
+        root = _parse_xml(path, text)
+        if root is None:
+            continue
+        for elem in root.iter():
+            if _localname(elem.tag) != "uses-permission":
+                continue
+            value = _named_attr(elem, "name")
+            if not value:
+                continue
+            value = value.strip()
+            if value.startswith(_ANDROID_PERMISSION_PREFIX):
+                value = value[len(_ANDROID_PERMISSION_PREFIX):]
+            perms.add(value.lower())
+
+    ui = set()
+    for path, text in snapshot.files.items():
+        if file_kind(path) != "layout":
+            continue
+        root = _parse_xml(path, text)
+        if root is None:
+            continue
+        for elem in root.iter():
+            tag = _localname(elem.tag)
+            ui.add(tag.rsplit(".", 1)[-1].lower())
+            ident = _named_attr(elem, "id")
+            if ident and "/" in ident:
+                ui.add(ident.rsplit("/", 1)[-1].lower())
+
+    return RepoContext(
+        dependencies=dependencies,
+        permissions=perms,
+        ui_elements=ui,
+        is_android=any(file_kind(p) == "manifest" for p in snapshot.files),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,11 @@ def _input_argv(kind, path, fxdir, workdir):
     ("weights", {"w_code": "x"}, "w_code"),
     ("weights", {"w_bogus": 1.0}, "w_bogus"),
     ("weights", [1.0], "weights"),
+    # JSON true is no number
+    ("config", {"max_candidates": True}, "max_candidates"),
+    ("weights", {"w_code": True}, "w_code"),
+    ("dataset", dict(DATASET_ENTRY, candidates=[
+        {"ref": "octo/demo#4", "factors": {"dep": True}}]), "factor dep"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, value, named):
     path = tmp_path / f"{kind}.json"

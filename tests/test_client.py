@@ -295,6 +295,17 @@ class TestMalformedPayloads:
         with pytest.raises(TransportError, match="get_commit"):
             client.fetch_patch(client.fetch_issue(IssueRef("o", "r", 1)))
 
+    def test_patch_text_of_any_type_is_not_read(self):
+        transport = StubTransport()
+        _put_issue(transport, "o", "r", 1, body="fixed in a1b2c3d")
+        transport.put(
+            "get_commit", {"owner": "o", "repo": "r", "sha": "a1b2c3d"},
+            {"sha": "a1b2c3d" + "0" * 33, "files": [{"filename": "docs/a.md", "patch": 5}]},
+        )
+        client = PlatformClient(transport)
+        patch = client.fetch_patch(client.fetch_issue(IssueRef("o", "r", 1)))
+        assert [f.path for f in patch.files] == ["docs/a.md"]
+
     def test_tree_blob_without_a_path(self):
         transport = StubTransport()
         _put_repo_tree(transport, "o", "r", [])
@@ -346,7 +357,31 @@ class TestFetchPatch:
         assert [f.path for f in patch.files] == ["src/Fix.java", "docs/notes.md"]
         assert patch.files[0].new_content == JAVA_FIX
         assert patch.files[1].new_content is None  # only code files are fetched
-        assert patch.files[0].diff == "@@ -1 +1 @@"
+
+    def test_pull_from_a_fork_reads_the_fork_at_its_head(self):
+        transport = StubTransport()
+        _put_issue(
+            transport, "octo", "demo", 7, body="fixed by https://github.com/octo/demo/pull/9"
+        )
+        _put_pull(
+            transport, "octo", "demo", 9,
+            [("src/Fix.java", "modified"), ("src/Old.java", "removed")],
+            head="e" * 40, head_repo="forker/demo-fork",
+        )
+        fork_content = {
+            "owner": "forker", "repo": "demo-fork", "path": "src/Fix.java", "ref": "e" * 40,
+        }
+        transport.put(
+            "get_file_content", fork_content, {"content": _b64(JAVA_FIX), "encoding": "base64"}
+        )
+        client = PlatformClient(transport)
+        patch = client.fetch_patch(client.fetch_issue(IssueRef("octo", "demo", 7)))
+        assert [(f.path, f.new_content) for f in patch.files] == [
+            ("src/Fix.java", JAVA_FIX),
+            ("src/Old.java", None),
+        ]
+        # the removed file asks for no content at all
+        assert [p for e, p in transport.calls if e == "get_file_content"] == [fork_content]
 
     def test_pull_files_over_two_pages_keep_their_order(self):
         transport = StubTransport()

@@ -34,6 +34,8 @@ class TestValidation:
             {"max_candidates": 1001},
             {"parallelism": 0},
             {"min_match_len": 0},
+            # a bool is an int to isinstance, but no count
+            {"parallelism": True},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

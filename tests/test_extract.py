@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 from bugnav import extract
 from bugnav.corpus.models import IssueDocument, IssueRef, RepoSnapshot
-from oracles import extract_mentions_reference, tokenize_code_reference
+from oracles import (
+    extract_mentions_reference,
+    repo_context_reference,
+    tokenize_code_reference,
+)
 
 
 POM = """\
@@ -299,3 +303,98 @@ class TestRepoContext:
         assert ctx.permissions == set()
         assert ctx.ui_elements == set()
         assert len(ctx.dependencies) == 2
+
+
+_ANDROID_NS = ' xmlns:android="http://schemas.android.com/apk/res/android"'
+_VALUES = st.sampled_from(["junit", "JUnit", "org.Foo", " a.b-c ", "", "  "])
+
+
+@st.composite
+def _pom(draw):
+    ns = draw(st.sampled_from(["", ' xmlns="http://maven.apache.org/POM/4.0.0"']))
+    # groupId may be missing or repeated; any child order
+    children = st.tuples(st.sampled_from(["groupId", "artifactId", "version", "scope"]), _VALUES)
+    deps = draw(st.lists(st.lists(children, max_size=5), max_size=4))
+    body = "".join(
+        "<dependency>" + "".join(f"<{tag}>{text}</{tag}>" for tag, text in dep) + "</dependency>"
+        for dep in deps
+    )
+    return f"<project{ns}><dependencies>{body}</dependencies></project>"
+
+
+_GRADLE_LINES = st.sampled_from([
+    "implementation 'com.google:material:1.1.0'",
+    'implementation "androidx.appcompat:AppCompat:1.2.0"',
+    "implementation group: 'org.nd4j', name: 'nd4j-native', version: '1.0'",
+    "testImplementation 'junit:junit:4.12'",
+    "apply plugin: 'com.android.application'",
+    "dependencies {",
+])
+
+
+@st.composite
+def _manifest(draw):
+    # the android namespace under its usual prefix or another one
+    prefix = draw(st.sampled_from(["android", "a"]))
+    ns = f' xmlns:{prefix}="http://schemas.android.com/apk/res/android"'
+    prefix += ":"
+    names = st.sampled_from([
+        "android.permission.CAMERA", "CAMERA", " android.permission.INTERNET ",
+        "com.example.app.CUSTOM", "", "  ",
+    ])
+    elems = draw(st.lists(
+        st.one_of(
+            names.map(lambda n: f'<uses-permission {prefix}name="{n}" />'),
+            names.map(lambda n: f'<uses-permission name="{n}" />'),
+            st.just("<uses-permission />"),
+            st.just(f'<application {prefix}label="demo" />'),
+        ),
+        max_size=5,
+    ))
+    return f"<manifest{ns}>{''.join(elems)}</manifest>"
+
+
+@st.composite
+def _layout(draw):
+    tags = st.sampled_from([
+        "LinearLayout", "TextView", "com.google.android.material.button.MaterialButton", "a.b.C",
+    ])
+    ids = st.sampled_from(["@+id/save_btn", "@id/Status_Text", "plain", "@+id/a/b", ""])
+    children = draw(st.lists(st.tuples(tags, st.none() | ids), max_size=5))
+    body = "".join(
+        f"<{tag} />" if ident is None else f'<{tag} android:id="{ident}" />'
+        for tag, ident in children
+    )
+    root = draw(tags)
+    return f"<{root}{_ANDROID_NS}>{body}</{root}>"
+
+
+_GRADLE = st.lists(_GRADLE_LINES, max_size=6).map("\n".join)
+_JAVA = st.just("class A { int x; }")
+# each path with content of its kind; a path no extractor reads gets
+# content that one would read
+_CONTENT_BY_PATH = {
+    "pom.xml": _pom(), "lib/pom.xml": _pom(),
+    "build.gradle": _GRADLE, "app/build.gradle.kts": _GRADLE,
+    "AndroidManifest.xml": _manifest(), "app/src/main/AndroidManifest.xml": _manifest(),
+    "res/layout/main.xml": _layout(), "app/src/main/res/layout-land/b.xml": _layout(),
+    "res/values/strings.xml": _layout(), "src/A.java": _JAVA, "README.md": _GRADLE,
+}
+_ANY_CONTENT = st.one_of(_pom(), _manifest(), _layout(), _GRADLE, _JAVA)
+
+
+@st.composite
+def _snapshots(draw):
+    files = {}
+    for path in draw(st.lists(st.sampled_from(sorted(_CONTENT_BY_PATH)), unique=True, max_size=6)):
+        # mostly the content of the path's kind, sometimes another kind's
+        text = draw(_CONTENT_BY_PATH[path] if draw(st.integers(0, 3)) else _ANY_CONTENT)
+        # a file cut short does not parse
+        files[path] = text if draw(st.integers(0, 3)) else text[: draw(st.integers(0, len(text)))]
+    return _snapshot(files)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_snapshots())
+def test_repo_context_equals_reference(snapshot):
+    assert extract.build_repo_context(snapshot) == repo_context_reference(snapshot)

@@ -167,7 +167,7 @@ def _scenario():
     client.snapshots["acme/delta"] = RepoSnapshot("acme", "delta", "b" * 40, {"pom.xml": POM})
     client.patches[delta] = Patch(
         ref=PatchRef(kind="pull", owner="acme", repo="delta", ref="9"),
-        files=[ModifiedFile(path="src/Fix.java", new_content=MAIN_JAVA, diff="@@")],
+        files=[ModifiedFile(path="src/Fix.java", new_content=MAIN_JAVA)],
     )
     client.search_results = [_hit(alpha, 1), _hit(beta, 2), _hit(delta, 3)]
     return client, driver

@@ -307,7 +307,7 @@ class TestCodeSimilarity:
         driver = _code({"src/A.java": "int a = 0;"}, 3)
         patch = Patch(
             ref=PatchRef("commit", "octo", "demo", "a" * 7),
-            files=[ModifiedFile(path="src/X.java", new_content=None, diff="@@ -1 +1 @@")],
+            files=[ModifiedFile(path="src/X.java", new_content=None)],
         )
         assert similarity.code_similarity(driver, patch) is None
 
