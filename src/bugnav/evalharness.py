@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Dict, List, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .corpus.models import IssueRef
 from .errors import ValidationError, checked_field
@@ -153,20 +153,30 @@ def precision_at_k(ranked: Sequence[IssueRef], relevant: AbstractSet, k: int) ->
     return hits / k
 
 
+def mrr_from_places(places: Sequence[Optional[int]]) -> float:
+    """Mean of 1/place over the queries, in their order; a query whose
+    list holds no relevant item (None) contributes 0. The one MRR
+    arithmetic, for evaluate() and the tuner."""
+    if not places:
+        raise ValidationError("MRR needs at least one query")
+    total = 0.0
+    for place in places:
+        if place is not None:
+            total += 1.0 / place
+    return total / len(places)
+
+
 def mean_reciprocal_rank(
     entries: Sequence[Tuple[Sequence[IssueRef], AbstractSet]],
 ) -> float:
     """Mean of 1/position of the first relevant item per query; a query
     with no relevant item contributes 0."""
-    if not entries:
-        raise ValidationError("MRR needs at least one query")
-    total = 0.0
-    for ranked, relevant in entries:
-        for position, ref in enumerate(ranked, start=1):
-            if ref in relevant:
-                total += 1.0 / position
-                break
-    return total / len(entries)
+    return mrr_from_places(
+        [
+            next((place for place, ref in enumerate(ranked, start=1) if ref in relevant), None)
+            for ranked, relevant in entries
+        ]
+    )
 
 
 def rerank_entry(entry: EvalEntry, weights: WeightConfig) -> List[IssueRef]:

@@ -101,11 +101,12 @@ class _PerFactorRecord:
         upper = cls._upper
         for name, value in data.items():
             try:
-                # float() would read JSON true as 1.0
-                if isinstance(value, bool):
+                # float() would read "1" as 1.0, and JSON true, a bool and
+                # so an int to isinstance(), as 1.0 too
+                if type(value) not in (int, float):
                     raise TypeError(value)
                 values[name] = number = float(value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ValidationError(f"{cls._noun} {name} must be a number: {value!r}") from exc
             # false for NaN too
             if not 0.0 <= number <= upper:
@@ -173,8 +174,14 @@ def normalize_factors(metrics: QualityMetrics, sims: SimilarityVector) -> Factor
 
 
 def _dot(values: Sequence[float], weights: Sequence[float]) -> float:
-    """The score arithmetic: the products summed in FACTORS order."""
-    return sum(map(operator.mul, values, weights))
+    """The score arithmetic: the products summed left to right in FACTORS
+    order, from 0.0. The tuner folds the same sums term by term, and
+    sum() of floats is compensated from Python 3.12 on, so it would not
+    round as the fold does."""
+    total = 0.0
+    for v, w in zip(values, weights):
+        total += v * w
+    return total
 
 
 def score(factors: FactorVector, weights: WeightConfig) -> float:
@@ -199,8 +206,19 @@ class RankedCandidate(RankInput):
 
 def _best_first(scores: Sequence[float]) -> List[int]:
     """Indices of scores in ranking order: score descending, equal scores
-    in index order. The one ranking order, for rank() and the tuner."""
+    in index order. The one ranking order; rank() sorts by it and the
+    tuner counts places in it with _place."""
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def _place(scores: Sequence[float], indices: Sequence[int]) -> int:
+    """The 1-based place in _best_first(scores) of the first of indices,
+    given ascending, counted without a sort: that index is the first one
+    with the highest score among them, and its place is one more than the
+    number of higher scores and of equal scores before it."""
+    first = max(indices, key=scores.__getitem__)
+    top = scores[first]
+    return 1 + sum(map(top.__lt__, scores)) + scores[:first].count(top)
 
 
 def score_order(factors: Sequence[FactorVector], weights: WeightConfig) -> List[Tuple[int, float]]:
@@ -231,12 +249,30 @@ _SIMPLEX_TOLERANCE = 4e-4 + 1e-9
 
 
 # The factors whose weights the tuner sweeps, and their places in a
-# weight tuple.
+# weight tuple. They must be one run of FACTORS: the tuner folds the
+# factors before them into one fixed head, and adds those after them,
+# the tail, at every grid point.
 _SWEPT = ("code", "dep", "perm", "ui")
 _SWEPT_AT = tuple([name for name, _ in FACTORS].index(name) for name in _SWEPT)
+_HEAD, _TAIL = _SWEPT_AT[0], _SWEPT_AT[-1] + 1
+assert _SWEPT_AT == tuple(range(_HEAD, _TAIL)), "the swept factors must be contiguous"
 
 
-def _grid_totals(base: WeightConfig, grid_step: float) -> List[int]:
+def _first_true(band: range, holds) -> int:
+    """The first t of band for which holds(t), or band.stop if none, for
+    a holds() that is false and then true along the band. A bisection,
+    since a fine step's band is too long to walk."""
+    lo, hi = band.start, band.stop
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _grid_totals(base: WeightConfig, grid_step: float) -> range:
     """The totals t, in grid steps, of the swept weights that bring the
     sum of all weights within _SIMPLEX_TOLERANCE of 1."""
     # 1 / grid_step overflows below the smallest normal float, 2**-1022
@@ -245,17 +281,26 @@ def _grid_totals(base: WeightConfig, grid_step: float) -> List[int]:
     fixed = base.w_issue_length + base.w_num_comment
     # no total brings the sum back down; the band below would overflow
     if fixed - 1.0 > _SIMPLEX_TOLERANCE:
-        return []
+        return range(0)
     # the band around (1 - fixed) / grid_step, one total wider on either
     # side for the rounding of the divisions
     lo, hi = ((1.0 - fixed + d) / grid_step for d in (-_SIMPLEX_TOLERANCE, _SIMPLEX_TOLERANCE))
     band = range(max(0, math.ceil(lo) - 1), min(round(1.0 / grid_step), math.floor(hi) + 1) + 1)
-    return [t for t in band if abs(fixed + t * grid_step - 1.0) <= _SIMPLEX_TOLERANCE]
+    # fixed + t * grid_step does not fall as t grows, so the totals that
+    # reach 1 - tolerance and those that pass 1 + tolerance are each a
+    # run at the band's end, and the admissible ones lie between them
+    start = _first_true(band, lambda t: fixed + t * grid_step - 1.0 >= -_SIMPLEX_TOLERANCE)
+    stop = _first_true(band, lambda t: fixed + t * grid_step - 1.0 > _SIMPLEX_TOLERANCE)
+    return range(start, max(start, stop))
 
 
 def grid_size(base: WeightConfig, grid_step: float) -> int:
-    """Number of points :func:`tune_weights` searches: C(t + 3, 3) per total t."""
-    return sum(math.comb(t + 3, 3) for t in _grid_totals(base, grid_step))
+    """Number of points :func:`tune_weights` searches: C(t + 3, 3) per
+    total t, whose sum over t <= b is C(b + 4, 4)."""
+    totals = _grid_totals(base, grid_step)
+    if not totals:
+        return 0
+    return math.comb(totals[-1] + 4, 4) - math.comb(totals[0] + 3, 4)
 
 
 def _swept_grid(base: WeightConfig, grid_step: float) -> Iterator[Tuple[float, ...]]:
@@ -264,44 +309,65 @@ def _swept_grid(base: WeightConfig, grid_step: float) -> Iterator[Tuple[float, .
     order without building the grid: k * grid_step grows strictly with
     k, so the order of the integer multiples is the order of the tuples."""
     totals = _grid_totals(base, grid_step)
-    top = max(totals, default=-1)
+    top = totals[-1] if totals else -1
     for k_code in range(top + 1):
         for k_dep in range(top - k_code + 1):
             for k_perm in range(top - k_code - k_dep + 1):
                 used = k_code + k_dep + k_perm
-                for total in totals:
-                    if total >= used:
-                        yield (
-                            k_code * grid_step,
-                            k_dep * grid_step,
-                            k_perm * grid_step,
-                            (total - used) * grid_step,
-                        )
+                for total in range(max(used, totals.start), totals.stop):
+                    yield (
+                        k_code * grid_step,
+                        k_dep * grid_step,
+                        k_perm * grid_step,
+                        (total - used) * grid_step,
+                    )
 
 
 def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
     """(swept tuple, MRR of the re-ranked system) at each grid point, in
-    grid order. Each candidate's factor tuple and each entry's relevant
-    candidate indices are prepared once; a point costs one dot product
-    per candidate and one sort per entry."""
-    from .evalharness import mean_reciprocal_rank
+    grid order, equal bit for bit to what evaluate() reports.
 
-    prepared = [
-        (
-            [c.factors.as_tuple() for c in entry.candidates],
-            {i for i, c in enumerate(entry.candidates) if c.ref in entry.relevant},
-        )
-        for entry in dataset.entries
-    ]
-    weights = list(base.as_tuple())
+    A score is _dot's fold, kept per entry as one partial sum per
+    candidate. The head is folded once. The fold up to each swept weight
+    but the last is redone only when that weight or one before it changes
+    along the grid, so once per w_code, per w_dep and per w_perm. A point
+    adds the last swept term and then the tail. Each query's reciprocal
+    rank is read from the scores by _place, without a sort."""
+    from .evalharness import mrr_from_places
+
+    weights = base.as_tuple()
+    w_has_fix, w_keywords = weights[_TAIL:]
+    prepared = []
+    for entry in dataset.entries:
+        rows = [c.factors.as_tuple() for c in entry.candidates]
+        columns = [[row[at] for row in rows] for at in range(len(FACTORS))]
+        head = [0.0] * len(rows)
+        for column, weight in zip(columns[:_HEAD], weights):
+            head = [s + v * weight for s, v in zip(head, column)]
+        # partials[j]: the fold up to the j-th swept factor, not included
+        partials = [head] + [None] * (len(_SWEPT) - 1)
+        relevant = [i for i, c in enumerate(entry.candidates) if c.ref in entry.relevant]
+        prepared.append((columns, partials, relevant))
+
+    last = (None,) * len(_SWEPT)
     for swept in _swept_grid(base, grid_step):
-        for at, value in zip(_SWEPT_AT, swept):
-            weights[at] = value
-        pairs = [
-            (_best_first([_dot(f, weights) for f in factors]), relevant)
-            for factors, relevant in prepared
-        ]
-        yield swept, mean_reciprocal_rank(pairs)
+        changed = next(j for j, (now, then) in enumerate(zip(swept, last)) if now != then)
+        last = swept
+        w_last = swept[-1]
+        places = []
+        for columns, partials, relevant in prepared:
+            for j in range(changed, len(_SWEPT) - 1):
+                weight = swept[j]
+                partials[j + 1] = [
+                    s + v * weight for s, v in zip(partials[j], columns[_HEAD + j])
+                ]
+            # left to right, as _dot adds them
+            scores = [
+                s + v * w_last + f * w_has_fix + k * w_keywords
+                for s, v, f, k in zip(partials[-1], *columns[_TAIL - 1 :])
+            ]
+            places.append(_place(scores, relevant) if relevant else None)
+        yield swept, mrr_from_places(places)
 
 
 def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> WeightConfig:

@@ -7,6 +7,7 @@ against these on inputs small enough for them to finish.
 
 import dataclasses
 import logging
+import math
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -446,6 +447,19 @@ def dot_reference(values, weights):
 
 # ---------------------------------------------------------------------------
 # weight tuning
+
+
+def grid_totals_reference(base, grid_step):
+    """The admissible swept totals as they were found before the tuner
+    bisected for the ends: every total in the band around
+    (1 - fixed) / grid_step, tested in turn."""
+    tolerance = 4e-4 + 1e-9
+    fixed = base.w_issue_length + base.w_num_comment
+    if fixed - 1.0 > tolerance:
+        return []
+    lo, hi = ((1.0 - fixed + d) / grid_step for d in (-tolerance, tolerance))
+    band = range(max(0, math.ceil(lo) - 1), min(round(1.0 / grid_step), math.floor(hi) + 1) + 1)
+    return [t for t in band if abs(fixed + t * grid_step - 1.0) <= tolerance]
 
 
 def swept_grid_reference(base, grid_step):

@@ -497,6 +497,10 @@ def _input_argv(kind, path, fxdir, workdir):
     ("weights", {"w_code": True}, "w_code"),
     ("dataset", dict(DATASET_ENTRY, candidates=[
         {"ref": "octo/demo#4", "factors": {"dep": True}}]), "factor dep"),
+    # nor is a numeric string
+    ("weights", {"w_code": "0.5"}, "w_code"),
+    ("dataset", dict(DATASET_ENTRY, candidates=[
+        {"ref": "octo/demo#4", "factors": {"dep": "1"}}]), "factor dep"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, value, named):
     path = tmp_path / f"{kind}.json"

@@ -16,7 +16,12 @@ from bugnav.corpus.models import IssueDocument, IssueRef, PatchRef
 from bugnav.errors import ValidationError
 from bugnav.evalharness import EvalDataset, EvalEntry, LabeledCandidate, rerank_entry
 from bugnav.similarity import SimilarityVector
-from oracles import dot_reference, swept_grid_reference, tune_weights_reference
+from oracles import (
+    dot_reference,
+    grid_totals_reference,
+    swept_grid_reference,
+    tune_weights_reference,
+)
 
 DEFAULTS = ranking.WeightConfig()
 
@@ -131,7 +136,7 @@ class TestScore:
             f = ranking.FactorVector(*(rng.random() for _ in range(8)))
             w = ranking.WeightConfig(*(rng.random() for _ in range(8)))
             want = dot_reference(f.as_tuple(), w.as_tuple())
-            assert ranking.score(f, w) == pytest.approx(want, abs=1e-12)
+            assert ranking.score(f, w) == want
 
     def test_linear_in_factors(self):
         rng = random.Random(22)
@@ -435,11 +440,23 @@ class TestSweptGrid:
         assert ranking.grid_size(base, step) == len(list(ranking._swept_grid(base, step)))
 
     def test_fine_step_is_sized_from_the_band(self):
-        # a scan of every total up to 1 / step took seconds here
+        # a scan of every total up to 1 / step took seconds here, and a
+        # walk of the 8e8 totals in the band at 1e-12 took minutes
         start = time.process_time()
         assert ranking.grid_size(DEFAULTS, 0.001) == 81_550_514
         assert ranking.grid_size(DEFAULTS, 1e-7) > 0
+        totals = ranking._grid_totals(DEFAULTS, 1e-12)
+        assert ranking.grid_size(DEFAULTS, 1e-12) > 0
         assert time.process_time() - start < 0.5
+
+        fixed = DEFAULTS.w_issue_length + DEFAULTS.w_num_comment
+
+        def admissible(t):
+            return abs(fixed + t * 1e-12 - 1.0) <= 4e-4 + 1e-9
+
+        first, last = totals[0], totals[-1]
+        assert admissible(first) and admissible(last)
+        assert not admissible(first - 1) and not admissible(last + 1)
 
     def test_non_finite_weights_are_rejected(self):
         for weights in (
@@ -460,6 +477,23 @@ class TestSweptGrid:
         # the whole grid at this step has 81,550,514 tuples
         first = list(itertools.islice(ranking._swept_grid(DEFAULTS, 0.001), 3))
         assert first == [(0.0, 0.0, k * 0.001, (786 - k) * 0.001) for k in range(3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fixed=st.one_of(
+            st.sampled_from([0.2142, 0.2, 0.25, 0.0, 0.998, 1.0, 1.0004]),
+            st.floats(0.0, 1.001),
+        ),
+        step=st.one_of(
+            st.sampled_from([0.0714, 0.1, 0.0002, 1e-4, 1e-5, 1e-6, 1.0]),
+            st.floats(1e-6, 1.0),
+        ),
+    )
+    def test_totals_are_the_filtered_band(self, fixed, step):
+        base = ranking.WeightConfig(w_issue_length=fixed, w_num_comment=0.0)
+        want = grid_totals_reference(base, step)
+        assert list(ranking._grid_totals(base, step)) == want
+        assert ranking.grid_size(base, step) == sum(math.comb(t + 3, 3) for t in want)
 
 
 _BASES = st.builds(
@@ -513,3 +547,81 @@ def test_tune_weights_matches_reference(dataset, base, step):
     assert ranking.tune_weights(dataset, step, base=base) == tune_weights_reference(
         dataset, step, base=base
     )
+
+
+# three decimals, as bench/gen.py draws them, whose products and sums
+# round; the exact levels make equal scores likely
+_DECIMALS = st.one_of(_LEVELS, st.integers(0, 1000).map(lambda n: n / 1000))
+
+
+def _swapped(values, i, j):
+    values = list(values)
+    values[i], values[j] = values[j], values[i]
+    return ranking.FactorVector(*values)
+
+
+@st.composite
+def _rounding_entries(draw):
+    entries = []
+    places = st.integers(0, len(ranking.FACTORS) - 1)
+    for number in range(draw(st.integers(1, 5))):
+        vectors = []
+        for _ in range(draw(st.integers(0, 10))):
+            how = draw(st.sampled_from(["fresh", "copy", "swap"])) if vectors else "fresh"
+            if how == "fresh":
+                vectors.append(ranking.FactorVector(*[draw(_DECIMALS) for _ in ranking.FACTORS]))
+            elif how == "copy":
+                # a tie with an earlier candidate, whatever the weights
+                vectors.append(draw(st.sampled_from(vectors)))
+            else:
+                # an earlier candidate with two factors swapped: where their
+                # weights are equal, the scores are equal but for the
+                # rounding, which then depends on the order of the sum
+                earlier = draw(st.sampled_from(vectors)).as_tuple()
+                vectors.append(_swapped(earlier, draw(places), draw(places)))
+        candidates = [
+            LabeledCandidate(ref=IssueRef("octo", "cand", 100 * number + i), factors=f)
+            for i, f in enumerate(vectors)
+        ]
+        relevant = draw(st.lists(st.sampled_from(candidates), max_size=3)) if candidates else []
+        entries.append(
+            EvalEntry(
+                driver=IssueRef("octo", "driver", number),
+                candidates=candidates,
+                relevant=frozenset(c.ref for c in relevant),
+            )
+        )
+    return EvalDataset(entries=entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dataset=_rounding_entries(),
+    base=_BASES,
+    step=st.sampled_from([0.0714, 0.1, 0.125, 0.25]),
+)
+def test_grid_mrrs_are_the_reports_bit_for_bit(dataset, base, step):
+    """The tuner's folded scores and counted places give, at every grid
+    point, the MRR that a full evaluation reports, to the last bit."""
+    from bugnav.evalharness import evaluate
+
+    points = list(ranking._grid_mrrs(dataset, base, step))
+    assert [swept for swept, _ in points] == swept_grid_reference(base, step)
+    for swept, mrr in points:
+        w = dataclasses.replace(
+            base, w_code=swept[0], w_dep=swept[1], w_perm=swept[2], w_ui=swept[3]
+        )
+        assert mrr == evaluate(dataset, w).mrr
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 0.3, 1.0]), min_size=1),
+    data=st.data(),
+)
+def test_place_is_the_sorted_place(scores, data):
+    indices = data.draw(
+        st.lists(st.integers(0, len(scores) - 1), min_size=1, unique=True).map(sorted)
+    )
+    order = ranking._best_first(scores)
+    assert ranking._place(scores, indices) == 1 + min(order.index(i) for i in indices)
