@@ -289,7 +289,7 @@ class PlatformClient:
         if path is None or not path.is_file():
             return None
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_bytes())
             if not _is_snapshot(data):
                 raise ValueError("not a snapshot object")
         # RecursionError: nesting deeper than the decoder's stack

@@ -2,7 +2,9 @@
 
 Layout: `index.jsonl` maps a canonical request key to a payload file
 under `payloads/`. Recording appends, so the newest line for a key
-wins on reload; replay readers never mutate anything.
+wins on reload; replay readers never mutate anything. Both are read
+as UTF-8 whatever the locale: the index is decoded once, as a whole, and
+a payload's bytes go to ``json.loads``, which decodes them (RFC 8259).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class FixtureStore:
         index = os.path.join(self.root, _INDEX_NAME)
         if os.path.isfile(index):
             try:
-                with open(index) as fh:
+                with open(index, encoding="utf-8") as fh:
                     lines = fh.read().splitlines()
             except (OSError, ValueError) as exc:
                 raise TransportError(f"fixture index {index} is unreadable: {exc}") from exc
@@ -65,8 +67,8 @@ class FixtureStore:
             return None
         path = os.path.join(self.root, row["payload"])
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
+            with open(path, "rb") as fh:
+                payload = json.loads(fh.read())
         except (OSError, ValueError, RecursionError) as exc:
             raise TransportError(f"fixture payload {path} is unreadable: {exc}") from exc
         return row["status"], payload

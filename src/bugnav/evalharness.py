@@ -100,7 +100,7 @@ class EvalDataset:
                 "relevant": sorted(str(r) for r in entry.relevant),
             }
             lines.append(json.dumps(record, sort_keys=True))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "EvalDataset":
@@ -108,7 +108,7 @@ class EvalDataset:
         skipped. A file that cannot be read, or a malformed line, raises
         ValidationError naming the file and the line."""
         try:
-            lines = Path(path).read_text().splitlines()
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
         entries = []

@@ -19,6 +19,7 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from bugnav.corpus.models import FILE_KINDS, IssueDocument, RepoSnapshot, file_kind
@@ -160,26 +161,38 @@ KIND_CODES = {
     )
 }
 
-# a word missing from this table is an identifier
-_KINDS = {word: KIND_CODES[f"kw_{word}"] for word in _JAVA_KEYWORDS}
-_KINDS.update((op, KIND_CODES[name]) for op, name in _OPERATORS)
-_IDENT = KIND_CODES["ident"]
+# Every token is one match of _TOKEN_RE: the token, then the text skipped
+# up to the next one (whitespace, comments, characters that start no
+# token), so matches abut; _SKIP_RE skips what precedes the first token.
+# The skip trails rather than leads: a leading skip would fail on input
+# that ends in skipped text, and findall would retry one character on,
+# inside the comment. The one group holds a word, an operator (longest
+# first) or a literal's opening quote, whose body follows through a
+# lookbehind; it is empty for a number. An unclosed comment or literal
+# runs to the end of the input; a backslash in a literal escapes the next
+# character. Python 3.10 has no atomic groups or possessive repeats.
+_OPERATOR = "|".join(re.escape(op) for op, _ in _OPERATORS)
+_NUMBER = r"(?:0[xXbB][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDlL]?"
+_STARTS = "".join(sorted({re.escape(op[0]) for op, _ in _OPERATORS})) + "\"'\\dA-Za-z_$"
+_SKIP = rf"(?:[^{_STARTS}]+|//[^\n]*|/\*.*?(?:\*/|\Z))*"
 
-# Alternatives are tried in order at each position, as a hand-written
-# scanner would: skipped text, literals, numbers, words, operators, then
-# any other character, skipped. An unclosed comment or literal runs to
-# the end of the input; a backslash in a literal escapes the next
-# character.
+
+def _literal_body(quote: str) -> str:
+    return rf"(?<={quote})[^{quote}\\]*(?:\\.[^{quote}\\]*)*(?:{quote}|\\?\Z)"
+
+
+_SKIP_RE = re.compile(_SKIP, re.DOTALL)
 _TOKEN_RE = re.compile(
-    r"\s+|//[^\n]*|/\*.*?(?:\*/|\Z)"
-    r'|(?P<str>"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z))'
-    r"|(?P<chr>'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z))"
-    r"|(?P<num>(?:0[xXbB][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDlL]?)"
-    r"|(?P<tok>[A-Za-z_$][A-Za-z0-9_$]*"
-    + "".join("|" + re.escape(op) for op, _ in _OPERATORS)
-    + ")|.",
+    rf"""(?:([A-Za-z_$][A-Za-z0-9_$]*|{_OPERATOR}|["'])|{_NUMBER})"""
+    rf"""(?:{_literal_body('"')}|{_literal_body("'")})?{_SKIP}""",
     re.DOTALL,
 )
+
+# the code of each _TOKEN_RE group; a word missing from it is an identifier
+_CODES = {word: KIND_CODES[f"kw_{word}"] for word in _JAVA_KEYWORDS}
+_CODES.update((op, KIND_CODES[name]) for op, name in _OPERATORS)
+_CODES.update({'"': KIND_CODES["str"], "'": KIND_CODES["chr"], "": KIND_CODES["num"]})
+_IDENT = KIND_CODES["ident"]
 
 
 def tokenize_code(source: str) -> str:
@@ -191,14 +204,8 @@ def tokenize_code(source: str) -> str:
     their contents excluded, so similarity does not hinge on message
     wording.
     """
-    codes = []
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastgroup
-        if group == "tok":
-            codes.append(_KINDS.get(m.group(), _IDENT))
-        elif group is not None:
-            codes.append(KIND_CODES[group])
-    return "".join(codes)
+    tokens = _TOKEN_RE.findall(source, _SKIP_RE.match(source).end())
+    return "".join(map(_CODES.get, tokens, repeat(_IDENT)))
 
 
 # ---------------------------------------------------------------------------

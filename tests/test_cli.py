@@ -4,6 +4,10 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -30,6 +34,8 @@ from stubs import (
     put_search,
     put_shared_repos,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DRIVER_BODY = """\
 Serialization fails once the values pass a certain size:
@@ -656,3 +662,35 @@ class TestTune:
     def test_missing_dataset(self, capsys, tmp_path):
         rc, _, err = _run(capsys, ["tune", str(tmp_path / "nope.jsonl")])
         assert rc == 1
+
+
+# an ASCII locale, with neither UTF-8 mode nor locale coercion to undo it
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _cli_in_ascii_locale(*argv):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(ASCII_LOCALE, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "bugnav.cli", *argv], env=env, capture_output=True, timeout=120,
+    )
+
+
+def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
+    """Raw UTF-8 in a fixture payload or a dataset line reads the same
+    whatever the locale's encoding."""
+    fixtures = tmp_path / "walkthrough"
+    shutil.copytree(ROOT / "fixtures" / "walkthrough", fixtures)
+    key = canonical_key("get_issue", {"owner": "lightbend", "repo": "config", "number": "398"})
+    payload = fixtures / "payloads" / f"{key}.json"
+    issue = json.loads(payload.read_bytes())
+    issue["note"] = "Café"
+    payload.write_bytes(json.dumps(issue, ensure_ascii=False).encode("utf-8"))
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(json.dumps({**DATASET_ENTRY, "note": "Café"}, ensure_ascii=False).encode())
+
+    run = _cli_in_ascii_locale("recommend", "lightbend/config#398", "--fixture-dir", str(fixtures))
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
+    run = _cli_in_ascii_locale("evaluate", str(dataset))
+    assert (run.returncode, run.stderr) == (0, b"")

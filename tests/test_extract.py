@@ -1,5 +1,10 @@
 """Build-file, manifest, layout, lexer, and mention extraction tests."""
 
+import base64
+import json
+import sys
+from pathlib import Path
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +15,13 @@ from oracles import (
     repo_context_reference,
     tokenize_code_reference,
 )
+
+try:
+    from re import _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_parse
+
+WALKTHROUGH = Path(__file__).resolve().parent.parent / "fixtures" / "walkthrough"
 
 
 POM = """\
@@ -184,13 +196,16 @@ class TestCodeLexer:
 
 
 # pieces that open, close or straddle every kind of token: unclosed
-# comments and literals, escapes, the longest operators, a control
-# character that counts as whitespace, and digits that str.isdigit
-# accepts with (٣) and without (²) a match of the number pattern
+# comments and literals, escapes, the longest operators and their
+# prefixes, control characters that count as whitespace (\x1c, \r,
+# \u2028) or as nothing (\x00, `), digits outside ASCII that the number
+# pattern matches (٣, ٠, 𝟘) or that only str.isdigit accepts (²), and
+# number prefixes with no digits after them
 _LEX_PIECES = [
-    " ", "\n", "\t", "\x1c", "//", "/*", "*/", "/*/", "/", "*", '"', "'", "\\",
-    "a", "x", "e", "E", "f", "L", "_", "$", "0", "1", "9", ".", "+", "-",
-    "٣", "²", "é", "#", "int", "null", "=", "<", ">", ">>", ">>=", ">>>=", "!", "&", ":",
+    " ", "\n", "\t", "\x1c", "\r", "\u2028", "//", "/*", "*/", "/*/", "/", "*", '"', "'",
+    "\\", "a", "x", "e", "E", "f", "L", "_", "$", "0", "1", "9", "0x", "0b", ".", "..", "+",
+    "-", "->", "::", "٣", "٠", "𝟘", "²", "é", "#", "`", "\x00", "int", "null", "=", "<", ">",
+    ">>", ">>=", ">>>=", "!", "&", ":",
 ]
 
 
@@ -201,8 +216,55 @@ _LEX_PIECES = [
 @example("٣")
 @example("x²")
 @example("1.5e+3f")
+# input that ends in skipped text
+@example("//")
+@example("x //")
+@example("a /* b")
+@example("x \n")
+@example('"a\\')
 def test_lexer_equals_reference_scanner(source):
     assert extract.tokenize_code(source) == _encoded(tokenize_code_reference(source))
+
+
+def _walkthrough_java():
+    """Every Java file the walkthrough fixtures serve, decoded as the
+    client decodes it."""
+    blobs = []
+    for line in (WALKTHROUGH / "index.jsonl").read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        if row["endpoint"] == "get_file_content" and row["params"]["path"].endswith(".java"):
+            payload = json.loads((WALKTHROUGH / row["payload"]).read_bytes())
+            blobs.append(base64.b64decode(payload["content"]).decode("utf-8", errors="replace"))
+    return blobs
+
+
+def test_walkthrough_java_lexes_as_the_reference_scanner():
+    blobs = _walkthrough_java()
+    assert len(blobs) == 4
+    for source in blobs:
+        assert extract.tokenize_code(source) == _encoded(tokenize_code_reference(source))
+
+
+def _opcodes(parsed):
+    """The name of every opcode in a parsed pattern, nested ones included."""
+    for op, arg in parsed:
+        yield op.name
+        stack = [arg]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, sre_parse.SubPattern):
+                yield from _opcodes(item)
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+
+
+def test_lexer_patterns_compile_on_python_3_10():
+    # atomic groups and possessive repeats came in Python 3.11
+    newer = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+    if sys.version_info >= (3, 11):
+        assert newer <= set(_opcodes(sre_parse.parse("(?>a)|b++")))
+    for pattern in (extract._SKIP_RE, extract._TOKEN_RE):
+        assert not newer & set(_opcodes(sre_parse.parse(pattern.pattern, pattern.flags)))
 
 
 class TestMentions:
