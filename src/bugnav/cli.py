@@ -53,7 +53,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="{" + "|".join(QUALIFIER_MODES) + "}",
                         help="where the stack-trace query searches")
     parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS)
-    parser.add_argument("--parallelism", dest="parallelism", type=int)
+    parser.add_argument("--parallelism", dest="parallelism", type=int, metavar="N",
+                        help="platform requests in flight in a live run; replay fetches serially")
     parser.add_argument("--min-match-len", dest="min_match_len", type=int)
     parser.add_argument("--weight", action="append", default=[], metavar="NAME=VALUE",
                         help="override one ranking weight; repeatable")

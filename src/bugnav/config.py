@@ -3,6 +3,10 @@
 A config with fixture_dir set runs in replay mode: all platform traffic
 comes from recorded fixtures and nothing touches the network. Live and
 replay are therefore mutually exclusive by construction.
+
+parallelism is the number of platform requests a live run keeps in
+flight. A replay run fetches in the calling thread whatever its value,
+as does a live run with parallelism 1.
 """
 
 import dataclasses

@@ -42,8 +42,10 @@ class FixtureStore:
         index = os.path.join(self.root, _INDEX_NAME)
         if os.path.isfile(index):
             try:
-                with open(index, encoding="utf-8") as fh:
-                    lines = fh.read().splitlines()
+                # rows end at "\n" only: a string may hold a raw U+2028, and
+                # a CRLF row's "\r" is JSON whitespace
+                with open(index, encoding="utf-8", newline="") as fh:
+                    lines = fh.read().split("\n")
             except (OSError, ValueError) as exc:
                 raise TransportError(f"fixture index {index} is unreadable: {exc}") from exc
             for number, line in enumerate(lines, start=1):

@@ -108,7 +108,9 @@ class EvalDataset:
         skipped. A file that cannot be read, or a malformed line, raises
         ValidationError naming the file and the line."""
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            # as fixtures.FixtureStore reads its index: lines end at "\n" only
+            with open(path, encoding="utf-8", newline="") as fh:
+                lines = fh.read().split("\n")
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
         entries = []

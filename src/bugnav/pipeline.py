@@ -6,11 +6,18 @@ each candidate's thread and patch, then each distinct candidate
 repository's snapshot once (without its Java, which only the driver's
 side compares), compare them against the driver (prepared once per
 run), and re-rank.
+
+A live run fetches on ``parallelism`` worker threads, so that many
+requests wait on the platform at once. A replay run, or a run with one
+worker, fetches in the calling thread: a replayed request only reads a
+local file, which leaves no wait to overlap, and threads there would only
+pass the interpreter lock back and forth.
 """
 
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List
 
@@ -159,11 +166,14 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
             return side.context
         return build_repo_context(_snapshot(client, *repo, CONTEXT_KINDS))
 
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        fetched = [f for f in pool.map(fetch, hits) if f is not None]
+    # threads only for a live run (see the module docstring)
+    workers = 1 if config.fixture_dir else config.parallelism
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        fetched = [f for f in run(fetch, hits) if f is not None]
         # each distinct repository once, in the order candidates name it
         repos = list(dict.fromkeys((hit.ref.owner, hit.ref.repo) for hit, _, _ in fetched))
-        contexts = list(pool.map(repo_context, repos))
+        contexts = list(run(repo_context, repos))
     if not fetched:
         raise NoCandidatesError(f"every candidate for {driver.ref} failed to fetch")
     shared = {repo: repo_similarity(side, ctx) for repo, ctx in zip(repos, contexts)}

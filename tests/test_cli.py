@@ -240,11 +240,20 @@ class TestRecommend:
         assert "stack trace" in err
 
     def test_replay_miss_exit_code(self, capsys, fxdir):
-        rc, out, err = _run(capsys, [
-            "recommend", "octo/driver#999", "--fixture-dir", str(fxdir),
-        ])
-        assert rc == 4
-        assert "get_issue" in err
+        """A miss on the driver, or on candidate acme/beta#22 in the fetch
+        stage, exits 4 with the same error line serially and at the default."""
+        key = canonical_key("get_issue", {"owner": "acme", "repo": "beta", "number": "22"})
+        index = fxdir / "index.jsonl"
+        rows = index.read_text().splitlines(keepends=True)
+        index.write_text("".join(row for row in rows if key not in row))
+        for driver, missed in (("octo/driver#999", "'999'"), ("octo/driver#7", "'22'")):
+            argv = ["recommend", driver, "--fixture-dir", str(fxdir)]
+            serial = _run(capsys, [*argv, "--parallelism", "1"])
+            default = _run(capsys, argv)
+            assert serial == default
+            rc, out, err = default
+            assert (rc, out) == (4, "")
+            assert err.startswith("error:") and "get_issue" in err and missed in err
 
     @pytest.mark.parametrize("damage", ["missing", "corrupt", "deep"])
     def test_unreadable_payload_exit_code(self, capsys, fxdir, damage):

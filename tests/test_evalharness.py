@@ -160,6 +160,24 @@ class TestDatasetIO:
         assert record["relevant"] == ["octo/demo#4"]
         assert record["candidates"][3]["factors"]["dep"] == 1.0
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_row_may_hold_a_raw_line_separator(self, tmp_path, separator):
+        """Rows end at a line feed only; str.splitlines would also break here."""
+        path = tmp_path / "labels.jsonl"
+        dataset = _dataset_rank4_story()
+        dataset.save(path)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["note"] = f"a{separator}b"
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert EvalDataset.load(path) == dataset
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        dataset = EvalDataset(entries=_dataset_rank4_story().entries * 2)
+        dataset.save(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert EvalDataset.load(path) == dataset
+
     def test_missing_factor_keys_default_to_zero(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text(

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import logging
+import shutil
+import threading
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -47,6 +50,8 @@ from stubs import (
     put_search,
     put_shared_repos,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DRIVER_BODY = """\
 Serialization fails once the values pass a certain size:
@@ -228,13 +233,17 @@ class TestRecommend:
         assert any("snapshot" in r.getMessage() for r in caplog.records)
 
     def test_unfetchable_candidate_is_dropped(self, caplog):
-        client, driver = _scenario()
-        del client.issues[_ref("acme", "alpha", 11)]
-        with caplog.at_level(logging.WARNING, logger="bugnav.pipeline"):
-            rec = pipeline.recommend(driver, CFG, client)
-        refs = {str(c.issue.ref) for c in rec.candidates}
-        assert refs == {"acme/beta#22", "acme/delta#44"}
-        assert any("acme/alpha#11" in r.getMessage() for r in caplog.records)
+        # serially and on the pool
+        for workers in (1, 4):
+            client, driver = _scenario()
+            del client.issues[_ref("acme", "alpha", 11)]
+            cfg = RunConfig(n_threshold=2, parallelism=workers)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="bugnav.pipeline"):
+                rec = pipeline.recommend(driver, cfg, client)
+            refs = {str(c.issue.ref) for c in rec.candidates}
+            assert refs == {"acme/beta#22", "acme/delta#44"}
+            assert any("acme/alpha#11" in r.getMessage() for r in caplog.records)
 
     def test_zero_weights_reproduce_platform_order(self):
         client, driver = _scenario()
@@ -264,6 +273,50 @@ def _shared_run(workers, transport=None):
     transport.calls.clear()
     rec = pipeline.recommend(driver, RunConfig(n_threshold=2, parallelism=workers), client)
     return transport.calls, pipeline.recommendation_to_dict(rec)
+
+
+class _ThreadRecorder(StubTransport):
+    """StubTransport that notes the thread each request runs on."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+    def fetch_raw(self, endpoint, params):
+        self.threads.append((endpoint, dict(params), threading.get_ident()))
+        return super().fetch_raw(endpoint, params)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_live_run_fetches_on_workers_only_when_it_has_several(workers):
+    transport = _ThreadRecorder()
+    put_shared_repos(transport)
+    _shared_run(workers, transport)
+    candidates = {
+        ident
+        for endpoint, params, ident in transport.threads
+        if endpoint == "get_issue" and params["number"] != "7"
+    }
+    caller = threading.get_ident()
+    if workers == 1:
+        assert candidates == {caller}
+    else:
+        assert candidates and caller not in candidates
+
+
+def test_replay_run_starts_no_pool(tmp_path):
+    """Replayed requests are fetched in the calling thread, whatever the
+    parallelism, with the golden output."""
+    fixtures = tmp_path / "walkthrough"
+    shutil.copytree(ROOT / "fixtures" / "walkthrough", fixtures)
+    config = RunConfig(fixture_dir=str(fixtures), parallelism=4)
+    client = pipeline.build_client(config)
+    driver = pipeline.resolve_driver("lightbend/config#398", client)
+    refuse = AssertionError("a replay run started a thread pool")
+    with mock.patch.object(pipeline, "ThreadPoolExecutor", side_effect=refuse):
+        rec = pipeline.recommend(driver, config, client)
+    out = json.dumps(pipeline.recommendation_to_dict(rec), indent=2, sort_keys=True) + "\n"
+    assert out == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_text()
 
 
 class TestPerRunSharing:

@@ -74,6 +74,29 @@ class TestFixtureStore:
             {"v": 2},
         )
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_index_row_may_hold_a_raw_line_separator(self, tmp_path, separator):
+        """Rows end at a line feed only; str.splitlines would also break here."""
+        FixtureStore(tmp_path).record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
+        index = tmp_path / "index.jsonl"
+        row = json.loads(index.read_text(encoding="utf-8"))
+        row["note"] = f"a{separator}b"
+        index.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert FixtureStore(tmp_path).lookup("get_repo", {"owner": "o", "repo": "r"}) == (
+            200,
+            {"id": 1},
+        )
+
+    def test_crlf_index_loads(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        store.record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
+        store.record("get_repo", {"owner": "o", "repo": "s"}, 200, {"id": 2})
+        index = tmp_path / "index.jsonl"
+        index.write_bytes(index.read_bytes().replace(b"\n", b"\r\n"))
+        reopened = FixtureStore(tmp_path)
+        assert reopened.lookup("get_repo", {"owner": "o", "repo": "r"}) == (200, {"id": 1})
+        assert reopened.lookup("get_repo", {"owner": "o", "repo": "s"}) == (200, {"id": 2})
+
 
 class TestReplayTransport:
     def test_replays_recorded_payload(self, tmp_path):
