@@ -124,12 +124,10 @@ class PlatformClient:
                 "list_comments", owner=ref.owner, repo=ref.repo, number=str(ref.number)
             )
         ]
-        try:
-            num_comments = int(payload.get("comments", len(comments)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TransportError(
-                f"issue {ref} has a non-numeric comment count: {payload.get('comments')!r}"
-            ) from exc
+        num_comments = payload.get("comments", len(comments))
+        # a JSON integer only: int() would read true, "12" and 2.9
+        if type(num_comments) is not int:
+            raise TransportError(f"issue {ref} has a non-integer comment count: {num_comments!r}")
         if num_comments < 0:
             raise TransportError(f"issue {ref} has a negative comment count: {num_comments}")
         where = f"get_issue {ref}"

@@ -1,10 +1,12 @@
 """On-disk request fixtures for offline, reproducible runs.
 
 Layout: `index.jsonl` maps a canonical request key to a payload file
-under `payloads/`. Recording appends, so the newest line for a key
-wins on reload; replay readers never mutate anything. Both are read
-as UTF-8 whatever the locale: the index is decoded once, as a whole, and
-a payload's bytes go to ``json.loads``, which decodes them (RFC 8259).
+under `payloads/`; a payload path that is absolute or holds a `..`
+segment is refused when it is looked up. Recording appends, so the
+newest line for a key wins on reload; replay readers never mutate
+anything. Both are read as UTF-8 whatever the locale: the index is
+decoded once, as a whole, and a payload's bytes go to ``json.loads``,
+which decodes them (RFC 8259).
 """
 
 from __future__ import annotations
@@ -67,7 +69,15 @@ class FixtureStore:
         row = self._rows.get(canonical_key(endpoint, params))
         if row is None:
             return None
-        path = os.path.join(self.root, row["payload"])
+        relative = row["payload"]
+        # a payload lies under the root: no absolute path, no ".." segment;
+        # checked per lookup, since a check at load would cost every row
+        if os.path.isabs(relative) or ".." in relative.replace(os.sep, "/").split("/"):
+            raise TransportError(
+                f"fixture index entry for {endpoint} names a payload outside "
+                f"{self.root}: {relative!r}"
+            )
+        path = os.path.join(self.root, relative)
         try:
             with open(path, "rb") as fh:
                 payload = json.loads(fh.read())

@@ -327,46 +327,52 @@ def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
     """(swept tuple, MRR of the re-ranked system) at each grid point, in
     grid order, equal bit for bit to what evaluate() reports.
 
-    A score is _dot's fold, kept per entry as one partial sum per
-    candidate. The head is folded once. The fold up to each swept weight
-    but the last is redone only when that weight or one before it changes
-    along the grid, so once per w_code, per w_dep and per w_perm. A point
-    adds the last swept term and then the tail. Each query's reciprocal
-    rank is read from the scores by _place, without a sort."""
+    A score is _dot's fold. Every query's candidates lie end to end in one
+    column per factor. The head is folded once. The fold through the code
+    term is redone once per w_code, and the one through the dep term once
+    per w_dep. The tail weights are fixed, so the two tail products are
+    taken once. A point adds the permission and UI terms and the tail
+    products, in _dot's order, in one pass over every query's candidates,
+    and reads each query's reciprocal rank from its slice by _place,
+    without a sort."""
     from .evalharness import mrr_from_places
 
     weights = base.as_tuple()
-    w_has_fix, w_keywords = weights[_TAIL:]
-    prepared = []
+    rows, queries = [], []
     for entry in dataset.entries:
-        rows = [c.factors.as_tuple() for c in entry.candidates]
-        columns = [[row[at] for row in rows] for at in range(len(FACTORS))]
-        head = [0.0] * len(rows)
-        for column, weight in zip(columns[:_HEAD], weights):
-            head = [s + v * weight for s, v in zip(head, column)]
-        # partials[j]: the fold up to the j-th swept factor, not included
-        partials = [head] + [None] * (len(_SWEPT) - 1)
         relevant = [i for i, c in enumerate(entry.candidates) if c.ref in entry.relevant]
-        prepared.append((columns, partials, relevant))
+        queries.append((len(rows), len(rows) + len(entry.candidates), relevant))
+        rows += [c.factors.as_tuple() for c in entry.candidates]
+    columns = [[row[at] for row in rows] for at in range(len(FACTORS))]
+    head = [0.0] * len(rows)
+    for column, weight in zip(columns[:_HEAD], weights):
+        head = [s + v * weight for s, v in zip(head, column)]
+    has_fix, keywords = (
+        [v * weight for v in column] for column, weight in zip(columns[_TAIL:], weights[_TAIL:])
+    )
+    # partials[j]: the fold up to the j-th swept factor, not included; the
+    # last two swept terms are added at each point
+    stored = len(_SWEPT) - 2
+    partials = [head] + [None] * stored
+    perm, ui = columns[_TAIL - 2 : _TAIL]
 
     last = (None,) * len(_SWEPT)
     for swept in _swept_grid(base, grid_step):
         changed = next(j for j, (now, then) in enumerate(zip(swept, last)) if now != then)
         last = swept
-        w_last = swept[-1]
-        places = []
-        for columns, partials, relevant in prepared:
-            for j in range(changed, len(_SWEPT) - 1):
-                weight = swept[j]
-                partials[j + 1] = [
-                    s + v * weight for s, v in zip(partials[j], columns[_HEAD + j])
-                ]
-            # left to right, as _dot adds them
-            scores = [
-                s + v * w_last + f * w_has_fix + k * w_keywords
-                for s, v, f, k in zip(partials[-1], *columns[_TAIL - 1 :])
-            ]
-            places.append(_place(scores, relevant) if relevant else None)
+        for j in range(changed, stored):
+            weight = swept[j]
+            partials[j + 1] = [s + v * weight for s, v in zip(partials[j], columns[_HEAD + j])]
+        w_perm, w_ui = swept[stored:]
+        # ((((s + p * w_perm) + u * w_ui) + f) + k): left to right, as _dot adds them
+        scores = [
+            s + p * w_perm + u * w_ui + f + k
+            for s, p, u, f, k in zip(partials[stored], perm, ui, has_fix, keywords)
+        ]
+        places = [
+            _place(scores[start:stop], relevant) if relevant else None
+            for start, stop, relevant in queries
+        ]
         yield swept, mrr_from_places(places)
 
 

@@ -286,6 +286,17 @@ class TestRecommend:
         assert "index.jsonl" in err
         assert f"line {number}" in err
 
+    def test_payload_outside_the_fixture_dir_exit_code(self, capsys, fxdir):
+        key = canonical_key("get_issue", {"owner": "octo", "repo": "driver", "number": "7"})
+        (fxdir.parent / "outside.json").write_text('{"title": "elsewhere"}')
+        index = fxdir / "index.jsonl"
+        with open(index, "a") as fh:
+            fh.write(json.dumps({"key": key, "payload": "../outside.json", "status": 200}) + "\n")
+        rc, out, err = _recommend(capsys, fxdir)
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("error:") and "get_issue" in err and "../outside.json" in err
+
     @pytest.mark.parametrize("text", [b"[" * 100_000 + b"\n", b"\xff\n"], ids=["deep", "not-utf8"])
     def test_unparseable_index_exit_code(self, capsys, fxdir, text):
         with open(fxdir / "index.jsonl", "ab") as fh:

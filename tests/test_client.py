@@ -243,7 +243,7 @@ class TestMalformedPayloads:
         with pytest.raises(TransportError, match="malformed search result item"):
             PlatformClient(transport).search_issues(_query())
 
-    @pytest.mark.parametrize("count", ["many", None, -3])
+    @pytest.mark.parametrize("count", ["many", None, -3, True, "12", 2.9])
     def test_non_numeric_comment_count(self, count):
         transport = StubTransport()
         put_issue(transport, "o", "r", 1)

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bugnav import ranking
@@ -594,11 +594,65 @@ def _rounding_entries(draw):
     return EvalDataset(entries=entries)
 
 
+def _labeled(*entries):
+    """A dataset of entries given as lists of (factor values, relevant)."""
+    return EvalDataset(
+        entries=[
+            EvalEntry(
+                driver=IssueRef("octo", "driver", number),
+                candidates=[
+                    LabeledCandidate(
+                        ref=IssueRef("octo", "cand", 100 * number + i),
+                        factors=ranking.FactorVector(*values),
+                    )
+                    for i, (values, _) in enumerate(rows)
+                ],
+                relevant=frozenset(
+                    IssueRef("octo", "cand", 100 * number + i)
+                    for i, (_, relevant) in enumerate(rows)
+                    if relevant
+                ),
+            )
+            for number, rows in enumerate(entries)
+        ]
+    )
+
+
+_TAILED = dataclasses.replace(DEFAULTS, w_has_fix=0.17, w_keywords=0.5)
+# equal factors, so an equal score at every grid point
+_TIE = (0.123, 0.456, 0.789, 0.321, 0.654, 0.987, 1.0, 0.2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dataset=_rounding_entries(),
     base=_BASES,
     step=st.sampled_from([0.0714, 0.1, 0.125, 0.25]),
+)
+# every entry without candidates
+@example(dataset=_labeled([], [], []), base=_TAILED, step=0.25)
+# candidates but none relevant, between two entries with relevant ones
+@example(
+    dataset=_labeled(
+        [
+            ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0, 0.7), False),
+            ((0.3, 0.1, 0.6, 0.2, 0.9, 0.4, 0.0, 0.8), True),
+        ],
+        [((0.9,) * 8, False), ((0.8,) * 8, False), ((0.7,) * 8, False)],
+        [((0.2, 0.7, 0.5, 0.3, 0.1, 0.8, 0.0, 0.4), True), ((0.6,) * 8, False)],
+    ),
+    base=_TAILED,
+    step=0.0714,
+)
+# an equal score on either side of an entry boundary, which counts in
+# neither query's place
+@example(
+    dataset=_labeled(
+        [((0.5,) * 8, False), (_TIE, True)],
+        [(_TIE, True), ((0.4,) * 8, False)],
+    ),
+    base=_TAILED,
+    step=0.0714,
 )
 def test_grid_mrrs_are_the_reports_bit_for_bit(dataset, base, step):
     """The tuner's folded scores and counted places give, at every grid

@@ -97,6 +97,21 @@ class TestFixtureStore:
         assert reopened.lookup("get_repo", {"owner": "o", "repo": "r"}) == (200, {"id": 1})
         assert reopened.lookup("get_repo", {"owner": "o", "repo": "s"}) == (200, {"id": 2})
 
+    @pytest.mark.parametrize("form", ["parent", "absolute"])
+    def test_payload_outside_the_store_is_refused(self, tmp_path, form):
+        """An index row cannot make replay read a file outside its root."""
+        outside = tmp_path / "outside.json"
+        outside.write_text('{"secret": 1}')
+        root = tmp_path / "fixtures"
+        FixtureStore(root).record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
+        index = root / "index.jsonl"
+        row = json.loads(index.read_text())
+        row["payload"] = "../outside.json" if form == "parent" else str(outside)
+        index.write_text(json.dumps(row) + "\n")
+        with pytest.raises(TransportError) as exc:
+            FixtureStore(root).lookup("get_repo", {"owner": "o", "repo": "r"})
+        assert "get_repo" in str(exc.value) and repr(row["payload"]) in str(exc.value)
+
 
 class TestReplayTransport:
     def test_replays_recorded_payload(self, tmp_path):
