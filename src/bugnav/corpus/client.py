@@ -22,6 +22,7 @@ from ..errors import (
     ValidationError,
     checked_field,
     checked_list,
+    read_json,
 )
 from .fixtures import canonical_key
 from .models import (
@@ -287,12 +288,11 @@ class PlatformClient:
         if path is None or not path.is_file():
             return None
         try:
-            data = json.loads(path.read_bytes())
+            data = read_json(path, "snapshot cache", ValueError)
             if not _is_snapshot(data):
-                raise ValueError("not a snapshot object")
-        # RecursionError: nesting deeper than the decoder's stack
-        except (OSError, ValueError, RecursionError) as exc:
-            log.warning("unreadable snapshot cache %s (%s), refetching", path, exc)
+                raise ValueError(f"snapshot cache {path} holds no snapshot object")
+        except ValueError as exc:
+            log.warning("unreadable snapshot cache (%s), refetching", exc)
             return None
         return RepoSnapshot(
             owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
@@ -334,9 +334,13 @@ def _is_snapshot(data) -> bool:
 
 
 def _item_ref(item: dict) -> IssueRef:
+    """The issue a search hit names; its number is a JSON integer >= 1."""
     try:
         repo_url = str(item["repository_url"])
         owner, repo = repo_url.rsplit("/repos/", 1)[1].split("/")[:2]
-        return IssueRef(owner, repo, int(item["number"]))
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        number = item["number"]
+        if type(number) is not int or number < 1:
+            raise ValueError(f"number {number!r} is no positive integer")
+        return IssueRef(owner, repo, number)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed search result item {item!r}: {exc!r}") from exc

@@ -4,9 +4,9 @@ Layout: `index.jsonl` maps a canonical request key to a payload file
 under `payloads/`; a payload path that is absolute or holds a `..`
 segment is refused when it is looked up. Recording appends, so the
 newest line for a key wins on reload; replay readers never mutate
-anything. Both are read as UTF-8 whatever the locale: the index is
-decoded once, as a whole, and a payload's bytes go to ``json.loads``,
-which decodes them (RFC 8259).
+anything. The index is read by ``errors.read_json_lines`` and a
+payload by ``errors.read_json``, which hold the decode rules of every
+JSON file bugnav reads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import threading
 from typing import Dict, Optional, Tuple
 
-from ..errors import TransportError
+from ..errors import TransportError, read_json, read_json_lines
 
 _INDEX_NAME = "index.jsonl"
 _PAYLOAD_DIR = "payloads"
@@ -33,6 +33,19 @@ def canonical_key(endpoint: str, params: Dict[str, str]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _index_row(row) -> dict:
+    """An index row with what lookup reads: a string key and payload path,
+    and an integer status, which JSON true is not; ValueError otherwise."""
+    if not (
+        isinstance(row, dict)
+        and isinstance(row.get("key"), str)
+        and isinstance(row.get("payload"), str)
+        and type(row.get("status")) is int
+    ):
+        raise ValueError(f"expected a key, a payload path and an integer status, not {row!r:.80}")
+    return row
+
+
 class FixtureStore:
     """Paths are plain strings: a ``pathlib`` path built per lookup
     interns its parts, which grows the process with every request."""
@@ -43,27 +56,8 @@ class FixtureStore:
         self._lock = threading.Lock()
         index = os.path.join(self.root, _INDEX_NAME)
         if os.path.isfile(index):
-            try:
-                # rows end at "\n" only: a string may hold a raw U+2028, and
-                # a CRLF row's "\r" is JSON whitespace
-                with open(index, encoding="utf-8", newline="") as fh:
-                    lines = fh.read().split("\n")
-            except (OSError, ValueError) as exc:
-                raise TransportError(f"fixture index {index} is unreadable: {exc}") from exc
-            for number, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    # what lookup returns: a payload path and a status code
-                    if not (isinstance(row["payload"], str) and isinstance(row["status"], int)):
-                        raise TypeError("payload must be a string and status an integer")
-                    self._rows[row["key"]] = row
-                # RecursionError: nesting deeper than the decoder's stack
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    raise TransportError(
-                        f"fixture index {index} line {number} is corrupt: {exc!r}"
-                    ) from exc
+            for row in read_json_lines(index, "fixture index", _index_row, TransportError):
+                self._rows[row["key"]] = row
 
     def lookup(self, endpoint: str, params: Dict[str, str]) -> Optional[Tuple[int, object]]:
         row = self._rows.get(canonical_key(endpoint, params))
@@ -78,12 +72,7 @@ class FixtureStore:
                 f"{self.root}: {relative!r}"
             )
         path = os.path.join(self.root, relative)
-        try:
-            with open(path, "rb") as fh:
-                payload = json.loads(fh.read())
-        except (OSError, ValueError, RecursionError) as exc:
-            raise TransportError(f"fixture payload {path} is unreadable: {exc}") from exc
-        return row["status"], payload
+        return row["status"], read_json(path, "fixture payload", TransportError)
 
     def record(self, endpoint: str, params: Dict[str, str], status: int, payload) -> str:
         key = canonical_key(endpoint, params)

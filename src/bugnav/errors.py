@@ -49,18 +49,50 @@ class ReplayMissError(TransportError):
     """Replay mode got a request the fixture set has no recording for."""
 
 
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in the local file ``path``. A file that cannot be
-    read, is not JSON or holds no object raises ValidationError naming
-    ``what`` (say, "config file") and the path."""
+def read_json(path, what: str, error: type = ValidationError):
+    """The JSON value in the local file ``path``. Its bytes go to
+    ``json.loads``, which decodes them as RFC 8259 says, whatever the
+    locale. A file that cannot be read or is not JSON, nesting deeper than
+    the decoder's stack included, raises ``error`` naming ``what`` (say,
+    "config file") and the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
-    # invalid UTF-8 or JSON, or nesting deeper than the decoder's stack
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(data)
     except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def read_json_lines(path, what: str, parse, error: type = ValidationError) -> list:
+    """``parse(value)`` of the JSON value on each non-blank line of the
+    UTF-8 file ``path``. Lines end at a line feed only: a string may hold a
+    raw U+2028, and a CRLF line's carriage return is JSON whitespace. An
+    unreadable file, a line that is not JSON, or a value that ``parse``
+    rejects with ValueError or ``error`` raises ``error`` naming ``what``
+    and the line."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    values = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append(parse(json.loads(line)))
+        except (ValueError, RecursionError, error) as exc:
+            raise error(f"{what} {path} line {number}: {exc}") from exc
+    return values
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the local file ``path``, read by
+    :func:`read_json`; a value that is no object raises ValidationError."""
+    data = read_json(path, what)
     if not isinstance(data, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
     return data

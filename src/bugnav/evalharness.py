@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .corpus.models import IssueRef
-from .errors import ValidationError, checked_field
+from .errors import ValidationError, checked_field, read_json_lines
 from .ranking import FactorVector, WeightConfig, score_order
 
 PRECISION_CUTOFFS = (1, 3, 5)
@@ -107,21 +107,7 @@ class EvalDataset:
         """Entries of a JSONL file, one object per line; blank lines are
         skipped. A file that cannot be read, or a malformed line, raises
         ValidationError naming the file and the line."""
-        try:
-            # as fixtures.FixtureStore reads its index: lines end at "\n" only
-            with open(path, encoding="utf-8", newline="") as fh:
-                lines = fh.read().split("\n")
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
-        entries = []
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(_entry(json.loads(line)))
-            except (ValueError, RecursionError, ValidationError) as exc:
-                raise ValidationError(f"dataset {path} line {number}: {exc}") from exc
-        return cls(entries=entries)
+        return cls(entries=read_json_lines(path, "dataset", _entry))
 
 
 def _entry(record) -> EvalEntry:

@@ -13,7 +13,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .corpus.models import IssueDocument
 from .errors import ValidationError
@@ -303,40 +303,24 @@ def grid_size(base: WeightConfig, grid_step: float) -> int:
     return math.comb(totals[-1] + 4, 4) - math.comb(totals[0] + 3, 4)
 
 
-def _swept_grid(base: WeightConfig, grid_step: float) -> Iterator[Tuple[float, ...]]:
-    """All (w_code, w_dep, w_perm, w_ui) multiples of grid_step that,
-    with the fixed quality weights, sum to ~1, yielded in lexicographic
-    order without building the grid: k * grid_step grows strictly with
-    k, so the order of the integer multiples is the order of the tuples."""
-    totals = _grid_totals(base, grid_step)
-    top = totals[-1] if totals else -1
-    for k_code in range(top + 1):
-        for k_dep in range(top - k_code + 1):
-            for k_perm in range(top - k_code - k_dep + 1):
-                used = k_code + k_dep + k_perm
-                for total in range(max(used, totals.start), totals.stop):
-                    yield (
-                        k_code * grid_step,
-                        k_dep * grid_step,
-                        k_perm * grid_step,
-                        (total - used) * grid_step,
-                    )
-
-
 def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
     """(swept tuple, MRR of the re-ranked system) at each grid point, in
     grid order, equal bit for bit to what evaluate() reports.
 
+    The grid is every (w_code, w_dep, w_perm, w_ui) multiple of grid_step
+    that sums with the fixed weights to ~1. Four nested loops, over the
+    multiples of the first three and the total, walk it in lexicographic
+    order without building it, since k * grid_step grows strictly with k.
+
     A score is _dot's fold. Every query's candidates lie end to end in one
-    column per factor. The head is folded once. The fold through the code
-    term is redone once per w_code, and the one through the dep term once
-    per w_dep. The tail weights are fixed, so the two tail products are
-    taken once. A point adds the permission and UI terms and the tail
-    products, in _dot's order, in one pass over every query's candidates,
-    and reads each query's reciprocal rank from its slice by _place,
-    without a sort."""
+    column per factor. The head is folded once, the code term once per
+    w_code and the dep term once per w_dep, and the fixed tail products
+    once. A point adds the permission and UI terms and the tail products,
+    in _dot's order, in one pass over every query's candidates, and reads
+    each query's reciprocal rank from its slice by _place, without a sort."""
     from .evalharness import mrr_from_places
 
+    totals = _grid_totals(base, grid_step)
     weights = base.as_tuple()
     rows, queries = [], []
     for entry in dataset.entries:
@@ -347,54 +331,49 @@ def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
     head = [0.0] * len(rows)
     for column, weight in zip(columns[:_HEAD], weights):
         head = [s + v * weight for s, v in zip(head, column)]
+    code, dep, perm, ui = columns[_HEAD:_TAIL]
     has_fix, keywords = (
         [v * weight for v in column] for column, weight in zip(columns[_TAIL:], weights[_TAIL:])
     )
-    # partials[j]: the fold up to the j-th swept factor, not included; the
-    # last two swept terms are added at each point
-    stored = len(_SWEPT) - 2
-    partials = [head] + [None] * stored
-    perm, ui = columns[_TAIL - 2 : _TAIL]
 
-    last = (None,) * len(_SWEPT)
-    for swept in _swept_grid(base, grid_step):
-        changed = next(j for j, (now, then) in enumerate(zip(swept, last)) if now != then)
-        last = swept
-        for j in range(changed, stored):
-            weight = swept[j]
-            partials[j + 1] = [s + v * weight for s, v in zip(partials[j], columns[_HEAD + j])]
-        w_perm, w_ui = swept[stored:]
-        # ((((s + p * w_perm) + u * w_ui) + f) + k): left to right, as _dot adds them
-        scores = [
-            s + p * w_perm + u * w_ui + f + k
-            for s, p, u, f, k in zip(partials[stored], perm, ui, has_fix, keywords)
-        ]
-        places = [
-            _place(scores[start:stop], relevant) if relevant else None
-            for start, stop, relevant in queries
-        ]
-        yield swept, mrr_from_places(places)
+    top = totals[-1] if totals else -1
+    for k_code in range(top + 1):
+        w_code = k_code * grid_step
+        to_code = [s + v * w_code for s, v in zip(head, code)]
+        for k_dep in range(top - k_code + 1):
+            w_dep = k_dep * grid_step
+            to_dep = [s + v * w_dep for s, v in zip(to_code, dep)]
+            for k_perm in range(top - k_code - k_dep + 1):
+                w_perm = k_perm * grid_step
+                used = k_code + k_dep + k_perm
+                for total in range(max(used, totals.start), totals.stop):
+                    w_ui = (total - used) * grid_step
+                    # ((((s + p * w_perm) + u * w_ui) + f) + k): left to right, as _dot adds them
+                    scores = [
+                        s + p * w_perm + u * w_ui + f + k
+                        for s, p, u, f, k in zip(to_dep, perm, ui, has_fix, keywords)
+                    ]
+                    places = [
+                        _place(scores[start:stop], relevant) if relevant else None
+                        for start, stop, relevant in queries
+                    ]
+                    yield (w_code, w_dep, w_perm, w_ui), mrr_from_places(places)
 
 
 def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> WeightConfig:
     """Exhaustive grid search over the similarity weights, keeping the
     quality weights fixed; returns the MRR-maximizing configuration.
 
-    Ties go to the lexicographically smallest weight tuple. A step too
-    coarse to hit the simplex at all returns the base weights.
+    Ties go to the lexicographically smallest weight tuple: max() keeps
+    the first of equal MRRs, and the grid ascends. A step too coarse to
+    hit the simplex at all returns the base weights.
     """
     if not dataset.entries:
         raise ValidationError("tuning needs a non-empty dataset")
     if base is None:
         base = WeightConfig()
-
-    # the grid ascends, so keeping strict improvements leaves the
-    # lexicographically smallest tuple as the tie winner
-    best = best_mrr = None
-    for swept, mrr in _grid_mrrs(dataset, base, grid_step):
-        if best is None or mrr > best_mrr:
-            best, best_mrr = swept, mrr
+    best = max(_grid_mrrs(dataset, base, grid_step), key=operator.itemgetter(1), default=None)
     if best is None:
         return base
     names = [WeightConfig._names[at] for at in _SWEPT_AT]
-    return dataclasses.replace(base, **dict(zip(names, best)))
+    return dataclasses.replace(base, **dict(zip(names, best[0])))

@@ -274,6 +274,7 @@ class TestRecommend:
         '{"key": "abc", "payl', '{"endpoint": "get_repo"}', "[1, 2]",
         '{"key": "abc", "status": 200}',
         '{"key": "abc", "payload": "payloads/abc.json", "status": "200"}',
+        '{"key": "abc", "payload": "payloads/abc.json", "status": true}',
     ])
     def test_corrupt_index_line_exit_code(self, capsys, fxdir, line):
         index = fxdir / "index.jsonl"

@@ -235,6 +235,11 @@ class TestMalformedPayloads:
             {"repository_url": "https://api.github.com/repos/o/r", "title": "no number"},
             {"repository_url": "https://example.com/o/r", "number": 3},
             {"repository_url": "https://api.github.com/repos/o/r", "number": "three"},
+            # an issue number is a JSON integer of at least 1
+            *(
+                {"repository_url": "https://api.github.com/repos/o/r", "number": number}
+                for number in (True, "12", 2.9, -3, 0)
+            ),
         ],
     )
     def test_search_item_without_a_ref(self, item):

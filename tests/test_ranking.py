@@ -419,25 +419,31 @@ class TestTuneWeights:
         assert before == 0.5 and after == 1.0
 
 
+def _swept(base, step):
+    """The grid the tuner walks: the swept tuple of each point of
+    _grid_mrrs, in its order."""
+    return (swept for swept, _ in ranking._grid_mrrs(_tuner_dataset(), base, step))
+
+
 class TestSweptGrid:
     @pytest.mark.parametrize("step", [0.0714, 0.1, 0.125, 0.25, 1.0])
     @pytest.mark.parametrize(
         "base", [DEFAULTS, ranking.WeightConfig(w_issue_length=0.1, w_num_comment=0.1)]
     )
     def test_yields_the_sorted_grid(self, base, step):
-        assert list(ranking._swept_grid(base, step)) == _grid_tuples(step, base)
+        assert list(_swept(base, step)) == _grid_tuples(step, base)
 
     def test_several_totals_interleave(self):
         # five swept totals (8-12 steps) lie within the tolerance of 1
         base = ranking.WeightConfig(w_issue_length=0.998, w_num_comment=0.0)
-        assert list(ranking._swept_grid(base, 0.0002)) == swept_grid_reference(base, 0.0002)
+        assert list(_swept(base, 0.0002)) == swept_grid_reference(base, 0.0002)
 
     @pytest.mark.parametrize("step", [0.0714, 0.05, 0.1])
     @pytest.mark.parametrize(
         "base", [DEFAULTS, ranking.WeightConfig(w_issue_length=0.1, w_num_comment=0.1)]
     )
     def test_size_counts_the_grid(self, base, step):
-        assert ranking.grid_size(base, step) == len(list(ranking._swept_grid(base, step)))
+        assert ranking.grid_size(base, step) == len(list(_swept(base, step)))
 
     def test_fine_step_is_sized_from_the_band(self):
         # a scan of every total up to 1 / step took seconds here, and a
@@ -471,11 +477,11 @@ class TestSweptGrid:
         # (1 - 1e10) / 1e-300 overflows to -inf
         base = ranking.WeightConfig(w_issue_length=1e10)
         assert ranking.grid_size(base, 1e-300) == 0
-        assert list(ranking._swept_grid(base, 0.1)) == []
+        assert list(_swept(base, 0.1)) == []
 
     def test_fine_step_is_lazy(self):
         # the whole grid at this step has 81,550,514 tuples
-        first = list(itertools.islice(ranking._swept_grid(DEFAULTS, 0.001), 3))
+        first = list(itertools.islice(_swept(DEFAULTS, 0.001), 3))
         assert first == [(0.0, 0.0, k * 0.001, (786 - k) * 0.001) for k in range(3)]
 
     @settings(max_examples=300, deadline=None)
