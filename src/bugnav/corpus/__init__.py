@@ -15,12 +15,7 @@ from bugnav.corpus.models import (
     find_cross_repo_issue_ref,
     find_patch_refs,
 )
-from bugnav.corpus.transport import (
-    LiveTransport,
-    ReplayTransport,
-    TokenBucket,
-    perform,
-)
+from bugnav.corpus.transport import ReplayTransport, perform
 
 __all__ = [
     "FILE_KINDS",
@@ -28,7 +23,6 @@ __all__ = [
     "IssueDocument",
     "IssueHit",
     "IssueRef",
-    "LiveTransport",
     "MAX_QUERY_LEN",
     "MINING_PHRASES",
     "ModifiedFile",
@@ -38,7 +32,6 @@ __all__ = [
     "RepoSnapshot",
     "ReplayTransport",
     "SearchQuery",
-    "TokenBucket",
     "canonical_key",
     "find_cross_repo_issue_ref",
     "find_patch_refs",

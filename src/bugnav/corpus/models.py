@@ -84,8 +84,10 @@ class IssueRef:
 
     @classmethod
     def parse(cls, text: str) -> "IssueRef":
-        """Accept the short "owner/repo#123" form."""
-        m = re.fullmatch(r"([\w.-]+)/([\w.-]+)#(\d+)", text.strip())
+        """Accept the short "owner/repo#123" form. The number is written
+        as it prints: no issue has number 0, and "#007" is refused, not
+        read as "#7"."""
+        m = re.fullmatch(r"([\w.-]+)/([\w.-]+)#([1-9][0-9]*)", text.strip())
         if not m:
             raise ValueError(f"not an issue reference: {text!r}")
         return cls(m.group(1), m.group(2), int(m.group(3)))

@@ -12,6 +12,10 @@ requests wait on the platform at once. A replay run, or a run with one
 worker, fetches in the calling thread: a replayed request only reads a
 local file, which leaves no wait to overlap, and threads there would only
 pass the interpreter lock back and forth.
+
+Only a live run imports ``requests``: ``build_client`` loads
+``corpus/live.py`` in its live branch, so a run with ``--fixture-dir``,
+``tune`` and ``evaluate`` never load the HTTP stack.
 """
 
 import logging
@@ -28,7 +32,6 @@ from .corpus import (
     IssueDocument,
     IssueHit,
     IssueRef,
-    LiveTransport,
     PlatformClient,
     ReplayTransport,
     RepoSnapshot,
@@ -67,6 +70,9 @@ def build_client(config: RunConfig) -> PlatformClient:
             raise ValidationError(f"fixture directory does not exist: {config.fixture_dir}")
         transport = ReplayTransport(FixtureStore(config.fixture_dir))
     else:
+        # the HTTP stack loads for a live run only (see the module docstring)
+        from .corpus.live import LiveTransport
+
         transport = LiveTransport(token=os.environ.get(config.auth_token_source))
     return PlatformClient(transport, cache_dir=config.cache_dir)
 

@@ -255,6 +255,14 @@ class TestRecommend:
             assert (rc, out) == (4, "")
             assert err.startswith("error:") and "get_issue" in err and missed in err
 
+    @pytest.mark.parametrize("driver", ["octo/driver#0", "octo/driver#00", "octo/driver#007"])
+    def test_zero_or_zero_padded_number_is_a_usage_error(self, capsys, fxdir, driver):
+        """No request is made for an issue number the platform never
+        assigns, nor for one written in another form than it prints."""
+        rc, out, err = _run(capsys, ["recommend", driver, "--fixture-dir", str(fxdir)])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and repr(driver) in err
+
     @pytest.mark.parametrize("damage", ["missing", "corrupt", "deep"])
     def test_unreadable_payload_exit_code(self, capsys, fxdir, damage):
         key = canonical_key("get_issue", {"owner": "octo", "repo": "driver", "number": "7"})
@@ -528,6 +536,12 @@ def _input_argv(kind, path, fxdir, workdir):
     ("weights", {"w_code": "0.5"}, "w_code"),
     ("dataset", dict(DATASET_ENTRY, candidates=[
         {"ref": "octo/demo#4", "factors": {"dep": "1"}}]), "factor dep"),
+    # an issue number is written as it prints
+    ("dataset", dict(DATASET_ENTRY, driver="octo/driver#0"), "line 1"),
+    ("dataset", dict(DATASET_ENTRY, relevant=["octo/demo#00"]), "line 1"),
+    ("dataset", dict(DATASET_ENTRY, candidates=[
+        {"ref": "octo/demo#007", "factors": {}}]), "line 1"),
+    ("issue", dict(ISSUE_FILE, ref="octo/driver#0"), "octo/driver#0"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, value, named):
     path = tmp_path / f"{kind}.json"

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -17,7 +20,6 @@ from bugnav.corpus import (
     IssueDocument,
     IssueHit,
     IssueRef,
-    LiveTransport,
     ModifiedFile,
     Patch,
     PatchRef,
@@ -25,6 +27,7 @@ from bugnav.corpus import (
     ReplayTransport,
     RepoSnapshot,
 )
+from bugnav.corpus.live import LiveTransport
 from bugnav.corpus.models import FILE_KINDS, file_kind
 from bugnav.errors import (
     NoCandidatesError,
@@ -716,8 +719,9 @@ class TestResolveDriver:
     def test_unresolvable_source(self, tmp_path):
         with pytest.raises(ValidationError):
             pipeline.resolve_driver(str(tmp_path / "missing.json"), FakeClient())
-        with pytest.raises(ValidationError):
-            pipeline.resolve_driver("definitely not a ref", FakeClient())
+        for source in ("definitely not a ref", "octo/driver#0", "o/r#00", "o/r#007"):
+            with pytest.raises(ValidationError):
+                pipeline.resolve_driver(source, FakeClient())
 
 
 class TestLoadIssueFile:
@@ -737,6 +741,9 @@ class TestLoadIssueFile:
             json.dumps({"title": "no ref"}),
             json.dumps({"ref": "o/r#1", "title": "t", "bogus_key": 1}),
             json.dumps({"ref": "not-a-ref", "title": "t"}),
+            json.dumps({"ref": "o/r#0", "title": "t"}),
+            json.dumps({"ref": "o/r#00", "title": "t"}),
+            json.dumps({"ref": "o/r#007", "title": "t"}),
             json.dumps(["not", "an", "object"]),
         ],
     )
@@ -761,3 +768,35 @@ class TestBuildClient:
         monkeypatch.setenv("MY_TOKEN", "tok123")
         client = pipeline.build_client(RunConfig(auth_token_source="MY_TOKEN"))
         assert isinstance(client._transport, LiveTransport)
+
+
+# A fresh interpreter: this test process already holds requests through
+# the imports of test_transport.py.
+_OFFLINE_RUN = """
+import contextlib, io, sys
+from bugnav import cli
+from bugnav.evalharness import EvalDataset
+from bugnav.ranking import tune_weights
+
+fixtures, dataset = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["recommend", "lightbend/config#398", "--fixture-dir", fixtures])
+assert code == 0 and out.getvalue(), code
+tune_weights(EvalDataset.load(dataset), 0.0714)
+print(sorted({"requests", "urllib3"} & set(sys.modules)))
+"""
+
+
+def test_offline_runs_never_import_the_http_stack():
+    """A replayed recommend and the tuner run without loading requests."""
+    run = subprocess.run(
+        [
+            sys.executable, "-c", _OFFLINE_RUN,
+            str(ROOT / "fixtures" / "walkthrough"),
+            str(ROOT / "fixtures" / "eval" / "dataset.jsonl"),
+        ],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "[]\n"

@@ -8,16 +8,13 @@ import pytest
 import requests
 
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
-from bugnav.corpus.transport import (
-    LiveTransport,
-    ReplayTransport,
-    TokenBucket,
-    perform,
-)
+from bugnav.corpus.live import LiveTransport, TokenBucket
+from bugnav.corpus.transport import ReplayTransport, perform
 from bugnav.errors import (
     NotFoundError,
     RateLimitError,
     ReplayMissError,
+    RequestFailedError,
     TransportError,
 )
 
@@ -205,7 +202,10 @@ class FakeSession:
         self.calls.append({"url": url, "params": dict(params or {}), "headers": dict(headers or {})})
         if not self.responses:
             raise AssertionError("no scripted response left")
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def _live(responses, **kwargs):
@@ -271,6 +271,23 @@ class TestLiveTransport:
         with pytest.raises(TransportError):
             transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"})
         assert len(session.calls) == 4
+
+    def test_network_errors_retry_then_fail(self):
+        transport, session, clock = _live([requests.ConnectionError("refused")] * 4)
+        with pytest.raises(RequestFailedError) as exc:
+            transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"})
+        assert "get_repo" in str(exc.value) and "refused" in str(exc.value)
+        assert isinstance(exc.value.__cause__, requests.ConnectionError)
+        assert len(session.calls) == 4
+        assert clock.sleeps == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(4.0)]
+
+    def test_network_error_then_success_returns_the_retry(self):
+        transport, session, clock = _live(
+            [requests.ConnectionError("reset"), FakeResponse(200, {"ok": True})]
+        )
+        assert transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"}) == (200, {"ok": True})
+        assert len(session.calls) == 2
+        assert clock.sleeps == [pytest.approx(1.0)]
 
     def test_rate_limit_header_raises_with_wait(self):
         transport, _, _ = _live(
