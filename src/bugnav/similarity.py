@@ -7,8 +7,9 @@ applicable when both sides actually have something to compare; a signal
 that is not holds None in :class:`SimilarityVector`.
 
 Code similarity is greedy string tiling (GST) of token-kind streams,
-laid in one pass over the streams' maximal matches
-(:func:`_greedy_tiles`).
+laid in one pass over the streams' maximal matches, each read from its
+two ends: where the tokens before an equal window pair differ and where
+the tokens after one do (:func:`_greedy_tiles`).
 
 Every candidate is compared against the same driver, so the driver side,
 its Java files' window sets included, is prepared once per run
@@ -19,13 +20,12 @@ depend on a candidate's repository alone, once per candidate repository
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, List, Optional, Sequence
+from typing import AbstractSet, List, Optional, Tuple
 
 from . import extract
 from .corpus.models import IssueDocument, Patch, RepoSnapshot, file_kind
@@ -48,10 +48,10 @@ def _all_windows(s: str, length: int) -> List[str]:
     return [s[i : i + length] for i in range(len(s) - length + 1)]
 
 
-def _cover(digits: bytes, length: int) -> int:
+def _cover(probes: bytes, length: int) -> int:
     """Positions of a stream inside some of its ``length``-windows, given
-    one ASCII digit per window in stream order, "1" for those that count."""
-    covered = int(digits or b"0", 2)
+    one set probe per window in stream order, True for those that count."""
+    covered = int(probes.translate(_DIGITS) or b"0", 2)
     # widen each window's bit over the `length` positions it spans
     span = 1
     while 2 * span <= length:
@@ -62,46 +62,48 @@ def _cover(digits: bytes, length: int) -> int:
     return covered.bit_count()
 
 
-def _match_length(a: str, b: str, i: int, j: int, known: int) -> int:
-    """Length of the longest common prefix of ``a[i:]`` and ``b[j:]``,
-    whose first ``known`` tokens (at least 1) are equal."""
-    limit = min(len(a) - i, len(b) - j)
-    lo = step = known
-    # gallop while a[i:i+lo] == b[j:j+lo] holds, then bisect the next step
-    while lo < limit and a[i + lo : i + lo + step] == b[j + lo : j + lo + step]:
-        lo, step = min(lo + step, limit), 2 * step
-    ends = range(lo + 1, min(lo + step, limit) + 1)
-    return lo + bisect.bisect(ends, False, key=lambda k: a[i + lo : i + k] != b[j + lo : j + k])
-
-
 def _greedy_tiles(a: str, b: str, min_match_len: int):
     """Greedy string tiling: repeatedly take the longest common unmarked
     substring, ties resolved in ascending (i, j) order within a round.
 
     One pass over the maximal matches, as in Running Karp-Rabin GST and
-    JPlag. A match starts with an equal window whose preceding tokens
-    differ, so ``b``'s windows are indexed by the token before them and
-    each window of ``a`` skips the group that continues a match: each
-    diagonal run is found once, also on periodic streams. The matches are
-    bucketed by length and the buckets taken longest first, each in
-    (i, j) order, which is a round. A match still wholly unmarked becomes
-    a tile; otherwise each piece of its diagonal unmarked on both sides
-    and of ``min_match_len`` or more goes to the bucket of its length.
+    JPlag, each read from its two ends. A match starts at an equal window
+    pair whose preceding tokens differ, or where either stream starts,
+    and ends at one whose following tokens differ, or where either stream
+    ends. So ``b``'s windows are indexed by the tokens around them, and
+    each window of ``a`` lists as starts the groups whose token before
+    differs from its own and as ends those whose token after does. The
+    matches on one diagonal are disjoint, so its starts and ends, sorted,
+    alternate and pair up; periodic streams list no quadratic number of
+    window pairs. The matches are bucketed by length and the buckets taken
+    longest first, each in (i, j) order, which is a round. A match still
+    wholly unmarked becomes a tile; otherwise each piece of its diagonal
+    unmarked on both sides and of ``min_match_len`` or more goes to the
+    bucket of its length.
     """
     m = min_match_len
     windows_a, windows_b = _all_windows(a, m), _all_windows(b, m)
     shared = set(windows_a).intersection(windows_b)
-    starts_b = {}
+    groups = {}
     for j in itertools.compress(range(len(windows_b)), map(shared.__contains__, windows_b)):
-        starts_b.setdefault(windows_b[j], {}).setdefault(b[j - 1 : j], []).append(j)
-    buckets = defaultdict(list)
+        # an empty slice keys the missing token before b[0] or after b[-1]
+        around = (b[j - 1 : j], b[j + m : j + m + 1])
+        groups.setdefault(windows_b[j], {}).setdefault(around, []).append(j)
+    # (j - i, i): a window pair by diagonal, then by position on it
+    starts, ends = [], []
     for i in itertools.compress(range(len(windows_a)), map(shared.__contains__, windows_a)):
-        # at i = 0 no group continues a match; b[-1:0] keys j = 0 as empty
-        before = a[i - 1 : i] if i else None
-        for token, js in starts_b[windows_a[i]].items():
-            if token != before:
-                for j in js:
-                    buckets[_match_length(a, b, i, j, m)].append((i, j))
+        # None at a's edges differs from every key, the empty slice too
+        before, after = a[i - 1 : i] or None, a[i + m : i + m + 1] or None
+        for (token_before, token_after), js in groups[windows_a[i]].items():
+            if token_before != before:
+                starts += [(j - i, i) for j in js]
+            if token_after != after:
+                ends += [(j - i, i) for j in js]
+    starts.sort()
+    ends.sort()
+    buckets = defaultdict(list)
+    for (d, i), (_, last) in zip(starts, ends):
+        buckets[last - i + m].append((i, d + i))
     # runs of m or more "0"s, written with a literal prefix, which re
     # scans for much faster than for "0{m,}"
     pieces = re.compile("0" * m + "0*")
@@ -141,36 +143,7 @@ def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN
     return 2.0 * covered / (len(a) + len(b))
 
 
-class DriverCode:
-    """The driver's Java files, prepared once per run for
-    :func:`code_similarity`: their token streams from
-    :func:`extract.tokenize_code` and the set of ``min_match_len``-windows
-    of each file.
-
-    Only read after construction, so candidates share it as it is."""
-
-    def __init__(self, kinds: Iterable[str], min_match_len: int):
-        if min_match_len < 1:
-            raise ValueError("min_match_len must be >= 1")
-        self.min_match_len = min_match_len
-        self.kinds = list(kinds)
-        self.window_sets = [set(_all_windows(s, min_match_len)) for s in self.kinds]
-
-
-def _pair_covers(driver: DriverCode, patch_windows: Sequence[List[str]]) -> List[List[int]]:
-    """For every driver file d and patch file p, the shared cover of p:
-    the positions of p inside some window that d also holds."""
-    m = driver.min_match_len
-    return [
-        [
-            _cover(bytes(map(held.__contains__, windows)).translate(_DIGITS), m)
-            for windows in patch_windows
-        ]
-        for held in driver.window_sets
-    ]
-
-
-def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
+def code_similarity(driver: Driver, patch: Patch) -> Optional[float]:
     """Best token similarity between any driver source file and any file
     touched by the patch, or None when either side has nothing to compare.
 
@@ -189,23 +162,24 @@ def code_similarity(driver: DriverCode, patch: Patch) -> Optional[float]:
         for modified in patch.files
         if file_kind(modified.path) == "java" and modified.new_content is not None
     ]
-    if not driver.kinds or not patch_streams:
+    if not driver.code or not patch_streams:
         return None
     m = driver.min_match_len
-    covers = _pair_covers(driver, [_all_windows(s, m) for s in patch_streams])
+    patch_windows = [_all_windows(s, m) for s in patch_streams]
     pairs = []
-    for d, d_stream in enumerate(driver.kinds):
+    for d, (d_stream, held) in enumerate(driver.code):
         for p, p_stream in enumerate(patch_streams):
             # gst_similarity of the pair is at most `bound`
             total = len(d_stream) + len(p_stream)
-            bound = 2.0 * covers[d][p] / total if total else 1.0
+            cover = _cover(bytes(map(held.__contains__, patch_windows[p])), m)
+            bound = 2.0 * cover / total if total else 1.0
             pairs.append((bound, d, p))
     pairs.sort(reverse=True)
     best = 0.0
     for most, d, p in pairs:
         if most <= best:
             break
-        best = max(best, gst_similarity(driver.kinds[d], patch_streams[p], min_match_len=m))
+        best = max(best, gst_similarity(driver.code[d][0], patch_streams[p], min_match_len=m))
     return best
 
 
@@ -230,11 +204,14 @@ class Driver:
     """The driver side of every comparison in one run, prepared once and
     shared read-only by all candidates: the report thread as one string
     of stemmed words for mentions (:func:`extract.stemmed_thread`), the
-    repository's facts, and its Java files."""
+    repository's facts, and its Java files for :func:`code_similarity`,
+    each as its token kinds (:func:`extract.tokenize_code`) and its set of
+    ``min_match_len``-windows."""
 
     thread: str
     context: extract.RepoContext
-    code: DriverCode
+    code: List[Tuple[str, AbstractSet[str]]]
+    min_match_len: int
 
     @classmethod
     def prepare(
@@ -244,10 +221,16 @@ class Driver:
         *,
         min_match_len: int,
     ) -> "Driver":
+        if min_match_len < 1:
+            raise ValueError("min_match_len must be >= 1")
         return cls(
             thread=extract.stemmed_thread(issue),
             context=extract.build_repo_context(snapshot),
-            code=DriverCode(extract.code_kinds(snapshot).values(), min_match_len),
+            code=[
+                (kinds, set(_all_windows(kinds, min_match_len)))
+                for kinds in extract.code_kinds(snapshot).values()
+            ],
+            min_match_len=min_match_len,
         )
 
 
@@ -290,5 +273,5 @@ def similarity_vector(
     """One candidate's vector across all factors: its repository's
     factors (:func:`repo_similarity`) plus the code similarity of its
     fix patch against the driver's sources."""
-    code = None if patch is None else code_similarity(driver.code, patch)
+    code = None if patch is None else code_similarity(driver, patch)
     return dataclasses.replace(repo, code=code)

@@ -150,6 +150,14 @@ def _stream_pairs(draw):
 # min_match_len, against EFGH still unmarked in `b`. The tiling is
 # [(0, 0, 6)].
 @example(("ABCDEFGH", "ABCDEFqEFGH", 4))
+# A match starts where either stream starts and ends where either stream
+# ends: one that spans both whole streams, one that runs to a's last token
+# but ends inside b, one that starts at b's first token but inside a, and
+# single tokens with min_match_len 1.
+@example(("ABCDEF", "ABCDEF", 3))
+@example(("XABCDE", "YABCDEZ", 3))
+@example(("XABCDEY", "ABCDEZ", 3))
+@example(("ABCAB", "BCABA", 1))
 def test_greedy_tiles_equal_reference_tile_for_tile(case):
     a, b, mml = case
     assert similarity._greedy_tiles(a, b, mml) == greedy_tiles_reference(a, b, mml)
@@ -238,7 +246,7 @@ def _driver(files, issue=None, project="octo/demo", mml=9):
 
 
 def _code(files, mml):
-    return _driver(files, mml=mml).code
+    return _driver(files, mml=mml)
 
 
 def _vector(driver, candidate_ctx, patch=None):
@@ -284,7 +292,7 @@ class TestCodeSimilarity:
         got = similarity.code_similarity(driver, patch)
         pairwise = [
             similarity.gst_similarity(ds, extract.tokenize_code(pc), min_match_len=3)
-            for ds in driver.kinds
+            for ds, _ in driver.code
             for pc in [
                 "int z = readHeader(data); if (z > max) { throw fail(z); }",
                 "log.warn(msg); return;",
@@ -302,6 +310,12 @@ class TestCodeSimilarity:
         driver = _code({"README.md": "hello"}, 3)
         patch = _patch({"src/X.java": "int a = 0;"})
         assert similarity.code_similarity(driver, patch) is None
+
+    def test_min_match_len_below_one_raises(self):
+        with pytest.raises(ValueError):
+            _code({"src/A.java": "int a = 0;"}, 0)
+        with pytest.raises(ValueError):
+            similarity.gst_similarity("AB", "AB", min_match_len=0)
 
     def test_patch_file_without_content_skipped(self):
         driver = _code({"src/A.java": "int a = 0;"}, 3)
@@ -356,26 +370,24 @@ _kind_streams = st.lists(st.text("ABC", max_size=30), min_size=1, max_size=20)
 @given(_kind_streams, _kind_streams, st.integers(1, 6))
 @example(["ABCABC", "", "CAB"] * 3, ["BCABCA", "AAAA"] * 9, 2)
 def test_pair_covers_equal_patch_side_set_probes(driver_streams, patch_streams, mml):
-    driver = similarity.DriverCode(driver_streams, mml)
     patch_windows = [similarity._all_windows(s, mml) for s in patch_streams]
-    covers = similarity._pair_covers(driver, patch_windows)
-    for d, d_stream in enumerate(driver_streams):
+    for d_stream in driver_streams:
         d_windows = set(similarity._all_windows(d_stream, mml))
-        for p, p_windows in enumerate(patch_windows):
-            assert covers[d][p] == shared_cover_reference(p_windows, d_windows, mml)
+        for p_windows in patch_windows:
+            cover = similarity._cover(bytes(map(d_windows.__contains__, p_windows)), mml)
+            assert cover == shared_cover_reference(p_windows, d_windows, mml)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_kind_streams, _kind_streams, st.integers(1, 6))
 @example(["ABABAB"], ["BABA", "ABABABAB"], 2)
 def test_pair_cover_bounds_each_pairs_coverage(driver_streams, patch_streams, mml):
-    driver = similarity.DriverCode(driver_streams, mml)
-    covers = similarity._pair_covers(
-        driver, [similarity._all_windows(s, mml) for s in patch_streams]
-    )
-    for d, d_stream in enumerate(driver_streams):
-        for p, p_stream in enumerate(patch_streams):
-            assert greedy_coverage_reference(d_stream, p_stream, mml) <= covers[d][p]
+    for d_stream in driver_streams:
+        d_windows = set(similarity._all_windows(d_stream, mml))
+        for p_stream in patch_streams:
+            p_windows = similarity._all_windows(p_stream, mml)
+            cover = similarity._cover(bytes(map(d_windows.__contains__, p_windows)), mml)
+            assert greedy_coverage_reference(d_stream, p_stream, mml) <= cover
 
 
 # token kinds no _FRAGMENTS line has, so patches can bring kinds new to the driver
