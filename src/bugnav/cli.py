@@ -36,30 +36,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="JSON file with configuration fields")
-    parser.add_argument("--fixture-dir", dest="fixture_dir", metavar="DIR",
-                        help="replay recorded fixtures instead of touching the network")
-    parser.add_argument("--cache-dir", dest="cache_dir", metavar="DIR",
-                        help="directory for repository snapshot caching")
-    parser.add_argument("--token-env", dest="auth_token_source", metavar="VAR",
-                        help="environment variable holding the API token")
-    parser.add_argument("--language", dest="language_filter", metavar="LANG",
-                        help="search language filter; empty string disables it")
-    parser.add_argument("--max-candidates", dest="max_candidates", type=int)
-    parser.add_argument("--n-threshold", dest="n_threshold", type=int,
-                        help="minimum hits before a query strategy is accepted")
-    parser.add_argument("--scope", dest="qualifier_mode", choices=QUALIFIER_MODES,
-                        metavar="{" + "|".join(QUALIFIER_MODES) + "}",
-                        help="where the stack-trace query searches")
-    parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS)
-    parser.add_argument("--parallelism", dest="parallelism", type=int, metavar="N",
-                        help="platform requests in flight in a live run; replay fetches serially")
-    parser.add_argument("--min-match-len", dest="min_match_len", type=int)
-    parser.add_argument("--weight", action="append", default=[], metavar="NAME=VALUE",
-                        help="override one ranking weight; repeatable")
-    parser.add_argument("--weights-file", dest="weights_file", metavar="FILE",
-                        help="JSON file with a full set of ranking weights")
+# each config flag with its argparse options; recommend takes them all, and
+# the other subcommands take only the flags they read
+_CONFIG_FLAGS = {
+    "--config": dict(metavar="FILE", help="JSON file with configuration fields"),
+    "--fixture-dir": dict(dest="fixture_dir", metavar="DIR",
+                          help="replay recorded fixtures instead of touching the network"),
+    "--cache-dir": dict(dest="cache_dir", metavar="DIR",
+                        help="directory for repository snapshot caching"),
+    "--token-env": dict(dest="auth_token_source", metavar="VAR",
+                        help="environment variable holding the API token"),
+    "--language": dict(dest="language_filter", metavar="LANG",
+                       help="search language filter; empty string disables it"),
+    "--max-candidates": dict(dest="max_candidates", type=int),
+    "--n-threshold": dict(dest="n_threshold", type=int,
+                          help="minimum hits before a query strategy is accepted"),
+    "--scope": dict(dest="qualifier_mode", choices=QUALIFIER_MODES,
+                    metavar="{" + "|".join(QUALIFIER_MODES) + "}",
+                    help="where the stack-trace query searches"),
+    "--format": dict(dest="output_format", choices=OUTPUT_FORMATS),
+    "--parallelism": dict(
+        dest="parallelism", type=int, metavar="N",
+        help="platform requests in flight in a live run; replay fetches serially",
+    ),
+    "--min-match-len": dict(dest="min_match_len", type=int),
+    "--weight": dict(action="append", default=[], metavar="NAME=VALUE",
+                     help="override one ranking weight; repeatable"),
+    "--weights-file": dict(dest="weights_file", metavar="FILE",
+                           help="JSON file with a full set of ranking weights"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags or _CONFIG_FLAGS:
+        parser.add_argument(flag, **_CONFIG_FLAGS[flag])
 
 
 def _apply_weight_overrides(weights: WeightConfig, specs: List[str]) -> WeightConfig:
@@ -180,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a labeled dataset with the current weights")
     p.add_argument("dataset", help="JSONL dataset file")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config", "--format", "--weight", "--weights-file")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("mine", help="collect cross-project (driver, navigator) pairs")
@@ -188,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search phrase; repeatable, defaults to the built-in pair")
     p.add_argument("--cap", type=int, default=100, help="search results per keyword")
     p.add_argument("--output", metavar="FILE", help="also write the pair list here")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config", "--fixture-dir", "--cache-dir", "--token-env")
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("tune", help="grid-search similarity weights on a labeled dataset")
     p.add_argument("dataset", help="JSONL dataset file")
     p.add_argument("--grid-step", type=float, default=0.0714)
     p.add_argument("--output", metavar="FILE", help="also write the tuned weights here")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config", "--weight", "--weights-file")
     p.set_defaults(func=_cmd_tune)
 
     return parser

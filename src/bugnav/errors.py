@@ -68,13 +68,14 @@ def read_json(path, what: str, error: type = ValidationError):
 
 def read_json_lines(path, what: str, parse, error: type = ValidationError) -> list:
     """``parse(value)`` of the JSON value on each non-blank line of the
-    UTF-8 file ``path``. Lines end at a line feed only: a string may hold a
-    raw U+2028, and a CRLF line's carriage return is JSON whitespace. An
-    unreadable file, a line that is not JSON, or a value that ``parse``
+    UTF-8 file ``path``. A byte order mark opening the file is skipped, as
+    :func:`read_json` skips one. Lines end at a line feed only: a string may
+    hold a raw U+2028, and a CRLF line's carriage return is JSON whitespace.
+    An unreadable file, a line that is not JSON, or a value that ``parse``
     rejects with ValueError or ``error`` raises ``error`` naming ``what``
     and the line."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             lines = fh.read().split("\n")
     except (OSError, ValueError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc

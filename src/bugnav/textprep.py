@@ -57,59 +57,20 @@ def split_camel(word: str) -> List[str]:
 # ---------------------------------------------------------------------------
 # suffix-stripping stemmer (the classic five-step algorithm)
 
-_VOWELS = "aeiou"
+def _form(word: str) -> str:
+    """The consonant/vowel form of ``word``: one "c" or "v" per letter.
+    a, e, i, o and u are vowels, and so is a "y" that follows a consonant.
+    A prefix's form is the prefix of the word's form, so the measure m of
+    [C](VC)^m[V] of any prefix is its form's count of "vc"."""
+    form = ""
+    last = "v"
+    for ch in word:
+        last = "v" if ch in "aeiou" or ch == "y" and last == "c" else "c"
+        form += last
+    return form
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
-
-
-def _measure(stem: str) -> int:
-    """Count VC sequences in [C](VC)^m[V]."""
-    n = len(stem)
-    i = 0
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    m = 0
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        while i < n and _is_consonant(stem, i):
-            i += 1
-        m += 1
-    return m
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(stem: str) -> bool:
-    return (
-        len(stem) >= 3
-        and _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
-        and stem[-1] not in "wxy"
-    )
-
-
-# (suffix, replacement) in longest-first order; None condition = m > 0
+# (suffix, replacement) in longest-first order
 _STEP2 = [
     ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
     ("fulness", "ful"), ("ousness", "ous"), ("tional", "tion"),
@@ -143,75 +104,57 @@ def stem(token: str) -> str:
         return word
 
     # step 1a
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         word = word[:-2]
-    elif word.endswith("ies"):
-        word = word[:-2]
-    elif word.endswith("ss"):
-        pass
-    elif word.endswith("s"):
+    elif word.endswith("s") and not word.endswith("ss"):
         word = word[:-1]
 
-    # step 1b
-    touched = False
+    # step 1b; from here on, form is always the form of word
+    form = _form(word)
     if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
-            word = word[:-1]
-    elif word.endswith("ed"):
-        if _has_vowel(word[:-2]):
-            word = word[:-2]
-            touched = True
-    elif word.endswith("ing"):
-        if _has_vowel(word[:-3]):
-            word = word[:-3]
-            touched = True
-    if touched:
-        if word.endswith(("at", "bl", "iz")):
-            word += "e"
-        elif _ends_double_consonant(word) and word[-1] not in "lsz":
-            word = word[:-1]
-        elif _measure(word) == 1 and _ends_cvc(word):
-            word += "e"
+        if "vc" in form[:-3]:
+            word, form = word[:-1], form[:-1]
+    elif word.endswith(("ed", "ing")):
+        size = 2 if word.endswith("ed") else 3
+        if "v" in form[:-size]:
+            word, form = word[:-size], form[:-size]
+            if word.endswith(("at", "bl", "iz")):
+                word += "e"
+            elif word[-1:] == word[-2:-1] and form[-1] == "c" and word[-1] not in "lsz":
+                word = word[:-1]
+            elif form.count("vc") == 1 and form.endswith("cvc") and word[-1] not in "wxy":
+                word += "e"
+            form = _form(word)
 
     # step 1c
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        word = word[:-1] + "i"
+    if word.endswith("y") and "v" in form[:-1]:
+        word, form = word[:-1] + "i", form[:-1] + "v"
 
-    # step 2
-    for suffix, repl in _STEP2:
-        if word.endswith(suffix):
-            base = word[: -len(suffix)]
-            if _measure(base) > 0:
-                word = base + repl
-            break
-
-    # step 3
-    for suffix, repl in _STEP3:
-        if word.endswith(suffix):
-            base = word[: -len(suffix)]
-            if _measure(base) > 0:
-                word = base + repl
-            break
+    # steps 2 and 3: the first listed suffix of each table is replaced if m > 0
+    for table in (_STEP2, _STEP3):
+        for suffix, repl in table:
+            if word.endswith(suffix):
+                if "vc" in form[: -len(suffix)]:
+                    word = word[: -len(suffix)] + repl
+                    form = _form(word)
+                break
 
     # step 4
     for suffix in _STEP4:
         if word.endswith(suffix):
-            base = word[: -len(suffix)]
-            if _measure(base) > 1:
-                if suffix == "ion" and not base.endswith(("s", "t")):
-                    break
-                word = base
+            keep = len(word) - len(suffix)
+            if form[:keep].count("vc") > 1 and (suffix != "ion" or word[keep - 1] in "st"):
+                word, form = word[:keep], form[:keep]
             break
 
     # step 5a
     if word.endswith("e"):
-        base = word[:-1]
-        m = _measure(base)
-        if m > 1 or (m == 1 and not _ends_cvc(base)):
-            word = base
+        m = form[:-1].count("vc")
+        if m > 1 or m == 1 and not (form[:-1].endswith("cvc") and word[-2] not in "wxy"):
+            word, form = word[:-1], form[:-1]
 
     # step 5b
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+    if word.endswith("ll") and form.count("vc") > 1:
         word = word[:-1]
 
     return word

@@ -414,6 +414,169 @@ def extract_mentions_reference(issue, vocabulary):
 
 
 # ---------------------------------------------------------------------------
+# stemming: the five-step suffix stripper with its per-letter helpers and
+# its own copy of the rule tables
+
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Count VC sequences in [C](VC)^m[V]."""
+    n = len(stem)
+    i = 0
+    while i < n and _is_consonant(stem, i):
+        i += 1
+    m = 0
+    while i < n:
+        while i < n and not _is_consonant(stem, i):
+            i += 1
+        if i >= n:
+            break
+        while i < n and _is_consonant(stem, i):
+            i += 1
+        m += 1
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(stem: str) -> bool:
+    return (
+        len(stem) >= 3
+        and _is_consonant(stem, len(stem) - 3)
+        and not _is_consonant(stem, len(stem) - 2)
+        and _is_consonant(stem, len(stem) - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
+# (suffix, replacement) in longest-first order; None condition = m > 0
+_STEP2 = [
+    ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
+    ("fulness", "ful"), ("ousness", "ous"), ("tional", "tion"),
+    ("biliti", "ble"), ("ation", "ate"), ("alism", "al"),
+    ("aliti", "al"), ("iviti", "ive"), ("ousli", "ous"),
+    ("entli", "ent"), ("alli", "al"), ("enci", "ence"),
+    ("anci", "ance"), ("izer", "ize"), ("abli", "able"),
+    ("ator", "ate"), ("eli", "e"),
+]
+
+_STEP3 = [
+    ("icate", "ic"), ("ative", ""), ("alize", "al"),
+    ("iciti", "ic"), ("ical", "ic"), ("ness", ""), ("ful", ""),
+]
+
+_STEP4 = [
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent",
+    "ion", "ism", "ate", "iti", "ous", "ive", "ize", "al", "er",
+    "ic", "ou",
+]
+
+
+def stem_reference(token: str) -> str:
+    """The stem of ``token`` as it was computed before the stemmer wrote
+    each word's consonant/vowel form in one pass: a recursive consonant
+    test per letter, and a helper per rule condition."""
+    word = token.lower()
+    if len(word) <= 2:
+        return word
+
+    # step 1a
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith("ies"):
+        word = word[:-2]
+    elif word.endswith("ss"):
+        pass
+    elif word.endswith("s"):
+        word = word[:-1]
+
+    # step 1b
+    touched = False
+    if word.endswith("eed"):
+        if _measure(word[:-3]) > 0:
+            word = word[:-1]
+    elif word.endswith("ed"):
+        if _has_vowel(word[:-2]):
+            word = word[:-2]
+            touched = True
+    elif word.endswith("ing"):
+        if _has_vowel(word[:-3]):
+            word = word[:-3]
+            touched = True
+    if touched:
+        if word.endswith(("at", "bl", "iz")):
+            word += "e"
+        elif _ends_double_consonant(word) and word[-1] not in "lsz":
+            word = word[:-1]
+        elif _measure(word) == 1 and _ends_cvc(word):
+            word += "e"
+
+    # step 1c
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        word = word[:-1] + "i"
+
+    # step 2
+    for suffix, repl in _STEP2:
+        if word.endswith(suffix):
+            base = word[: -len(suffix)]
+            if _measure(base) > 0:
+                word = base + repl
+            break
+
+    # step 3
+    for suffix, repl in _STEP3:
+        if word.endswith(suffix):
+            base = word[: -len(suffix)]
+            if _measure(base) > 0:
+                word = base + repl
+            break
+
+    # step 4
+    for suffix in _STEP4:
+        if word.endswith(suffix):
+            base = word[: -len(suffix)]
+            if _measure(base) > 1:
+                if suffix == "ion" and not base.endswith(("s", "t")):
+                    break
+                word = base
+            break
+
+    # step 5a
+    if word.endswith("e"):
+        base = word[:-1]
+        m = _measure(base)
+        if m > 1 or (m == 1 and not _ends_cvc(base)):
+            word = base
+
+    # step 5b
+    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+        word = word[:-1]
+
+    return word
+
+
+# ---------------------------------------------------------------------------
 # set overlap
 
 

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from bugnav import cli, pipeline
 from bugnav.config import RunConfig
-from bugnav.corpus import PlatformClient
+from bugnav.corpus import PlatformClient, ReplayTransport
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
+from bugnav.corpus.models import IssueRef
 from bugnav.evalharness import EvalDataset
 from bugnav.ranking import WeightConfig, tune_weights
 from stubs import (
@@ -587,8 +588,10 @@ def test_help_exits_zero_and_names_each_scope(capsys):
     "name", [f.name for f in dataclasses.fields(RunConfig) if f.name != "weights"]
 )
 def test_each_config_field_is_set_by_its_flag(name):
-    parser = argparse.ArgumentParser()
-    cli._add_config_flags(parser)
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parser = subparsers.choices["recommend"]
     (action,) = [a for a in parser._actions if a.dest == name]
     default = getattr(RunConfig(), name)
     if action.choices:
@@ -597,8 +600,46 @@ def test_each_config_field_is_set_by_its_flag(name):
         value = default + 1
     else:
         value = "x"
-    args = parser.parse_args([action.option_strings[0], str(value)])
+    args = parser.parse_args(["octo/driver#7", action.option_strings[0], str(value)])
     assert getattr(cli._config_from_args(args), name) == value
+
+
+# the config flags each subcommand other than recommend does not read
+UNREAD_FLAGS = {
+    "evaluate": ["--fixture-dir", "--cache-dir", "--token-env", "--language",
+                 "--max-candidates", "--n-threshold", "--scope", "--parallelism",
+                 "--min-match-len"],
+    "mine": ["--language", "--max-candidates", "--n-threshold", "--scope", "--format",
+             "--parallelism", "--min-match-len", "--weight", "--weights-file"],
+    "tune": ["--fixture-dir", "--cache-dir", "--token-env", "--language",
+             "--max-candidates", "--n-threshold", "--scope", "--format", "--parallelism",
+             "--min-match-len"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags]
+)
+def test_subcommand_refuses_a_config_flag_it_does_not_read(
+    capsys, fxdir, dataset_path, tmp_path, command, flag
+):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(WeightConfig().to_dict()))
+    value = {
+        "--fixture-dir": str(fxdir), "--cache-dir": str(tmp_path / "cache"),
+        "--token-env": "BUGNAV_TOKEN", "--language": "java", "--max-candidates": "5",
+        "--n-threshold": "2", "--scope": "body", "--format": "table", "--parallelism": "2",
+        "--min-match-len": "5", "--weight": "w_code=0.5", "--weights-file": str(weights),
+    }[flag]
+    argv = {
+        "evaluate": ["evaluate", str(dataset_path)],
+        "mine": ["mine", "--fixture-dir", str(fxdir)],
+        "tune": ["tune", str(dataset_path), "--grid-step", "1.0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @settings(
@@ -729,3 +770,30 @@ def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
     assert run.stdout == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
     run = _cli_in_ascii_locale("evaluate", str(dataset))
     assert (run.returncode, run.stderr) == (0, b"")
+
+
+def test_dataset_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    dataset = ROOT / "fixtures" / "eval" / "dataset.jsonl"
+    marked = tmp_path / "dataset.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + dataset.read_bytes())
+    rc, plain, _ = _run(capsys, ["evaluate", str(dataset)])
+    assert rc == 0
+    rc, out, err = _run(capsys, ["evaluate", str(marked)])
+    assert (rc, err) == (0, "")
+    assert out == plain
+
+
+def test_long_run_of_y_in_a_comment_is_stemmed(capsys, tmp_path):
+    """A thread word far longer than the interpreter's recursion limit
+    stems like any other."""
+    fixtures = ROOT / "fixtures" / "walkthrough"
+    client = PlatformClient(ReplayTransport(FixtureStore(str(fixtures))))
+    driver = client.fetch_issue(IssueRef("lightbend", "config", 398))
+    issue_path = tmp_path / "issue.json"
+    issue_path.write_text(json.dumps({
+        "ref": "lightbend/config#398", "title": driver.title, "body": driver.body,
+        "comments": [*driver.comments, "y" * 3000],
+    }))
+    rc, out, err = _run(capsys, ["recommend", str(issue_path), "--fixture-dir", str(fixtures)])
+    assert rc == 0 and "Traceback" not in err
+    assert json.loads(out)["driver"] == "lightbend/config#398"

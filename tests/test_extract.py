@@ -308,6 +308,11 @@ class TestMentions:
     def test_thread_is_stemmed_words_between_single_spaces(self):
         assert self._issue("SnowballStemmers, v2") == " a titl snowbal stemmer v2 "
 
+    def test_long_run_of_y_in_an_entry(self):
+        entry = "layout_" + "y" * 3000
+        issue = self._issue(f"the {entry} view is blank")
+        assert extract.extract_mentions(issue, {entry: entry}) == {entry}
+
 
 # few stems, so phrases recur and partly match; camelCase, digits and
 # the entry separators (- _ . whitespace) exercise the word splitting

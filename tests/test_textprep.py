@@ -9,8 +9,11 @@ full five-step pipeline produces.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bugnav import textprep
+from oracles import stem_reference
 
 
 # Hand-traced through all five steps. Tuples are (word, stem).
@@ -117,6 +120,43 @@ class TestStem:
 
     def test_lowercases_input(self):
         assert textprep.stem("Caresses") == "caress"
+
+    def test_long_run_of_y(self):
+        # "y" is a vowel after a consonant and a consonant after a vowel,
+        # so the run alternates and step 1c turns its last "y" into "i"
+        assert textprep.stem("y" * 5000) == "y" * 4999 + "i"
+
+
+# y- and vowel-heavy stems, so that a "y" follows consonants, vowels and
+# other "y"s; w, x and l reach the cvc and double-l conditions
+_LETTERS = "aeiouyyyybcdlstwxz"
+_RULE_SUFFIXES = sorted(
+    {suffix for suffix, _ in textprep._STEP2 + textprep._STEP3} | set(textprep._STEP4)
+)
+# what steps 1 and 5 strip or test at a word's end
+_ENDINGS = ["sses", "ies", "ss", "s", "eed", "ed", "ing", "y", "e", "ll"]
+_words = st.builds(
+    lambda head, suffix, ending: head + suffix + ending,
+    st.text(_LETTERS, max_size=29),
+    st.sampled_from(["", *_RULE_SUFFIXES]),
+    st.sampled_from(["", *_ENDINGS]),
+)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_words)
+@example("ied")
+@example("sion")
+@example("xion")
+@example("adoption")
+@example("complexion")
+@example("eed")
+@example("proceed")
+@example("controll")
+@example("saye")
+@example("yyyyed")
+def test_stem_equals_reference(word):
+    assert textprep.stem(word) == stem_reference(word)
 
 
 class TestStopwords:
