@@ -29,11 +29,20 @@ EXIT_TRANSPORT = 4
 
 class _Parser(argparse.ArgumentParser):
     """An invalid flag or value exits with EXIT_USAGE, not argparse's 2,
-    which here means that no candidates survived. Subparsers inherit it."""
+    which here means that no candidates survived. Subparsers inherit it.
+
+    The parser that meets an unknown flag refuses it with its own usage
+    line; argparse would hand a subcommand's up to the top-level parser."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
 
 
 # each config flag with its argparse options; recommend takes them all, and

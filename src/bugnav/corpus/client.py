@@ -306,19 +306,18 @@ class PlatformClient:
         if path is None:
             return
         text = json.dumps(vars(snapshot), sort_keys=True)
+        tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        except (OSError, ValueError) as exc:
-            # a cache directory that cannot be written to costs only refetches
-            log.warning("cannot write snapshot cache in %s (%s)", path.parent, exc)
-            return
-        try:
             with os.fdopen(fd, "w") as out:
                 out.write(text)
             os.replace(tmp, path)
+        except (OSError, ValueError) as exc:
+            # a cache that cannot be written to, or is full, costs only refetches
+            log.warning("cannot write snapshot cache in %s (%s)", path.parent, exc)
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
 

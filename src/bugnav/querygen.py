@@ -29,10 +29,19 @@ STRATEGY_SUMMARY_UNSCOPED = "summary_unscoped"  # SearchQuery's default label
 
 DEFAULT_N_THRESHOLD = 5
 
+# An exception name. Only ever matched from a start _exception_match has
+# found: a search would scan each word start of a long [\w.$] run to the
+# run's end, in time quadratic in the run.
 _EXC_RE = re.compile(r"\b(?:[A-Za-z][\w.$]*)?(?:Exception|Error)\b")
+_EXC_WORD_RE = re.compile(r"(?:Exception|Error)\b")
 _CAUSED_RE = re.compile(r"^\s*Caused by:\s*(.*)$")
 _COND_KEYWORD_RE = re.compile(r"\b(if|when|while)\b", re.IGNORECASE)
-_NUM_TAIL_RE = re.compile(r"\s*[:=]?\s*\d[\d.,]*(?:\s+[A-Za-z]+)?\s*$")
+# A numeric tail (": 93067 bytes") read backwards from the end of a stripped
+# message: an optional word, a number, then an optional ':' or '=', each
+# with the spaces around it. Matched at the one place it can start, it runs
+# in linear time; searched forwards to a `$`, its spaces around ':' would
+# split a run of spaces in every way at every start, in cubic time.
+_NUM_TAIL_REVERSED_RE = re.compile(r"(?:[A-Za-z]+\s+)?[\d.,]*\d\s*[:=]?\s*")
 _JUNK_RE = re.compile(r"['\"`()\[\]{}<>:;,!?]")
 
 
@@ -52,9 +61,37 @@ class QueryOutcome:
     attempts: List[Tuple[SearchQuery, int]] = field(default_factory=list)
 
 
+def _is_word(char: str) -> bool:
+    r"""Whether char is a regex \w character."""
+    return char.isalnum() or char == "_"
+
+
+def _exception_match(text: str) -> Optional[re.Match]:
+    r"""_EXC_RE's leftmost match in text, in time linear in text.
+
+    From each "Exception" or "Error" that ends a word, a walk goes left
+    over [\w.$]. The leftmost place on it where a name may begin, an ASCII
+    letter after no \w character, is where the leftmost match starts. A
+    walk stops where the previous one began, since no match starts before."""
+    checked = 0  # no match starts in text[:checked]
+    for word in _EXC_WORD_RE.finditer(text):
+        start, i = None, word.start()
+        while True:
+            before = text[i - 1] if i else " "
+            if text[i].isascii() and text[i].isalpha() and not _is_word(before):
+                start = i
+            if i == checked or not (_is_word(before) or before in ".$"):
+                break
+            i -= 1
+        if start is not None:
+            return _EXC_RE.match(text, start)
+        checked = word.start() + 1
+    return None
+
+
 def _parse_exception_text(text: str) -> Optional[Tuple[str, str]]:
     """Pick "name: message" out of one line of text."""
-    m = _EXC_RE.search(text)
+    m = _exception_match(text)
     if not m:
         return None
     name = m.group().strip(".")
@@ -113,7 +150,10 @@ def _normalize_message(message: str) -> str:
     Only the leading character is lowercased; interior casing is the
     reporter's and stays.
     """
-    msg = _NUM_TAIL_RE.sub("", message.strip())
+    msg = message.strip()
+    tail = _NUM_TAIL_REVERSED_RE.match(msg[::-1])
+    if tail:
+        msg = msg[: len(msg) - tail.end()]
     msg = re.sub(r"[.$]", " ", msg)
     msg = _JUNK_RE.sub(" ", msg)
     msg = re.sub(r"\s+", " ", msg).strip()

@@ -218,7 +218,7 @@ def _place(scores: Sequence[float], indices: Sequence[int]) -> int:
     number of higher scores and of equal scores before it."""
     first = max(indices, key=scores.__getitem__)
     top = scores[first]
-    return 1 + sum(map(top.__lt__, scores)) + scores[:first].count(top)
+    return 1 + len([s for s in scores if s > top]) + scores[:first].count(top)
 
 
 def score_order(factors: Sequence[FactorVector], weights: WeightConfig) -> List[Tuple[int, float]]:
@@ -303,6 +303,21 @@ def grid_size(base: WeightConfig, grid_step: float) -> int:
     return math.comb(totals[-1] + 4, 4) - math.comb(totals[0] + 3, 4)
 
 
+def _multiples(column: List[float], grid_step: float):
+    """k -> the products of column with k * grid_step, each list made on
+    first use, so that a fine step builds only the multiples it reaches."""
+    table = {}
+
+    def at(k: int) -> List[float]:
+        products = table.get(k)
+        if products is None:
+            weight = k * grid_step
+            products = table[k] = [v * weight for v in column]
+        return products
+
+    return at
+
+
 def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
     """(swept tuple, MRR of the re-ranked system) at each grid point, in
     grid order, equal bit for bit to what evaluate() reports.
@@ -314,10 +329,14 @@ def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
 
     A score is _dot's fold. Every query's candidates lie end to end in one
     column per factor. The head is folded once, the code term once per
-    w_code and the dep term once per w_dep, and the fixed tail products
-    once. A point adds the permission and UI terms and the tail products,
-    in _dot's order, in one pass over every query's candidates, and reads
-    each query's reciprocal rank from its slice by _place, without a sort."""
+    w_code and the dep term once per w_dep. The permission and UI products
+    take one list per multiple of grid_step, made on first use and kept, so
+    a point adds two ready products per candidate. The fixed tail products
+    are made once, and a tail column whose products are all zero is left
+    out: adding 0.0 moves no score past or onto another. A point folds the
+    rest in _dot's order, in one pass each over every query's candidates,
+    and reads each query's reciprocal rank from its slice by _place,
+    without a sort."""
     from .evalharness import mrr_from_places
 
     totals = _grid_totals(base, grid_step)
@@ -332,9 +351,13 @@ def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
     for column, weight in zip(columns[:_HEAD], weights):
         head = [s + v * weight for s, v in zip(head, column)]
     code, dep, perm, ui = columns[_HEAD:_TAIL]
-    has_fix, keywords = (
-        [v * weight for v in column] for column, weight in zip(columns[_TAIL:], weights[_TAIL:])
-    )
+    perm_at, ui_at = _multiples(perm, grid_step), _multiples(ui, grid_step)
+    tail = []
+    for column, weight in zip(columns[_TAIL:], weights[_TAIL:]):
+        products = [v * weight for v in column]
+        # NaN is true, so a NaN product keeps its column
+        if any(products):
+            tail.append(products)
 
     top = totals[-1] if totals else -1
     for k_code in range(top + 1):
@@ -345,19 +368,19 @@ def _grid_mrrs(dataset, base: WeightConfig, grid_step: float):
             to_dep = [s + v * w_dep for s, v in zip(to_code, dep)]
             for k_perm in range(top - k_code - k_dep + 1):
                 w_perm = k_perm * grid_step
+                perm_terms = perm_at(k_perm)
                 used = k_code + k_dep + k_perm
                 for total in range(max(used, totals.start), totals.stop):
-                    w_ui = (total - used) * grid_step
-                    # ((((s + p * w_perm) + u * w_ui) + f) + k): left to right, as _dot adds them
-                    scores = [
-                        s + p * w_perm + u * w_ui + f + k
-                        for s, p, u, f, k in zip(to_dep, perm, ui, has_fix, keywords)
-                    ]
+                    k_ui = total - used
+                    # (s + p * w_perm) + u * w_ui, then each tail term: _dot's order
+                    scores = [s + p + u for s, p, u in zip(to_dep, perm_terms, ui_at(k_ui))]
+                    for products in tail:
+                        scores = [s + t for s, t in zip(scores, products)]
                     places = [
                         _place(scores[start:stop], relevant) if relevant else None
                         for start, stop, relevant in queries
                     ]
-                    yield (w_code, w_dep, w_perm, w_ui), mrr_from_places(places)
+                    yield (w_code, w_dep, w_perm, k_ui * grid_step), mrr_from_places(places)
 
 
 def tune_weights(dataset, grid_step: float, *, base: WeightConfig = None) -> WeightConfig:

@@ -11,7 +11,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Optional, Sequence, Tuple
 
 from bugnav.textprep import split_camel, stem
 
@@ -574,6 +574,47 @@ def stem_reference(token: str) -> str:
         word = word[:-1]
 
     return word
+
+
+# ---------------------------------------------------------------------------
+# query text
+
+
+# querygen's patterns as they were searched with before its scans were made
+# linear: _EXC_RE is quadratic in a long [\w.$] run, _NUM_TAIL_RE cubic in
+# a run of spaces
+_EXC_RE = re.compile(r"\b(?:[A-Za-z][\w.$]*)?(?:Exception|Error)\b")
+_NUM_TAIL_RE = re.compile(r"\s*[:=]?\s*\d[\d.,]*(?:\s+[A-Za-z]+)?\s*$")
+_JUNK_RE = re.compile(r"['\"`()\[\]{}<>:;,!?]")
+
+
+def parse_exception_text_reference(text: str) -> Optional[Tuple[str, str]]:
+    """Pick "name: message" out of one line of text."""
+    m = _EXC_RE.search(text)
+    if not m:
+        return None
+    name = m.group().strip(".")
+    rest = text[m.end():]
+    message = rest[1:].strip() if rest.startswith(":") else ""
+    return name, message
+
+
+def normalize_message_reference(message: str) -> str:
+    """Shape an exception message for use as query text.
+
+    Numeric tails (": 93067 bytes") carry no reusable signal and are cut;
+    quote and bracket characters become spaces so identifiers split apart
+    cleanly; dots and dollar signs become spaces for the same reason.
+    Only the leading character is lowercased; interior casing is the
+    reporter's and stays.
+    """
+    msg = _NUM_TAIL_RE.sub("", message.strip())
+    msg = re.sub(r"[.$]", " ", msg)
+    msg = _JUNK_RE.sub(" ", msg)
+    msg = re.sub(r"\s+", " ", msg).strip()
+    if msg:
+        msg = msg[0].lower() + msg[1:]
+    return msg
 
 
 # ---------------------------------------------------------------------------

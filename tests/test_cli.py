@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import errno
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -639,7 +641,10 @@ def test_subcommand_refuses_a_config_flag_it_does_not_read(
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, flag, value])
     assert exc.value.code == cli.EXIT_USAGE
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the subcommand's usage, which lists the flags it takes
+    assert err.startswith(f"usage: bugnav {command} [-h]")
+    assert f"bugnav {command}: error: unrecognized arguments: {flag}" in err
 
 
 @settings(
@@ -797,3 +802,39 @@ def test_long_run_of_y_in_a_comment_is_stemmed(capsys, tmp_path):
     rc, out, err = _run(capsys, ["recommend", str(issue_path), "--fixture-dir", str(fixtures)])
     assert rc == 0 and "Traceback" not in err
     assert json.loads(out)["driver"] == "lightbend/config#398"
+
+
+@pytest.mark.parametrize("call", ["os.fdopen", "os.replace"])
+def test_full_disk_under_the_snapshot_cache_costs_only_the_cache(
+    capsys, caplog, tmp_path, call
+):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    fixtures = ROOT / "fixtures" / "walkthrough"
+    with mock.patch(call, side_effect=full), caplog.at_level(logging.WARNING):
+        rc, out, _ = _run(capsys, [
+            "recommend", "lightbend/config#398", "--fixture-dir", str(fixtures),
+            "--cache-dir", str(tmp_path),
+        ])
+    assert rc == 0
+    assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
+    assert any("cannot write snapshot cache" in r.getMessage() for r in caplog.records)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_long_name_run_and_space_run_in_the_driver(capsys, tmp_path):
+    """A 65,536-character name run before the trace and a 10,000-space run
+    inside its message change no byte of the output."""
+    fixtures = ROOT / "fixtures" / "walkthrough"
+    client = PlatformClient(ReplayTransport(FixtureStore(str(fixtures))))
+    driver = client.fetch_issue(IssueRef("lightbend", "config", 398))
+    body = driver.body.replace("is:\n", "is:\n" + "a." * 32768 + "\n", 1)
+    body = body.replace("encoded string", "encoded" + " " * 10_000 + "string", 1)
+    assert body.count("a.a.") and body.count(" " * 10_000)
+    issue_path = tmp_path / "issue.json"
+    issue_path.write_text(json.dumps({
+        "ref": "lightbend/config#398", "title": driver.title, "body": body,
+        "comments": driver.comments,
+    }))
+    rc, out, _ = _run(capsys, ["recommend", str(issue_path), "--fixture-dir", str(fixtures)])
+    assert rc == 0
+    assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()

@@ -5,11 +5,16 @@ examples and must not be touched to make a test pass; if one of these
 fails, the code is wrong.
 """
 
+import time
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bugnav import querygen
 from bugnav.corpus.models import IssueDocument, IssueHit, IssueRef
 from bugnav.errors import QueryConstructionError
+from oracles import normalize_message_reference, parse_exception_text_reference
 
 
 MAUI_BODY = """\
@@ -246,3 +251,71 @@ class TestBuildQuery:
         a = querygen.build_query(issue, _search_returning(10))
         b = querygen.build_query(issue, _search_returning(10))
         assert a.query == b.query
+
+
+# pieces of names and keywords, the characters of a name run, the word
+# boundaries around it, and non-ASCII word, digit and space characters
+_LINE_PIECES = st.sampled_from(
+    ["Exception", "Error", "Errors", "Excep", "a", "Z", "E", "_", ".", "$", "..", " ", ":",
+     "1", "\t", "é", "²", "ǅ", "-", "\u2003"]
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_LINE_PIECES, max_size=30).map("".join))
+@example("java.io.UTFDataFormatException: encoded string too long: 93067 bytes")
+@example("_Error._Error.aException.Error: x")
+@example(".Error")
+@example("$a.Error$")
+@example("é.ErrorError.Exception")
+@example("_Error.xError")
+def test_exception_text_equals_reference(line):
+    assert querygen._parse_exception_text(line) == parse_exception_text_reference(line)
+
+
+# the characters of a numeric tail, with non-ASCII digits and spaces
+_MESSAGE_PIECES = st.sampled_from(
+    [" ", " ", "  ", "\t", "\u2003", "\n", ":", "=", "0", "7", "٣", ".", ",", "a", "B",
+     "bytes", "é", "(", "$"]
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_MESSAGE_PIECES, max_size=30).map("".join))
+@example("encoded string too long: 93067 bytes")
+@example("String index out of range: 8")
+@example("size = 1,024.5 MB  ")
+@example("x : = 5")
+@example("x 5 a b")
+@example(".5")
+@example("bytes 5 ")
+def test_normalized_message_equals_reference(message):
+    assert querygen._normalize_message(message) == normalize_message_reference(message)
+
+
+@pytest.mark.parametrize(
+    "line",
+    # a search scans from each word start of the first run to its end; the
+    # second holds thousands of keywords, none after a place a name may
+    # begin, and each would be walked back from to the run's start
+    [("a." * 32768), ("_Error." * 9363)[:65536]],
+    ids=["name-run", "keyword-run"],
+)
+def test_long_name_run_is_parsed_fast(line):
+    # the reference is quick on the line that ends in a keyword
+    want = parse_exception_text_reference(line + "Exception: x")
+    start = time.process_time()
+    assert querygen._parse_exception_text(line) is None
+    assert querygen._parse_exception_text(line + "Exception: x") == want
+    assert time.process_time() - start < 1.0
+
+
+def test_long_run_of_spaces_in_a_message_is_normalized_fast():
+    # the forward tail pattern split the run in every way at every start
+    start = time.process_time()
+    message = "encoded" + " " * 10_000 + "string too long: 93067 bytes"
+    assert querygen._normalize_message(message) == "encoded string too long"
+    assert querygen._normalize_message(message.replace(": 93067", ":" + " " * 10_000)) == (
+        "encoded string too long bytes"
+    )
+    assert time.process_time() - start < 1.0

@@ -484,6 +484,16 @@ class TestSweptGrid:
         first = list(itertools.islice(_swept(DEFAULTS, 0.001), 3))
         assert first == [(0.0, 0.0, k * 0.001, (786 - k) * 0.001) for k in range(3)]
 
+    def test_very_fine_step_makes_only_the_products_it_reaches(self):
+        # about 786k multiples of the step; a list of products for each
+        # would take seconds and hundreds of MB
+        start = time.process_time()
+        first = list(itertools.islice(ranking._grid_mrrs(_tuner_dataset(), DEFAULTS, 1e-6), 3))
+        assert time.process_time() - start < 0.5
+        totals = ranking._grid_totals(DEFAULTS, 1e-6)
+        assert totals[-1] > 780_000
+        assert [swept for swept, _ in first] == [(0.0, 0.0, 0.0, t * 1e-6) for t in totals[:3]]
+
     @settings(max_examples=300, deadline=None)
     @given(
         fixed=st.one_of(
@@ -656,6 +666,45 @@ _TIE = (0.123, 0.456, 0.789, 0.321, 0.654, 0.987, 1.0, 0.2)
     dataset=_labeled(
         [((0.5,) * 8, False), (_TIE, True)],
         [(_TIE, True), ((0.4,) * 8, False)],
+    ),
+    base=_TAILED,
+    step=0.0714,
+)
+# zero tail weights over non-zero tail factors: the tail decides nothing
+@example(
+    dataset=_labeled(
+        [
+            ((0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 1.0, 0.9), False),
+            ((0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.0, 0.1), True),
+            ((0.1, 0.4, 0.3, 0.2, 0.6, 0.5, 1.0, 1.0), False),
+        ],
+        [((0.7, 0.3, 0.1, 0.9, 0.2, 0.4, 1.0, 0.5), True), ((0.7,) * 8, False)],
+    ),
+    base=DEFAULTS,
+    step=0.0714,
+)
+# a non-zero has-fix weight over an all-zero has-fix column
+@example(
+    dataset=_labeled(
+        [
+            ((0.3, 0.2, 0.5, 0.1, 0.4, 0.7, 0.0, 0.8), False),
+            ((0.3, 0.2, 0.5, 0.1, 0.4, 0.7, 0.0, 0.6), True),
+            ((0.9, 0.1, 0.2, 0.3, 0.6, 0.1, 0.0, 0.0), False),
+        ],
+        [((0.5, 0.5, 0.4, 0.2, 0.3, 0.1, 0.0, 0.4), True)],
+    ),
+    base=_TAILED,
+    step=0.0714,
+)
+# both tail weights and columns non-zero, with ties only the tail breaks
+@example(
+    dataset=_labeled(
+        [
+            ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0, 0.2), False),
+            ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0, 0.6), True),
+            ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0, 0.0), False),
+        ],
+        [((0.4, 0.6, 0.2, 0.8, 0.1, 0.3, 1.0, 0.4), True), ((0.2,) * 8, False)],
     ),
     base=_TAILED,
     step=0.0714,
