@@ -306,17 +306,21 @@ class PlatformClient:
         if path is None:
             return
         text = json.dumps(vars(snapshot), sort_keys=True)
-        tmp = None
+        fd = tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-            with os.fdopen(fd, "w") as out:
+            out = os.fdopen(fd, "w")
+            fd = None  # the file object owns the descriptor now
+            with out:
                 out.write(text)
             os.replace(tmp, path)
         except (OSError, ValueError) as exc:
             # a cache that cannot be written to, or is full, costs only refetches
             log.warning("cannot write snapshot cache in %s (%s)", path.parent, exc)
         finally:
+            if fd is not None:
+                os.close(fd)
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 

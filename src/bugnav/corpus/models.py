@@ -8,6 +8,7 @@ the client and the extractors need.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -186,9 +187,12 @@ def find_patch_refs(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
         for m in _COMMIT_URL_RE.finditer(text):
             events.append((m.start(), PatchRef("commit", m.group(1), m.group(2), m.group(3))))
         url_spans = [m.span() for m in _ANY_URL_RE.finditer(text)]
+        url_starts = [start for start, _ in url_spans]
         for m in _BARE_SHA_RE.finditer(text):
-            inside_url = any(s <= m.start(1) < e for s, e in url_spans)
-            if not inside_url:
+            # the spans are sorted and disjoint, so only the last URL to
+            # start at or before the id can hold it
+            last = bisect.bisect_right(url_starts, m.start(1)) - 1
+            if last < 0 or url_spans[last][1] <= m.start(1):
                 events.append((m.start(), PatchRef("commit", owner, repo, m.group(1))))
         events.sort(key=lambda pair: pair[0])
         for _, ref in events:

@@ -5,7 +5,8 @@ collect candidate issues from the platform. Phase two is offline: fetch
 each candidate's thread and patch, then each distinct candidate
 repository's snapshot once (without its Java, which only the driver's
 side compares), compare them against the driver (prepared once per
-run), and re-rank.
+run), and re-rank. All candidates' code factors come from one sweep of
+each driver file against one index of their patches' Java files.
 
 A live run fetches on ``parallelism`` worker threads, so that many
 requests wait on the platform at once. A replay run, or a run with one
@@ -183,14 +184,11 @@ def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) 
     if not fetched:
         raise NoCandidatesError(f"every candidate for {driver.ref} failed to fetch")
     shared = {repo: repo_similarity(side, ctx) for repo, ctx in zip(repos, contexts)}
+    kept, issues, patches = zip(*fetched)
+    vectors = similarity_vector(side, [shared[h.ref.owner, h.ref.repo] for h in kept], patches)
     inputs = [
-        RankInput(
-            issue=issue,
-            metrics=quality_metrics(issue),
-            sims=similarity_vector(side, shared[hit.ref.owner, hit.ref.repo], patch),
-            search_rank=hit.search_rank,
-        )
-        for hit, issue, patch in fetched
+        RankInput(issue, quality_metrics(issue), sims, hit.search_rank)
+        for hit, issue, sims in zip(kept, issues, vectors)
     ]
     ranked = rank(inputs, config.weights)
     return Recommendation(driver=driver, outcome=outcome, weights=config.weights, candidates=ranked)

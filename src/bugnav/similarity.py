@@ -7,25 +7,24 @@ applicable when both sides actually have something to compare; a signal
 that is not holds None in :class:`SimilarityVector`.
 
 Code similarity is greedy string tiling (GST) of token-kind streams,
-laid in one pass over the streams' maximal matches, each read from its
-two ends: where the tokens before an equal window pair differ and where
-the tokens after one do (:func:`_greedy_tiles`).
+laid in one pass over their maximal matches (:func:`_tiles`). One run
+indexes all candidates' Java patch files once (:func:`_index`) and sweeps
+each driver file once against the index for every file pair's maximal
+matches and pair bound (:func:`_matches`, :func:`code_similarity`).
 
-Every candidate is compared against the same driver, so the driver side,
-its Java files' window sets included, is prepared once per run
-(:class:`Driver`), and the dependency, permission and UI factors, which
-depend on a candidate's repository alone, once per candidate repository
-(:func:`repo_similarity`).
+Every candidate is compared against the same driver, so the driver side
+is prepared once per run (:class:`Driver`), and the dependency,
+permission and UI factors, which depend on a candidate's repository
+alone, once per candidate repository (:func:`repo_similarity`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, List, Optional, Tuple
+from typing import AbstractSet, List, Optional, Sequence
 
 from . import extract
 from .corpus.models import IssueDocument, Patch, RepoSnapshot, file_kind
@@ -40,70 +39,71 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
     return len(xs & ys) / min(len(xs), len(ys))
 
 
-# _cover's digits from a stream's per-window set probes (False/True bytes)
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+def _index(streams: Sequence, m: int):
+    """Every ``m``-window of every stream, by its tokens and then by the
+    tokens before and after it, an empty slice at a stream's edge. Window
+    ``j`` of stream ``s`` is held as the one int ``j * len(streams) + s``."""
+    n = len(streams)
+    windows = {}
+    for s, b in enumerate(streams):
+        for j in range(len(b) - m + 1):
+            around = (b[j - 1 : j], b[j + m : j + m + 1])
+            windows.setdefault(b[j : j + m], {}).setdefault(around, []).append(j * n + s)
+    return n, windows
 
 
-def _all_windows(s: str, length: int) -> List[str]:
-    return [s[i : i + length] for i in range(len(s) - length + 1)]
-
-
-def _cover(probes: bytes, length: int) -> int:
-    """Positions of a stream inside some of its ``length``-windows, given
-    one set probe per window in stream order, True for those that count."""
-    covered = int(probes.translate(_DIGITS) or b"0", 2)
-    # widen each window's bit over the `length` positions it spans
-    span = 1
-    while 2 * span <= length:
-        covered |= covered << span
-        span *= 2
-    if span < length:
-        covered |= covered << (length - span)
-    return covered.bit_count()
-
-
-def _greedy_tiles(a: str, b: str, min_match_len: int):
-    """Greedy string tiling: repeatedly take the longest common unmarked
-    substring, ties resolved in ascending (i, j) order within a round.
-
-    One pass over the maximal matches, as in Running Karp-Rabin GST and
-    JPlag, each read from its two ends. A match starts at an equal window
-    pair whose preceding tokens differ, or where either stream starts,
-    and ends at one whose following tokens differ, or where either stream
-    ends. So ``b``'s windows are indexed by the tokens around them, and
-    each window of ``a`` lists as starts the groups whose token before
-    differs from its own and as ends those whose token after does. The
-    matches on one diagonal are disjoint, so its starts and ends, sorted,
-    alternate and pair up; periodic streams list no quadratic number of
-    window pairs. The matches are bucketed by length and the buckets taken
-    longest first, each in (i, j) order, which is a round. A match still
-    wholly unmarked becomes a tile; otherwise each piece of its diagonal
-    unmarked on both sides and of ``min_match_len`` or more goes to the
-    bucket of its length.
-    """
-    m = min_match_len
-    windows_a, windows_b = _all_windows(a, m), _all_windows(b, m)
-    shared = set(windows_a).intersection(windows_b)
-    groups = {}
-    for j in itertools.compress(range(len(windows_b)), map(shared.__contains__, windows_b)):
-        # an empty slice keys the missing token before b[0] or after b[-1]
-        around = (b[j - 1 : j], b[j + m : j + m + 1])
-        groups.setdefault(windows_b[j], {}).setdefault(around, []).append(j)
-    # (j - i, i): a window pair by diagonal, then by position on it
+def _matches(index, a, m: int):
+    """The maximal matches of ``a`` against each indexed stream, as
+    ``{stream: [(i, j, length), ...]}``, each read from its two ends as
+    in Running Karp-Rabin GST and JPlag. A match starts at an equal window
+    pair whose preceding tokens differ, or where either stream starts, and
+    ends at one whose following tokens differ, or where either stream
+    ends. The matches on one diagonal of one pair are disjoint, so its
+    starts and ends, sorted, alternate and pair up; periodic streams list
+    no quadratic number of window pairs."""
+    n, windows = index
+    # (d * n + s, i): a window pair by diagonal d = j - i and stream s,
+    # then by position on the diagonal
     starts, ends = [], []
-    for i in itertools.compress(range(len(windows_a)), map(shared.__contains__, windows_a)):
+    for i in range(len(a) - m + 1):
+        groups = windows.get(a[i : i + m])
+        if groups is None:
+            continue
         # None at a's edges differs from every key, the empty slice too
         before, after = a[i - 1 : i] or None, a[i + m : i + m + 1] or None
-        for (token_before, token_after), js in groups[windows_a[i]].items():
+        shift = i * n
+        for (token_before, token_after), held in groups.items():
             if token_before != before:
-                starts += [(j - i, i) for j in js]
+                starts += [(g - shift, i) for g in held]
             if token_after != after:
-                ends += [(j - i, i) for j in js]
+                ends += [(g - shift, i) for g in held]
     starts.sort()
     ends.sort()
+    matches = defaultdict(list)
+    for (key, i), (_, last) in zip(starts, ends):
+        d, s = divmod(key, n)
+        matches[s].append((i, d + i, last - i + m))
+    return matches
+
+
+def _covered(matches) -> int:
+    """Positions of the indexed stream inside some of a pair's matches."""
+    mask = 0
+    for _, j, k in matches:
+        mask |= ((1 << k) - 1) << j
+    return mask.bit_count()
+
+
+def _tiles(matches, m: int):
+    """Greedy string tiling from a pair's maximal matches: repeatedly take
+    the longest common unmarked substring. The matches are bucketed by
+    length and the buckets taken longest first, each in (i, j) order,
+    which is a round. A match still wholly unmarked becomes a tile;
+    otherwise each piece of its diagonal unmarked on both sides and of
+    ``m`` or more goes to the bucket of its length."""
     buckets = defaultdict(list)
-    for (d, i), (_, last) in zip(starts, ends):
-        buckets[last - i + m].append((i, d + i))
+    for i, j, k in matches:
+        buckets[k].append((i, j))
     # runs of m or more "0"s, written with a literal prefix, which re
     # scans for much faster than for "0{m,}"
     pieces = re.compile("0" * m + "0*")
@@ -127,9 +127,17 @@ def _greedy_tiles(a: str, b: str, min_match_len: int):
     return tiles
 
 
-def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN) -> float:
+def _greedy_tiles(a, b, m: int):
+    """The tiles ``(i, j, length)`` of one pair: the three steps on ``[b]``."""
+    return _tiles(_matches(_index([b], m), a, m)[0], m)
+
+
+def gst_similarity(
+    a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN, matches=None
+) -> float:
     """Similarity of two token streams, strs as :func:`extract.tokenize_code`
-    returns them (or two tuples): 2*coverage / (len(a) + len(b))."""
+    returns them (or two tuples): 2*coverage / (len(a) + len(b)). A caller
+    that swept the pair (:func:`_matches`) passes its ``matches``."""
     if min_match_len < 1:
         raise ValueError("min_match_len must be >= 1")
     if type(a) is not type(b):
@@ -139,48 +147,52 @@ def gst_similarity(a: str, b: str, *, min_match_len: int = DEFAULT_MIN_MATCH_LEN
         return 1.0
     if not a or not b:
         return 0.0
-    covered = sum(length for _, _, length in _greedy_tiles(a, b, min_match_len))
-    return 2.0 * covered / (len(a) + len(b))
+    m = min_match_len
+    tiles = _greedy_tiles(a, b, m) if matches is None else _tiles(matches, m)
+    return 2.0 * sum(length for _, _, length in tiles) / (len(a) + len(b))
 
 
-def code_similarity(driver: Driver, patch: Patch) -> Optional[float]:
-    """Best token similarity between any driver source file and any file
-    touched by the patch, or None when either side has nothing to compare.
+def code_similarity(driver: Driver, patches: Sequence[Optional[Patch]]) -> List[Optional[float]]:
+    """For each patch, the best token similarity between any driver
+    source file and any Java file the patch touches, or None when either
+    side has nothing to compare.
 
     Identifier texts are abstracted to their token kind. Patch entries
     without fetched content can't be tokenized and are skipped.
 
-    Every tile is made of windows of ``min_match_len`` tokens that both
-    streams contain, so the positions of the patch file inside windows
-    the driver file also holds bound the pair's coverage: one probe of
-    the driver file's window set per patch window. Pairs are scored in
-    descending order of the bound until it is no better than the best
-    score so far, which leaves the max unchanged.
+    Every patch file is indexed once and every driver file swept once
+    against the index (:func:`_matches`). A tile lies inside a match, so
+    the patch file's positions inside some match bound the pair's
+    coverage. A patch's pairs are tiled in descending bound order until
+    the bound is no better than the best score, which keeps the max.
     """
-    patch_streams = [
-        extract.tokenize_code(modified.new_content)
-        for modified in patch.files
-        if file_kind(modified.path) == "java" and modified.new_content is not None
-    ]
-    if not driver.code or not patch_streams:
-        return None
     m = driver.min_match_len
-    patch_windows = [_all_windows(s, m) for s in patch_streams]
-    pairs = []
-    for d, (d_stream, held) in enumerate(driver.code):
-        for p, p_stream in enumerate(patch_streams):
+    owners, streams = [], []
+    for k, patch in enumerate(patches):
+        for modified in patch.files if patch is not None else ():
+            if file_kind(modified.path) == "java" and modified.new_content is not None:
+                owners.append(k)
+                streams.append(extract.tokenize_code(modified.new_content))
+    index = _index(streams, m)
+    pairs = [[] for _ in patches]
+    for d, kinds in enumerate(driver.code):
+        swept = _matches(index, kinds, m)
+        for p, stream in enumerate(streams):
+            matches = swept.get(p, ())
             # gst_similarity of the pair is at most `bound`
-            total = len(d_stream) + len(p_stream)
-            cover = _cover(bytes(map(held.__contains__, patch_windows[p])), m)
-            bound = 2.0 * cover / total if total else 1.0
-            pairs.append((bound, d, p))
-    pairs.sort(reverse=True)
-    best = 0.0
-    for most, d, p in pairs:
-        if most <= best:
-            break
-        best = max(best, gst_similarity(driver.code[d][0], patch_streams[p], min_match_len=m))
-    return best
+            total = len(kinds) + len(stream)
+            bound = 2.0 * _covered(matches) / total if total else 1.0
+            pairs[owners[p]].append((bound, d, p, kinds, stream, matches))
+    scores = []
+    for candidate in pairs:
+        best = 0.0 if candidate else None
+        # (d, p) is unique, so the sort compares no streams
+        for most, _, _, kinds, stream, matches in sorted(candidate, reverse=True):
+            if most <= best:
+                break
+            best = max(best, gst_similarity(kinds, stream, min_match_len=m, matches=matches))
+        scores.append(best)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -205,31 +217,21 @@ class Driver:
     shared read-only by all candidates: the report thread as one string
     of stemmed words for mentions (:func:`extract.stemmed_thread`), the
     repository's facts, and its Java files for :func:`code_similarity`,
-    each as its token kinds (:func:`extract.tokenize_code`) and its set of
-    ``min_match_len``-windows."""
+    each as its token kinds (:func:`extract.tokenize_code`)."""
 
     thread: str
     context: extract.RepoContext
-    code: List[Tuple[str, AbstractSet[str]]]
+    code: List[str]
     min_match_len: int
 
     @classmethod
-    def prepare(
-        cls,
-        issue: IssueDocument,
-        snapshot: RepoSnapshot,
-        *,
-        min_match_len: int,
-    ) -> "Driver":
+    def prepare(cls, issue: IssueDocument, snapshot: RepoSnapshot, *, min_match_len: int) -> Driver:
         if min_match_len < 1:
             raise ValueError("min_match_len must be >= 1")
         return cls(
             thread=extract.stemmed_thread(issue),
             context=extract.build_repo_context(snapshot),
-            code=[
-                (kinds, set(_all_windows(kinds, min_match_len)))
-                for kinds in extract.code_kinds(snapshot).values()
-            ],
+            code=list(extract.code_kinds(snapshot).values()),
             min_match_len=min_match_len,
         )
 
@@ -268,10 +270,10 @@ def repo_similarity(driver: Driver, candidate: extract.RepoContext) -> Similarit
 
 
 def similarity_vector(
-    driver: Driver, repo: SimilarityVector, patch: Optional[Patch]
-) -> SimilarityVector:
-    """One candidate's vector across all factors: its repository's
-    factors (:func:`repo_similarity`) plus the code similarity of its
-    fix patch against the driver's sources."""
-    code = None if patch is None else code_similarity(driver, patch)
-    return dataclasses.replace(repo, code=code)
+    driver: Driver, repos: Sequence[SimilarityVector], patches: Sequence[Optional[Patch]]
+) -> List[SimilarityVector]:
+    """Every candidate's vector across all factors: its repository's
+    factors (:func:`repo_similarity`) plus the code similarity of its fix
+    patch against the driver's sources, all candidates of a run at once."""
+    codes = zip(repos, code_similarity(driver, patches))
+    return [dataclasses.replace(repo, code=code) for repo, code in codes]

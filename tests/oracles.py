@@ -11,8 +11,9 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from typing import AbstractSet, Optional, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
+from bugnav.corpus.models import PatchRef
 from bugnav.textprep import split_camel, stem
 
 
@@ -257,7 +258,7 @@ def optimal_coverage(a, b, min_match_len):
 
 # ---------------------------------------------------------------------------
 # pair bound of code similarity: the shared cover by a scan over runs of
-# set hits, independent of similarity._cover's bit widening
+# set hits, independent of the sweep's maximal matches and their spans
 
 _HITS = re.compile(b"\x01+")
 
@@ -615,6 +616,54 @@ def normalize_message_reference(message: str) -> str:
     if msg:
         msg = msg[0].lower() + msg[1:]
     return msg
+
+
+# ---------------------------------------------------------------------------
+# patch pointers in issue text
+
+
+# corpus.models' patterns, and find_patch_refs as it was before it
+# bisected the URL spans: each bare id scans every span
+_PULL_URL_RE = re.compile(r"https?://github\.com/([\w.-]+)/([\w.-]+)/pull/(\d+)")
+_COMMIT_URL_RE = re.compile(
+    r"https?://github\.com/([\w.-]+)/([\w.-]+)/commit/([0-9a-f]{7,40})"
+)
+_BARE_SHA_RE = re.compile(r"(?<![\w/])([0-9a-f]{7,40})(?![\w/])")
+_ANY_URL_RE = re.compile(r"https?://\S+")
+
+
+def find_patch_refs_reference(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
+    """Scan issue texts for patch pointers, in document order.
+
+    Pull request and commit URLs carry their own repository; a bare
+    commit id is taken to belong to the issue's home repository.
+    Duplicates keep their first position.
+    """
+    found: List[PatchRef] = []
+    seen = set()
+
+    def add(ref: PatchRef):
+        if ref not in seen:
+            seen.add(ref)
+            found.append(ref)
+
+    for text in texts:
+        if not text:
+            continue
+        events = []
+        for m in _PULL_URL_RE.finditer(text):
+            events.append((m.start(), PatchRef("pull", m.group(1), m.group(2), m.group(3))))
+        for m in _COMMIT_URL_RE.finditer(text):
+            events.append((m.start(), PatchRef("commit", m.group(1), m.group(2), m.group(3))))
+        url_spans = [m.span() for m in _ANY_URL_RE.finditer(text)]
+        for m in _BARE_SHA_RE.finditer(text):
+            inside_url = any(s <= m.start(1) < e for s, e in url_spans)
+            if not inside_url:
+                events.append((m.start(), PatchRef("commit", owner, repo, m.group(1))))
+        events.sort(key=lambda pair: pair[0])
+        for _, ref in events:
+            add(ref)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -810,6 +810,7 @@ def test_full_disk_under_the_snapshot_cache_costs_only_the_cache(
 ):
     full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
     fixtures = ROOT / "fixtures" / "walkthrough"
+    open_fds = os.listdir("/proc/self/fd")
     with mock.patch(call, side_effect=full), caplog.at_level(logging.WARNING):
         rc, out, _ = _run(capsys, [
             "recommend", "lightbend/config#398", "--fixture-dir", str(fixtures),
@@ -819,6 +820,8 @@ def test_full_disk_under_the_snapshot_cache_costs_only_the_cache(
     assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
     assert any("cannot write snapshot cache" in r.getMessage() for r in caplog.records)
     assert list(tmp_path.iterdir()) == []
+    # no temp file's descriptor stays open
+    assert sorted(os.listdir("/proc/self/fd")) == sorted(open_fds)
 
 
 def test_long_name_run_and_space_run_in_the_driver(capsys, tmp_path):

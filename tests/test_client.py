@@ -5,10 +5,11 @@ import json
 import logging
 import sys
 import threading
+import time
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bugnav.corpus.client import PlatformClient
@@ -18,7 +19,7 @@ from bugnav.corpus.models import FILE_KINDS, IssueRef, PatchRef, file_kind, find
 from bugnav.errors import NotFoundError, TransportError, ValidationError
 from bugnav.extract import CONTEXT_KINDS, build_repo_context
 from bugnav.querygen import SearchQuery
-from oracles import file_kinds_reference
+from oracles import file_kinds_reference, find_patch_refs_reference
 from stubs import StubTransport, put_issue, put_repo_tree, put_search
 
 
@@ -161,6 +162,34 @@ def _put_issue(transport, owner, repo, number, *, title="t", body="", state="clo
 )
 def test_find_patch_refs_skips_ids_inside_urls(text, refs):
     assert find_patch_refs("h", "home", [text]) == [PatchRef(*ref) for ref in refs]
+
+
+# URL openings, pull and commit paths, hex digits, slashes and spaces:
+# ids inside, after and between URLs, and URLs that end at a space
+_REF_PIECES = st.sampled_from([
+    "http://", "https://", "https://github.com/o/r/commit/", "https://github.com/o/r/pull/",
+    "github.com/", "#", ".", "-", "x", "/", "/", " ", " ", " ", "\n",
+    "0", "1", "9", "a", "b", "e", "f", "abcdef1", "deadbeef", "a1b2c3d",
+])
+_ref_text = st.lists(_REF_PIECES, max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_ref_text, max_size=3))
+@example(["http://x abcdef1 https://y/abcdef1 abcdef1"])
+@example(["see https://github.com/o/r/pull/5#deadbeef1 then abcdef1", "abcdef1 a1b2c3d"])
+@example(["abcdef1http://x abcdef1", "http://x\nabcdef1/ deadbeef"])
+def test_find_patch_refs_equals_reference(texts):
+    assert find_patch_refs("h", "home", texts) == find_patch_refs_reference("h", "home", texts)
+
+
+def test_many_urls_and_ids_are_scanned_fast():
+    # each id used to scan every URL before it: about a second here
+    body = ("http://x abcdef1 " * 4000)[:65536]
+    start = time.process_time()
+    refs = find_patch_refs("h", "home", [body])
+    assert time.process_time() - start < 0.25
+    assert refs == [PatchRef("commit", "h", "home", "abcdef1")]
 
 
 class TestFetchIssue:

@@ -251,7 +251,7 @@ def _code(files, mml):
 
 def _vector(driver, candidate_ctx, patch=None):
     repo = similarity.repo_similarity(driver, candidate_ctx)
-    return similarity.similarity_vector(driver, repo, patch)
+    return similarity.similarity_vector(driver, [repo], [patch])[0]
 
 
 # the ranking factor each similarity feeds
@@ -289,10 +289,10 @@ class TestCodeSimilarity:
                 "src/Y.java": "log.warn(msg); return;",
             }
         )
-        got = similarity.code_similarity(driver, patch)
+        [got] = similarity.code_similarity(driver, [patch])
         pairwise = [
             similarity.gst_similarity(ds, extract.tokenize_code(pc), min_match_len=3)
-            for ds, _ in driver.code
+            for ds in driver.code
             for pc in [
                 "int z = readHeader(data); if (z > max) { throw fail(z); }",
                 "log.warn(msg); return;",
@@ -304,12 +304,12 @@ class TestCodeSimilarity:
     def test_no_java_in_patch_is_not_applicable(self):
         driver = _code({"src/A.java": "int a = 0;"}, 3)
         patch = _patch({"res/layout/main.xml": "<LinearLayout/>"})
-        assert similarity.code_similarity(driver, patch) is None
+        assert similarity.code_similarity(driver, [patch]) == [None]
 
     def test_no_java_in_driver_is_not_applicable(self):
         driver = _code({"README.md": "hello"}, 3)
         patch = _patch({"src/X.java": "int a = 0;"})
-        assert similarity.code_similarity(driver, patch) is None
+        assert similarity.code_similarity(driver, [patch]) == [None]
 
     def test_min_match_len_below_one_raises(self):
         with pytest.raises(ValueError):
@@ -323,7 +323,7 @@ class TestCodeSimilarity:
             ref=PatchRef("commit", "octo", "demo", "a" * 7),
             files=[ModifiedFile(path="src/X.java", new_content=None)],
         )
-        assert similarity.code_similarity(driver, patch) is None
+        assert similarity.code_similarity(driver, [patch]) == [None]
 
 
 # Java fragments over a few token kinds, so files share runs of kinds
@@ -360,21 +360,29 @@ def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sou
         for d in driver_sources
         for p in patch_sources
     )
-    assert similarity.code_similarity(driver, patch) == brute
+    assert similarity.code_similarity(driver, [patch]) == [brute]
 
 
 _kind_streams = st.lists(st.text("ABC", max_size=30), min_size=1, max_size=20)
+
+
+def _windows(stream, length):
+    return [stream[i : i + length] for i in range(len(stream) - length + 1)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_kind_streams, _kind_streams, st.integers(1, 6))
 @example(["ABCABC", "", "CAB"] * 3, ["BCABCA", "AAAA"] * 9, 2)
 def test_pair_covers_equal_patch_side_set_probes(driver_streams, patch_streams, mml):
-    patch_windows = [similarity._all_windows(s, mml) for s in patch_streams]
+    # the span OR of a pair's matches from one sweep of the driver file
+    # against the index of every patch stream
+    index = similarity._index(patch_streams, mml)
+    patch_windows = [_windows(s, mml) for s in patch_streams]
     for d_stream in driver_streams:
-        d_windows = set(similarity._all_windows(d_stream, mml))
-        for p_windows in patch_windows:
-            cover = similarity._cover(bytes(map(d_windows.__contains__, p_windows)), mml)
+        swept = similarity._matches(index, d_stream, mml)
+        d_windows = set(_windows(d_stream, mml))
+        for p, p_windows in enumerate(patch_windows):
+            cover = similarity._covered(swept.get(p, ()))
             assert cover == shared_cover_reference(p_windows, d_windows, mml)
 
 
@@ -382,11 +390,11 @@ def test_pair_covers_equal_patch_side_set_probes(driver_streams, patch_streams, 
 @given(_kind_streams, _kind_streams, st.integers(1, 6))
 @example(["ABABAB"], ["BABA", "ABABABAB"], 2)
 def test_pair_cover_bounds_each_pairs_coverage(driver_streams, patch_streams, mml):
+    index = similarity._index(patch_streams, mml)
     for d_stream in driver_streams:
-        d_windows = set(similarity._all_windows(d_stream, mml))
-        for p_stream in patch_streams:
-            p_windows = similarity._all_windows(p_stream, mml)
-            cover = similarity._cover(bytes(map(d_windows.__contains__, p_windows)), mml)
+        swept = similarity._matches(index, d_stream, mml)
+        for p, p_stream in enumerate(patch_streams):
+            cover = similarity._covered(swept.get(p, ()))
             assert greedy_coverage_reference(d_stream, p_stream, mml) <= cover
 
 
@@ -415,13 +423,81 @@ def test_prepared_driver_reused_over_patches_equals_brute_force_max(
             for d in driver_sources
             for p in patch_sources
         )
-        assert similarity.code_similarity(driver, patch) == brute
+        assert similarity.code_similarity(driver, [patch]) == [brute]
+
+
+# a patch file: Java, comment-only Java, Java without fetched content, or
+# a layout that is not Java at all
+_patch_file = st.one_of(
+    st.tuples(st.just("src/F.java"), _java_file),
+    st.just(("src/C.java", COMMENT_ONLY)),
+    st.just(("src/N.java", None)),
+    st.just(("res/layout/main.xml", "<LinearLayout/>")),
+)
+
+
+@st.composite
+def _run_patches(draw):
+    """A run's patches, some None, drawn from one pool of files so that
+    two patches can share a file."""
+    pool = draw(st.lists(_patch_file, min_size=1, max_size=6))
+    return draw(st.lists(st.none() | st.lists(st.sampled_from(pool), max_size=4), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_java_file, max_size=4), _run_patches(), st.integers(1, 6))
+@example(["int a = 0; return a;"], [None, [("src/F.java", "int a = 0; return a;")]] * 2, 2)
+@example(["x.y(z);"], [[("res/layout/main.xml", "<LinearLayout/>")], None, []], 1)
+@example([COMMENT_ONLY], [[("src/C.java", COMMENT_ONLY)], [("src/N.java", None)]], 3)
+@example([], [[("src/F.java", "int a = 0;")]], 1)
+def test_run_wide_code_similarity_equals_brute_force_max_per_patch(
+    driver_sources, patches, mml
+):
+    driver = _code({f"src/D{k}.java": src for k, src in enumerate(driver_sources)}, mml)
+    runs = [
+        None if files is None else Patch(
+            ref=PatchRef("pull", "octo", "demo", str(k + 1)),
+            files=[ModifiedFile(path=path, new_content=content) for path, content in files],
+        )
+        for k, files in enumerate(patches)
+    ]
+    want = []
+    for files in patches:
+        java = [
+            extract.tokenize_code(content)
+            for path, content in files or ()
+            if path.endswith(".java") and content is not None
+        ]
+        want.append(
+            max(
+                similarity.gst_similarity(extract.tokenize_code(d), p, min_match_len=mml)
+                for d in driver_sources
+                for p in java
+            )
+            if driver_sources and java
+            else None
+        )
+    assert similarity.code_similarity(driver, runs) == want
+
+
+def test_pair_whose_bound_is_no_better_than_the_best_is_not_tiled(monkeypatch):
+    # D1 holds most of the patch file, a bound of 0.91 under the 1.0 of D0
+    fix = "int a = readHeader(buf); if (a > limit) { throw fail(a); } return a;"
+    part = "int a = readHeader(buf); if (a > limit) { log(a); }"
+    driver = _code({"src/D0.java": fix, "src/D1.java": part}, 3)
+    tiled = []
+    gst = similarity.gst_similarity
+    monkeypatch.setattr(
+        similarity, "gst_similarity", lambda a, b, **kw: tiled.append(a) or gst(a, b, **kw)
+    )
+    assert similarity.code_similarity(driver, [_patch({"src/X.java": fix})]) == [1.0]
+    assert tiled == [driver.code[0]]
 
 
 def test_comment_only_files_on_both_sides_score_one():
     driver = _code({"src/A.java": COMMENT_ONLY}, 9)
     patch = _patch({"src/X.java": "// fixed\n"})
-    assert similarity.code_similarity(driver, patch) == 1.0
+    assert similarity.code_similarity(driver, [patch]) == [1.0]
 
 
 MANIFEST = """\
