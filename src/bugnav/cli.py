@@ -3,12 +3,13 @@
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import List, Optional
 
 from . import pipeline
 from .config import OUTPUT_FORMATS, QUALIFIER_MODES, RunConfig
-from .corpus import MINING_PHRASES, mine_similar_pairs
+from .corpus.miner import MINING_PHRASES, mine_similar_pairs
 from .errors import (
     NoCandidatesError,
     QueryConstructionError,
@@ -118,14 +119,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: Optional[str] = None) -> None:
+    """Write text to stdout, and first to the output file when one is named.
+
+    After a failed stdout write, stdout points at os.devnull so that the
+    interpreter's flush at exit does not fail again."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValidationError(f"cannot write output file {output}: {exc.strerror}") from exc
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValidationError(f"cannot write standard output: {exc.strerror}") from exc
 
 
 def _recommend_table(rec: pipeline.Recommendation) -> str:
@@ -149,9 +161,10 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     driver = pipeline.resolve_driver(args.issue, client)
     rec = pipeline.recommend(driver, config, client)
     if config.output_format == "table":
-        print(_recommend_table(rec))
+        text = _recommend_table(rec)
     else:
-        print(json.dumps(pipeline.recommendation_to_dict(rec), indent=2, sort_keys=True))
+        text = json.dumps(pipeline.recommendation_to_dict(rec), indent=2, sort_keys=True)
+    _emit(text + "\n")
     return EXIT_OK
 
 
@@ -159,9 +172,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = evaluate(EvalDataset.load(args.dataset), config.weights)
     if config.output_format == "table":
-        print(report.format_table())
+        text = report.format_table()
     else:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    _emit(text + "\n")
     return EXIT_OK
 
 

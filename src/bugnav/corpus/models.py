@@ -96,10 +96,6 @@ class IssueRef:
     def __str__(self):
         return f"{self.owner}/{self.repo}#{self.number}"
 
-    @property
-    def project(self) -> str:
-        return f"{self.owner}/{self.repo}"
-
 
 @dataclass(frozen=True)
 class PatchRef:

@@ -27,17 +27,17 @@ from dataclasses import dataclass
 from typing import List
 
 from .config import RunConfig
-from .corpus import (
+from .corpus.client import PlatformClient
+from .corpus.fixtures import FixtureStore
+from .corpus.models import (
     FILE_KINDS,
-    FixtureStore,
     IssueDocument,
     IssueHit,
     IssueRef,
-    PlatformClient,
-    ReplayTransport,
     RepoSnapshot,
     find_patch_refs,
 )
+from .corpus.transport import ReplayTransport
 from .errors import (
     NoCandidatesError,
     NotFoundError,

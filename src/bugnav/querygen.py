@@ -29,11 +29,12 @@ STRATEGY_SUMMARY_UNSCOPED = "summary_unscoped"  # SearchQuery's default label
 
 DEFAULT_N_THRESHOLD = 5
 
-# An exception name. Only ever matched from a start _exception_match has
-# found: a search would scan each word start of a long [\w.$] run to the
-# run's end, in time quadratic in the run.
-_EXC_RE = re.compile(r"\b(?:[A-Za-z][\w.$]*)?(?:Exception|Error)\b")
-_EXC_WORD_RE = re.compile(r"(?:Exception|Error)\b")
+# An exception name lies in one maximal [\w.$] run: it starts at an ASCII
+# letter after no \w character and ends at the run's last "Exception" or
+# "Error" that ends a word.
+_RUN_RE = re.compile(r"[\w.$]+")
+_KEYWORD_RE = re.compile(r"(?:Exception|Error)\b")
+_NAME_START_RE = re.compile(r"(?<!\w)[A-Za-z]")
 _CAUSED_RE = re.compile(r"^\s*Caused by:\s*(.*)$")
 _COND_KEYWORD_RE = re.compile(r"\b(if|when|while)\b", re.IGNORECASE)
 # A numeric tail (": 93067 bytes") read backwards from the end of a stripped
@@ -42,7 +43,7 @@ _COND_KEYWORD_RE = re.compile(r"\b(if|when|while)\b", re.IGNORECASE)
 # in linear time; searched forwards to a `$`, its spaces around ':' would
 # split a run of spaces in every way at every start, in cubic time.
 _NUM_TAIL_REVERSED_RE = re.compile(r"(?:[A-Za-z]+\s+)?[\d.,]*\d\s*[:=]?\s*")
-_JUNK_RE = re.compile(r"['\"`()\[\]{}<>:;,!?]")
+_JUNK_RE = re.compile(r"['\"`()\[\]{}<>:;,!?.$]")
 
 
 @dataclass
@@ -61,43 +62,25 @@ class QueryOutcome:
     attempts: List[Tuple[SearchQuery, int]] = field(default_factory=list)
 
 
-def _is_word(char: str) -> bool:
-    r"""Whether char is a regex \w character."""
-    return char.isalnum() or char == "_"
-
-
-def _exception_match(text: str) -> Optional[re.Match]:
-    r"""_EXC_RE's leftmost match in text, in time linear in text.
-
-    From each "Exception" or "Error" that ends a word, a walk goes left
-    over [\w.$]. The leftmost place on it where a name may begin, an ASCII
-    letter after no \w character, is where the leftmost match starts. A
-    walk stops where the previous one began, since no match starts before."""
-    checked = 0  # no match starts in text[:checked]
-    for word in _EXC_WORD_RE.finditer(text):
-        start, i = None, word.start()
-        while True:
-            before = text[i - 1] if i else " "
-            if text[i].isascii() and text[i].isalpha() and not _is_word(before):
-                start = i
-            if i == checked or not (_is_word(before) or before in ".$"):
-                break
-            i -= 1
-        if start is not None:
-            return _EXC_RE.match(text, start)
-        checked = word.start() + 1
-    return None
-
-
 def _parse_exception_text(text: str) -> Optional[Tuple[str, str]]:
-    """Pick "name: message" out of one line of text."""
-    m = _exception_match(text)
-    if not m:
-        return None
-    name = m.group().strip(".")
-    rest = text[m.end():]
-    message = rest[1:].strip() if rest.startswith(":") else ""
-    return name, message
+    r"""Pick "name: message" out of one line of text.
+
+    The name is in the first [\w.$] run where a name may start at or
+    before the start of the run's last keyword. Each run is read once for
+    its keywords and at most once for a name start: linear in text."""
+    for run in _RUN_RE.finditer(text):
+        keyword = None
+        for keyword in _KEYWORD_RE.finditer(text, run.start(), run.end()):
+            pass
+        if keyword is None:
+            continue
+        start = _NAME_START_RE.search(text, run.start(), keyword.start() + 1)
+        if start:
+            name = text[start.start():keyword.end()].strip(".")
+            rest = text[keyword.end():]
+            message = rest[1:].strip() if rest.startswith(":") else ""
+            return name, message
+    return None
 
 
 def parse_stack_trace(body: str) -> Optional[StackTraceInfo]:
@@ -108,36 +91,23 @@ def parse_stack_trace(body: str) -> Optional[StackTraceInfo]:
     reporter pasted a partial trace), fall back to the first exception
     line and mark the result incomplete.
     """
-    lines = body.splitlines()
     top = None
-    for line in lines:
-        parsed = _parse_exception_text(line)
-        if parsed:
-            top = parsed
-            break
-    if top is None:
-        return None
-
     caused: List[Optional[Tuple[str, str]]] = []
-    for line in lines:
+    for line in body.splitlines():
+        if top is None:
+            top = _parse_exception_text(line)
         cm = _CAUSED_RE.match(line)
         if cm:
             caused.append(_parse_exception_text(cm.group(1)))
-
-    complete = True
-    root = top
-    if caused:
-        if caused[-1] is not None:
-            root = caused[-1]
-        else:
-            complete = False
-
+    if top is None:
+        return None
+    root = caused[-1] if caused and caused[-1] else top
     return StackTraceInfo(
         top_exception=top[0],
         top_message=top[1],
         root_exception=root[0],
         root_message=root[1],
-        complete=complete,
+        complete=not caused or caused[-1] is not None,
     )
 
 
@@ -145,8 +115,8 @@ def _normalize_message(message: str) -> str:
     """Shape an exception message for use as query text.
 
     Numeric tails (": 93067 bytes") carry no reusable signal and are cut;
-    quote and bracket characters become spaces so identifiers split apart
-    cleanly; dots and dollar signs become spaces for the same reason.
+    quote, bracket, dot and dollar characters become spaces so identifiers
+    split apart cleanly.
     Only the leading character is lowercased; interior casing is the
     reporter's and stays.
     """
@@ -154,7 +124,6 @@ def _normalize_message(message: str) -> str:
     tail = _NUM_TAIL_REVERSED_RE.match(msg[::-1])
     if tail:
         msg = msg[: len(msg) - tail.end()]
-    msg = re.sub(r"[.$]", " ", msg)
     msg = _JUNK_RE.sub(" ", msg)
     msg = re.sub(r"\s+", " ", msg).strip()
     if msg:

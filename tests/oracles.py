@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from bugnav.corpus.models import PatchRef
+from bugnav.querygen import StackTraceInfo
 from bugnav.textprep import split_camel, stem
 
 
@@ -585,6 +586,7 @@ def stem_reference(token: str) -> str:
 # linear: _EXC_RE is quadratic in a long [\w.$] run, _NUM_TAIL_RE cubic in
 # a run of spaces
 _EXC_RE = re.compile(r"\b(?:[A-Za-z][\w.$]*)?(?:Exception|Error)\b")
+_CAUSED_RE = re.compile(r"^\s*Caused by:\s*(.*)$")
 _NUM_TAIL_RE = re.compile(r"\s*[:=]?\s*\d[\d.,]*(?:\s+[A-Za-z]+)?\s*$")
 _JUNK_RE = re.compile(r"['\"`()\[\]{}<>:;,!?]")
 
@@ -598,6 +600,48 @@ def parse_exception_text_reference(text: str) -> Optional[Tuple[str, str]]:
     rest = text[m.end():]
     message = rest[1:].strip() if rest.startswith(":") else ""
     return name, message
+
+
+# querygen.parse_stack_trace as it was before it took one loop over the lines
+def parse_stack_trace_reference(body: str) -> Optional[StackTraceInfo]:
+    """Locate the stack trace in an issue body and find its root cause.
+
+    The root cause is the exception of the last "Caused by:" block.
+    When a "Caused by:" line exists but nothing after it parses (the
+    reporter pasted a partial trace), fall back to the first exception
+    line and mark the result incomplete.
+    """
+    lines = body.splitlines()
+    top = None
+    for line in lines:
+        parsed = parse_exception_text_reference(line)
+        if parsed:
+            top = parsed
+            break
+    if top is None:
+        return None
+
+    caused: List[Optional[Tuple[str, str]]] = []
+    for line in lines:
+        cm = _CAUSED_RE.match(line)
+        if cm:
+            caused.append(parse_exception_text_reference(cm.group(1)))
+
+    complete = True
+    root = top
+    if caused:
+        if caused[-1] is not None:
+            root = caused[-1]
+        else:
+            complete = False
+
+    return StackTraceInfo(
+        top_exception=top[0],
+        top_message=top[1],
+        root_exception=root[0],
+        root_message=root[1],
+        complete=complete,
+    )
 
 
 def normalize_message_reference(message: str) -> str:

@@ -17,8 +17,11 @@ from pathlib import Path
 import pytest
 
 from bugnav import cli, querygen, ranking
-from bugnav.corpus import FixtureStore, PlatformClient, ReplayTransport, mine_similar_pairs
+from bugnav.corpus.client import PlatformClient
+from bugnav.corpus.fixtures import FixtureStore
+from bugnav.corpus.miner import mine_similar_pairs
 from bugnav.corpus.models import IssueDocument, IssueHit, IssueRef
+from bugnav.corpus.transport import ReplayTransport
 from bugnav.evalharness import EvalDataset, evaluate, precision_at_k
 from bugnav.similarity import SimilarityVector, gst_similarity, overlap_coefficient
 
@@ -317,7 +320,7 @@ def test_10_miner_matches_golden_pairs():
     assert text == (GOLDEN / "miner_pairs.txt").read_text()
     assert pairs
     for driver, navigator in pairs:
-        assert driver.project != navigator.project
+        assert (driver.owner, driver.repo) != (navigator.owner, navigator.repo)
 
 
 # --- bundled-example regressions beyond the numbered gate ---

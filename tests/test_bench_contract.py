@@ -52,7 +52,7 @@ def test_every_target_is_traced(tracer, capsys):
 def test_snapshot_fetch_takes_owner_and_repo_first():
     """``tracer._note_snapshot`` reads the repository from a traced call's
     positional arguments, ``args[1]`` and ``args[2]`` after ``self``."""
-    from bugnav.corpus import PlatformClient
+    from bugnav.corpus.client import PlatformClient
 
     params = list(inspect.signature(PlatformClient.fetch_repo_snapshot).parameters.values())
     assert [p.name for p in params[:3]] == ["self", "owner", "repo"]
@@ -96,7 +96,8 @@ def test_recommend_records_every_layer_span(tracer, capsys):
     and fetch each repository's snapshot once."""
     from bugnav import pipeline
     from bugnav.config import RunConfig
-    from bugnav.corpus import IssueRef, PlatformClient
+    from bugnav.corpus.client import PlatformClient
+    from bugnav.corpus.models import IssueRef
     from stubs import StubTransport, put_shared_repos
 
     transport = StubTransport()

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 from bugnav import cli, pipeline
 from bugnav.config import RunConfig
-from bugnav.corpus import PlatformClient, ReplayTransport
+from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.corpus.models import IssueRef
+from bugnav.corpus.transport import ReplayTransport
 from bugnav.evalharness import EvalDataset
 from bugnav.ranking import WeightConfig, tune_weights
 from stubs import (
@@ -755,6 +756,53 @@ def _cli_in_ascii_locale(*argv):
     return subprocess.run(
         [sys.executable, "-m", "bugnav.cli", *argv], env=env, capture_output=True, timeout=120,
     )
+
+
+# one run of each subcommand that writes to stdout
+_STDOUT_RUNS = {
+    "recommend": ["recommend", "lightbend/config#398",
+                  "--fixture-dir", str(ROOT / "fixtures" / "walkthrough")],
+    "evaluate": ["evaluate", str(ROOT / "fixtures" / "eval" / "dataset.jsonl"),
+                 "--format", "table"],
+    "mine": ["mine", "--fixture-dir", str(ROOT / "fixtures" / "miner")],
+    "tune": ["tune", str(ROOT / "fixtures" / "eval" / "dataset.jsonl"), "--grid-step", "1.0"],
+}
+
+
+def _cli_writing_to(stdout, argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bugnav.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+    )
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", _STDOUT_RUNS)
+def test_full_stdout_is_a_usage_error(name):
+    with open("/dev/full", "wb") as full:
+        rc, err = _cli_writing_to(full, _STDOUT_RUNS[name])
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}"
+    )
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("name", _STDOUT_RUNS)
+def test_closed_stdout_pipe_is_a_usage_error(name):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        rc, err = _cli_writing_to(write_end, _STDOUT_RUNS[name])
+    finally:
+        os.close(write_end)
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        f"error: cannot write standard output: {os.strerror(errno.EPIPE)}"
+    )
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):

@@ -16,19 +16,20 @@ from hypothesis import strategies as st
 
 from bugnav import pipeline
 from bugnav.config import RunConfig
-from bugnav.corpus import (
+from bugnav.corpus.client import PlatformClient
+from bugnav.corpus.live import LiveTransport
+from bugnav.corpus.models import (
+    FILE_KINDS,
     IssueDocument,
     IssueHit,
     IssueRef,
     ModifiedFile,
     Patch,
     PatchRef,
-    PlatformClient,
-    ReplayTransport,
     RepoSnapshot,
+    file_kind,
 )
-from bugnav.corpus.live import LiveTransport
-from bugnav.corpus.models import FILE_KINDS, file_kind
+from bugnav.corpus.transport import ReplayTransport
 from bugnav.errors import (
     NoCandidatesError,
     NotFoundError,

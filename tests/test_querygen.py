@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from bugnav import querygen
 from bugnav.corpus.models import IssueDocument, IssueHit, IssueRef
 from bugnav.errors import QueryConstructionError
-from oracles import normalize_message_reference, parse_exception_text_reference
+from oracles import (
+    normalize_message_reference,
+    parse_exception_text_reference,
+    parse_stack_trace_reference,
+)
 
 
 MAUI_BODY = """\
@@ -269,8 +273,30 @@ _LINE_PIECES = st.sampled_from(
 @example("$a.Error$")
 @example("é.ErrorError.Exception")
 @example("_Error.xError")
+@example("_Error x.FooError: m")
+@example("a$Error")
+@example("aError\u0663 Error")
 def test_exception_text_equals_reference(line):
     assert querygen._parse_exception_text(line) == parse_exception_text_reference(line)
+
+
+# lines of a body: name runs, trace frames, "Caused by:" heads with and
+# without a name after them, and the pieces between
+_TRACE_PIECES = st.sampled_from(
+    ["Caused by: ", "  Caused by:", "Caused by:x", "java.io.IOException", "a.b.FooError",
+     "_Error.", "Exception", "Error", ": msg 12", "\tat a.B.c(B.java:3)", "$", ".", " ",
+     "é", "\u0663", "\n", "\r\n"]
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_TRACE_PIECES, max_size=30).map("".join))
+@example("Exception: top\nCaused by: x.RootError: root")
+@example("Exception: top\nCaused by: nothing here")
+@example("Caused by: a.FirstError: 1\nCaused by:\nCaused by: b.SecondError: 2")
+@example("no trace\nCaused by: only.CauseError")
+def test_stack_trace_equals_reference(body):
+    assert querygen.parse_stack_trace(body) == parse_stack_trace_reference(body)
 
 
 # the characters of a numeric tail, with non-ASCII digits and spaces

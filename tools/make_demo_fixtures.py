@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from bugnav import cli  # noqa: E402
-from bugnav.corpus import FixtureStore  # noqa: E402
+from bugnav.corpus.fixtures import FixtureStore  # noqa: E402
 from bugnav.corpus.models import IssueRef  # noqa: E402
 from bugnav.evalharness import EvalDataset, EvalEntry, LabeledCandidate  # noqa: E402
 from bugnav.extract import tokenize_code  # noqa: E402
@@ -578,7 +578,7 @@ def golden_miner():
     assert out == expected, out
     for line in out.splitlines():
         d, n = (IssueRef.parse(part) for part in line.split())
-        assert d.project != n.project, line
+        assert (d.owner, d.repo) != (n.owner, n.repo), line
     (GOLDEN / "miner_pairs.txt").write_text(out)
     print(f"  {len(out.splitlines())} mined pairs, no same-project links")
 
