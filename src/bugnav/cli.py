@@ -11,9 +11,9 @@ from . import pipeline
 from .config import OUTPUT_FORMATS, QUALIFIER_MODES, RunConfig
 from .corpus.miner import MINING_PHRASES, mine_similar_pairs
 from .errors import (
+    BugnavError,
     NoCandidatesError,
     QueryConstructionError,
-    RateLimitError,
     TransportError,
     ValidationError,
     read_json_object,
@@ -26,6 +26,9 @@ EXIT_USAGE = 1
 EXIT_NO_CANDIDATES = 2
 EXIT_NO_QUERY = 3
 EXIT_TRANSPORT = 4
+
+_EXIT_CODES = {ValidationError: EXIT_USAGE, NoCandidatesError: EXIT_NO_CANDIDATES,
+               QueryConstructionError: EXIT_NO_QUERY, TransportError: EXIT_TRANSPORT}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,11 +122,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _emit(text: str, output: Optional[str] = None) -> None:
-    """Write text to stdout, and first to the output file when one is named.
-
-    After a failed stdout write, stdout points at os.devnull so that the
+def _to_devnull(stream) -> None:
+    """Point stream at os.devnull after a failed write, so that the
     interpreter's flush at exit does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _emit(text: str, output: Optional[str] = None) -> None:
+    """Write text to stdout, and first to the output file when one is named."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
@@ -134,10 +142,17 @@ def _emit(text: str, output: Optional[str] = None) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         raise ValidationError(f"cannot write standard output: {exc.strerror}") from exc
+
+
+def _say(line: str) -> None:
+    """Write one line to stderr; a failed write is dropped, since stderr is
+    the last place left to report to."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def _recommend_table(rec: pipeline.Recommendation) -> str:
@@ -192,7 +207,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     dataset = EvalDataset.load(args.dataset)
     points = grid_size(config.weights, args.grid_step)
-    print(f"tune: searching {points:,} grid points", file=sys.stderr)
+    _say(f"tune: searching {points:,} grid points")
     tuned = tune_weights(dataset, args.grid_step, base=config.weights)
     payload = json.dumps(tuned.to_dict(), indent=2, sort_keys=True) + "\n"
     _emit(payload, args.output)
@@ -238,22 +253,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QueryConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_QUERY
-    except NoCandidatesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CANDIDATES
-    except RateLimitError as exc:
-        hint = "" if exc.retry_after is None else f" (retry after {exc.retry_after:.0f}s)"
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    except BugnavError as exc:
+        retry_after = getattr(exc, "retry_after", None)
+        hint = "" if retry_after is None else f" (retry after {retry_after:.0f}s)"
+        _say(f"error: {exc}{hint}")
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

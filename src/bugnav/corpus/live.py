@@ -8,6 +8,7 @@ and ``evaluate`` never load the HTTP stack.
 from __future__ import annotations
 
 import email.utils
+import itertools
 import string
 import threading
 import time
@@ -108,36 +109,32 @@ class LiveTransport:
             headers["Authorization"] = f"Bearer {self._token}"
         bucket = self._search_bucket if endpoint == "search_issues" else self._core_bucket
 
-        attempt = 0
-        while True:
+        for attempt in itertools.count():
             bucket.acquire()
             try:
                 response = self._session.get(
                     url, params=query, headers=headers, timeout=self._timeout
                 )
             except requests.RequestException as exc:
-                if attempt >= self._max_retries:
-                    raise RequestFailedError(f"{endpoint}: {exc}") from exc
-                self._sleep(2.0 ** attempt)
-                attempt += 1
-                continue
-            status = response.status_code
-            if status in _RETRYABLE:
-                if attempt >= self._max_retries:
-                    raise RequestFailedError(f"{endpoint} failed with status {status}")
-                self._sleep(2.0 ** attempt)
-                attempt += 1
-                continue
-            payload = _safe_json(response)
-            if status in (403, 429):
-                retry_after = response.headers.get("Retry-After")
-                message = _payload_message(payload)
-                if status == 429 or retry_after is not None or "rate limit" in message.lower():
-                    raise RateLimitError(
-                        message or f"{endpoint}: rate limited",
-                        retry_after=_retry_after_seconds(retry_after),
-                    )
-            return status, payload
+                failure, cause = f"{endpoint}: {exc}", exc
+            else:
+                status = response.status_code
+                if status not in _RETRYABLE:
+                    break
+                failure, cause = f"{endpoint} failed with status {status}", None
+            if attempt >= self._max_retries:
+                raise RequestFailedError(failure) from cause
+            self._sleep(2.0 ** attempt)
+        payload = _safe_json(response)
+        if status in (403, 429):
+            retry_after = response.headers.get("Retry-After")
+            message = _payload_message(payload)
+            if status == 429 or retry_after is not None or "rate limit" in message.lower():
+                raise RateLimitError(
+                    message or f"{endpoint}: rate limited",
+                    retry_after=_retry_after_seconds(retry_after),
+                )
+        return status, payload
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:

@@ -66,27 +66,27 @@ def read_json(path, what: str, error: type = ValidationError):
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def read_json_lines(path, what: str, parse, error: type = ValidationError) -> list:
+def read_json_lines(path, what: str, parse) -> list:
     """``parse(value)`` of the JSON value on each non-blank line of the
     UTF-8 file ``path``. A byte order mark opening the file is skipped, as
     :func:`read_json` skips one. Lines end at a line feed only: a string may
     hold a raw U+2028, and a CRLF line's carriage return is JSON whitespace.
     An unreadable file, a line that is not JSON, or a value that ``parse``
-    rejects with ValueError or ``error`` raises ``error`` naming ``what``
-    and the line."""
+    rejects with ValueError or ValidationError raises ValidationError
+    naming ``what`` and the line."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             lines = fh.read().split("\n")
     except (OSError, ValueError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     values = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             values.append(parse(json.loads(line)))
-        except (ValueError, RecursionError, error) as exc:
-            raise error(f"{what} {path} line {number}: {exc}") from exc
+        except (ValueError, RecursionError, ValidationError) as exc:
+            raise ValidationError(f"{what} {path} line {number}: {exc}") from exc
     return values
 
 

@@ -24,6 +24,7 @@ from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
 from bugnav.corpus.models import IssueRef
 from bugnav.corpus.transport import ReplayTransport
+from bugnav.errors import RateLimitError
 from bugnav.evalharness import EvalDataset
 from bugnav.ranking import WeightConfig, tune_weights
 from stubs import (
@@ -146,6 +147,22 @@ def _recommend(capsys, fxdir, *extra):
     return _run(capsys, ["recommend", "octo/driver#7", "--fixture-dir", str(fxdir), *extra])
 
 
+# what replaces the driver's fixture file in each case of
+# test_unreadable_payload_exit_code: nothing for "missing", a directory
+# for "directory"
+_DAMAGE = {
+    "missing": None,
+    "corrupt": b'{"title": ',
+    "deep": b"[" * 100_000,
+    "not-utf8": b"\xff",
+    "array": b"[1, 2]",
+    "string-status": b'{"status": "200", "payload": {}}',
+    "true-status": b'{"status": true, "payload": {}}',
+    "no-payload": b'{"endpoint": "get_issue", "status": 200}',
+    "directory": None,
+}
+
+
 class TestRecommend:
     def test_structured_output_ranks_patched_candidate_first(self, capsys, fxdir):
         rc, out, err = _recommend(capsys, fxdir)
@@ -247,9 +264,7 @@ class TestRecommend:
         """A miss on the driver, or on candidate acme/beta#22 in the fetch
         stage, exits 4 with the same error line serially and at the default."""
         key = canonical_key("get_issue", {"owner": "acme", "repo": "beta", "number": "22"})
-        index = fxdir / "index.jsonl"
-        rows = index.read_text().splitlines(keepends=True)
-        index.write_text("".join(row for row in rows if key not in row))
+        (fxdir / "payloads" / f"{key}.json").unlink()
         for driver, missed in (("octo/driver#999", "'999'"), ("octo/driver#7", "'22'")):
             argv = ["recommend", driver, "--fixture-dir", str(fxdir)]
             serial = _run(capsys, [*argv, "--parallelism", "1"])
@@ -259,6 +274,14 @@ class TestRecommend:
             assert (rc, out) == (4, "")
             assert err.startswith("error:") and "get_issue" in err and missed in err
 
+    @pytest.mark.parametrize("retry_after, hint", [(7.0, " (retry after 7s)"), (None, "")])
+    def test_rate_limit_exit_code(self, capsys, fxdir, monkeypatch, retry_after, hint):
+        def limited(issue, client):
+            raise RateLimitError("API rate limit exceeded", retry_after=retry_after)
+
+        monkeypatch.setattr(pipeline, "resolve_driver", limited)
+        assert _recommend(capsys, fxdir) == (4, "", f"error: API rate limit exceeded{hint}\n")
+
     @pytest.mark.parametrize("driver", ["octo/driver#0", "octo/driver#00", "octo/driver#007"])
     def test_zero_or_zero_padded_number_is_a_usage_error(self, capsys, fxdir, driver):
         """No request is made for an issue number the platform never
@@ -267,57 +290,24 @@ class TestRecommend:
         assert (rc, out) == (1, "")
         assert err.startswith("error:") and repr(driver) in err
 
-    @pytest.mark.parametrize("damage", ["missing", "corrupt", "deep"])
+    @pytest.mark.parametrize("damage", _DAMAGE)
     def test_unreadable_payload_exit_code(self, capsys, fxdir, damage):
+        """A missing fixture file is a replay miss; any other that cannot be
+        read, or holds no integer status and payload, is named."""
         key = canonical_key("get_issue", {"owner": "octo", "repo": "driver", "number": "7"})
-        payload = fxdir / "payloads" / f"{key}.json"
+        path = fxdir / "payloads" / f"{key}.json"
+        path.unlink()
+        if damage == "directory":
+            path.mkdir()
+        elif _DAMAGE[damage] is not None:
+            path.write_bytes(_DAMAGE[damage])
+        rc, out, err = _recommend(capsys, fxdir)
+        assert (rc, out) == (4, "")
+        assert err.startswith("error:") and err.count("\n") == 1
         if damage == "missing":
-            payload.unlink()
-        elif damage == "corrupt":
-            payload.write_text('{"title": ')
+            assert "no fixture recorded for get_issue" in err
         else:
-            payload.write_text("[" * 100_000)
-        rc, out, err = _recommend(capsys, fxdir)
-        assert rc == 4
-        assert out == ""
-        assert f"{key}.json" in err
-
-    @pytest.mark.parametrize("line", [
-        '{"key": "abc", "payl', '{"endpoint": "get_repo"}', "[1, 2]",
-        '{"key": "abc", "status": 200}',
-        '{"key": "abc", "payload": "payloads/abc.json", "status": "200"}',
-        '{"key": "abc", "payload": "payloads/abc.json", "status": true}',
-    ])
-    def test_corrupt_index_line_exit_code(self, capsys, fxdir, line):
-        index = fxdir / "index.jsonl"
-        number = len(index.read_text().splitlines()) + 1
-        with open(index, "a") as fh:
-            fh.write(line + "\n")
-        rc, out, err = _recommend(capsys, fxdir)
-        assert rc == 4
-        assert out == ""
-        assert "index.jsonl" in err
-        assert f"line {number}" in err
-
-    def test_payload_outside_the_fixture_dir_exit_code(self, capsys, fxdir):
-        key = canonical_key("get_issue", {"owner": "octo", "repo": "driver", "number": "7"})
-        (fxdir.parent / "outside.json").write_text('{"title": "elsewhere"}')
-        index = fxdir / "index.jsonl"
-        with open(index, "a") as fh:
-            fh.write(json.dumps({"key": key, "payload": "../outside.json", "status": 200}) + "\n")
-        rc, out, err = _recommend(capsys, fxdir)
-        assert rc == 4
-        assert out == ""
-        assert err.startswith("error:") and "get_issue" in err and "../outside.json" in err
-
-    @pytest.mark.parametrize("text", [b"[" * 100_000 + b"\n", b"\xff\n"], ids=["deep", "not-utf8"])
-    def test_unparseable_index_exit_code(self, capsys, fxdir, text):
-        with open(fxdir / "index.jsonl", "ab") as fh:
-            fh.write(text)
-        rc, out, err = _recommend(capsys, fxdir)
-        assert rc == 4
-        assert out == ""
-        assert "index.jsonl" in err
+            assert str(path) in err
 
     @pytest.mark.parametrize(
         "endpoint, params, payload",
@@ -805,6 +795,36 @@ def test_closed_stdout_pipe_is_a_usage_error(name):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def _cli_with_full_stderr(argv):
+    """Exit code and stdout of a run whose stderr is full; stderr is
+    buffered, as by default, so that a failed write stays in its buffer."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bugnav.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=full, timeout=120,
+        )
+    return proc.returncode, proc.stdout.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stderr_keeps_the_tune_output(capsys):
+    """The progress line is lost on a full stderr; the weights are not."""
+    rc, out = _cli_with_full_stderr(_STDOUT_RUNS["tune"])
+    assert (rc, out) == _run(capsys, _STDOUT_RUNS["tune"])[:2]
+    assert rc == 0 and "w_code" in json.loads(out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stderr_keeps_the_exit_code(tmp_path):
+    """A replay miss exits 4 though its error line cannot be written."""
+    rc, out = _cli_with_full_stderr(
+        ["recommend", "octo/driver#1", "--fixture-dir", str(tmp_path)]
+    )
+    assert (rc, out) == (4, "")
+
+
 def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
     """Raw UTF-8 in a fixture payload or a dataset line reads the same
     whatever the locale's encoding."""
@@ -812,9 +832,9 @@ def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
     shutil.copytree(ROOT / "fixtures" / "walkthrough", fixtures)
     key = canonical_key("get_issue", {"owner": "lightbend", "repo": "config", "number": "398"})
     payload = fixtures / "payloads" / f"{key}.json"
-    issue = json.loads(payload.read_bytes())
-    issue["note"] = "Café"
-    payload.write_bytes(json.dumps(issue, ensure_ascii=False).encode("utf-8"))
+    record = json.loads(payload.read_bytes())
+    record["payload"]["note"] = "Café"
+    payload.write_bytes(json.dumps(record, ensure_ascii=False).encode("utf-8"))
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_bytes(json.dumps({**DATASET_ENTRY, "note": "Café"}, ensure_ascii=False).encode())
 

@@ -230,11 +230,11 @@ def _walkthrough_java():
     """Every Java file the walkthrough fixtures serve, decoded as the
     client decodes it."""
     blobs = []
-    for line in (WALKTHROUGH / "index.jsonl").read_text(encoding="utf-8").splitlines():
-        row = json.loads(line)
-        if row["endpoint"] == "get_file_content" and row["params"]["path"].endswith(".java"):
-            payload = json.loads((WALKTHROUGH / row["payload"]).read_bytes())
-            blobs.append(base64.b64decode(payload["content"]).decode("utf-8", errors="replace"))
+    for path in sorted((WALKTHROUGH / "payloads").iterdir()):
+        record = json.loads(path.read_bytes())
+        if record["endpoint"] == "get_file_content" and record["params"]["path"].endswith(".java"):
+            content = record["payload"]["content"]
+            blobs.append(base64.b64decode(content).decode("utf-8", errors="replace"))
     return blobs
 
 

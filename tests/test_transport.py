@@ -2,13 +2,17 @@
 
 import email.utils
 import json
+import os
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
-from bugnav.corpus.live import LiveTransport, TokenBucket
+from bugnav.corpus.live import _ENDPOINTS, LiveTransport, TokenBucket
 from bugnav.corpus.transport import ReplayTransport, perform
 from bugnav.errors import (
     NotFoundError,
@@ -16,6 +20,13 @@ from bugnav.errors import (
     ReplayMissError,
     RequestFailedError,
     TransportError,
+)
+
+# any JSON value: the floats are finite, since NaN never equals itself
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
 )
 
 
@@ -49,17 +60,19 @@ class TestFixtureStore:
         reopened = FixtureStore(tmp_path)
         assert reopened.lookup("get_repo", {"owner": "o", "repo": "r"}) == (200, {"id": 1})
 
-    def test_layout_is_index_plus_payload_files(self, tmp_path):
+    def test_layout_is_one_file_per_request(self, tmp_path):
         store = FixtureStore(tmp_path)
         store.record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
-        index_lines = (tmp_path / "index.jsonl").read_text().splitlines()
-        assert len(index_lines) == 1
-        row = json.loads(index_lines[0])
+        store.record("get_issue", {"owner": "o", "repo": "r", "number": "2"}, 404, None)
         key = canonical_key("get_repo", {"owner": "o", "repo": "r"})
-        assert row["key"] == key
-        assert row["endpoint"] == "get_repo"
-        assert row["status"] == 200
-        assert (tmp_path / row["payload"]).is_file()
+        other = canonical_key("get_issue", {"owner": "o", "repo": "r", "number": "2"})
+        files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == {f"payloads/{key}.json", f"payloads/{other}.json"}
+        record = json.loads((tmp_path / "payloads" / f"{key}.json").read_text())
+        assert record == {
+            "endpoint": "get_repo", "params": {"owner": "o", "repo": "r"},
+            "status": 200, "payload": {"id": 1},
+        }
 
     def test_rerecording_last_write_wins(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -71,43 +84,33 @@ class TestFixtureStore:
             {"v": 2},
         )
 
-    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
-    def test_index_row_may_hold_a_raw_line_separator(self, tmp_path, separator):
-        """Rows end at a line feed only; str.splitlines would also break here."""
-        FixtureStore(tmp_path).record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
-        index = tmp_path / "index.jsonl"
-        row = json.loads(index.read_text(encoding="utf-8"))
-        row["note"] = f"a{separator}b"
-        index.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
-        assert FixtureStore(tmp_path).lookup("get_repo", {"owner": "o", "repo": "r"}) == (
-            200,
-            {"id": 1},
-        )
-
-    def test_crlf_index_loads(self, tmp_path):
-        store = FixtureStore(tmp_path)
-        store.record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
-        store.record("get_repo", {"owner": "o", "repo": "s"}, 200, {"id": 2})
-        index = tmp_path / "index.jsonl"
-        index.write_bytes(index.read_bytes().replace(b"\n", b"\r\n"))
-        reopened = FixtureStore(tmp_path)
-        assert reopened.lookup("get_repo", {"owner": "o", "repo": "r"}) == (200, {"id": 1})
-        assert reopened.lookup("get_repo", {"owner": "o", "repo": "s"}) == (200, {"id": 2})
-
-    @pytest.mark.parametrize("form", ["parent", "absolute"])
-    def test_payload_outside_the_store_is_refused(self, tmp_path, form):
-        """An index row cannot make replay read a file outside its root."""
-        outside = tmp_path / "outside.json"
-        outside.write_text('{"secret": 1}')
-        root = tmp_path / "fixtures"
-        FixtureStore(root).record("get_repo", {"owner": "o", "repo": "r"}, 200, {"id": 1})
-        index = root / "index.jsonl"
-        row = json.loads(index.read_text())
-        row["payload"] = "../outside.json" if form == "parent" else str(outside)
-        index.write_text(json.dumps(row) + "\n")
-        with pytest.raises(TransportError) as exc:
-            FixtureStore(root).lookup("get_repo", {"owner": "o", "repo": "r"})
-        assert "get_repo" in str(exc.value) and repr(row["payload"]) in str(exc.value)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        endpoint=st.sampled_from(sorted(_ENDPOINTS)),
+        params=st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(st.sampled_from(["/", "..", "../x", "/etc/passwd", "é/ü", "页"]),
+                      st.text(max_size=12)),
+            max_size=4,
+        ),
+        status=st.integers(100, 599),
+        payloads=st.lists(_JSON, min_size=2, max_size=2),
+    )
+    def test_round_trip(self, endpoint, params, status, payloads):
+        """Any recorded request reads back, in the same store and in a
+        reopened one, from the one file its key names; recording it again
+        overwrites that file."""
+        with tempfile.TemporaryDirectory() as root:
+            store = FixtureStore(root)
+            for payload in payloads:
+                store.record(endpoint, params, status, payload)
+                assert store.lookup(endpoint, params) == (status, payload)
+                assert FixtureStore(root).lookup(endpoint, params) == (status, payload)
+            key = canonical_key(endpoint, params)
+            assert [
+                os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names
+            ] == [os.path.join("payloads", f"{key}.json")]
 
 
 class TestReplayTransport:
