@@ -154,10 +154,13 @@ _DAMAGE = {
     "missing": None,
     "corrupt": b'{"title": ',
     "deep": b"[" * 100_000,
+    "deep-payload": b'{"status": 200, "payload": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     "not-utf8": b"\xff",
     "array": b"[1, 2]",
     "string-status": b'{"status": "200", "payload": {}}',
     "true-status": b'{"status": true, "payload": {}}',
+    "truncated": b'{"status": 200, "payl',
+    "no-status": b'{"endpoint": "get_issue"}',
     "no-payload": b'{"endpoint": "get_issue", "status": 200}',
     "directory": None,
 }
