@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search phrase; repeatable, defaults to the built-in pair")
     p.add_argument("--cap", type=int, default=100, help="search results per keyword")
     p.add_argument("--output", metavar="FILE", help="also write the pair list here")
-    _add_config_flags(p, "--config", "--fixture-dir", "--cache-dir", "--token-env")
+    _add_config_flags(p, "--config", "--fixture-dir", "--token-env")
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("tune", help="grid-search similarity weights on a labeled dataset")

@@ -105,11 +105,7 @@ class PlatformClient:
 
         items = self._pages("search_issues", "items", q=q)
         return [
-            IssueHit(
-                ref=_item_ref(item),
-                title=_field(item, "title", str, "search_issues", ""),
-                search_rank=rank,
-            )
+            IssueHit(ref=_item_ref(item), search_rank=rank)
             for rank, item in enumerate(itertools.islice(items, max_results), start=1)
         ]
 
@@ -133,17 +129,11 @@ class PlatformClient:
             raise TransportError(f"issue {ref} has a negative comment count: {num_comments}")
         where = f"get_issue {ref}"
         body = _field(payload, "body", str, where, "")
-        labels = [
-            _field(entry, "name", str, where, "")
-            for entry in _field(payload, "labels", list, where, [])
-        ]
         return IssueDocument(
             ref=ref,
             title=_field(payload, "title", str, where, ""),
             body=body,
             comments=comments,
-            state=_field(payload, "state", str, where, "open"),
-            labels=labels,
             num_comments=num_comments,
             is_pull="pull_request" in payload,
             patch_refs=find_patch_refs(ref.owner, ref.repo, [body] + comments),
@@ -265,9 +255,8 @@ class PlatformClient:
                 files[path] = self._file_content(owner, repo, path, head)
             except NotFoundError:
                 log.warning("tree lists %s but content fetch failed, skipping", path)
-        snapshot = RepoSnapshot(owner=owner, repo=repo, head=head, files=files)
-        self._store_snapshot(cache_path, snapshot)
-        return snapshot
+        self._store_snapshot(cache_path, files)
+        return RepoSnapshot(files)
 
     def _snapshot_cache_path(self, owner, repo, head, kinds) -> Optional[Path]:
         if self._cache_dir is None:
@@ -283,29 +272,28 @@ class PlatformClient:
     @staticmethod
     def _cached_snapshot(path: Optional[Path]) -> Optional[RepoSnapshot]:
         """The snapshot cached at ``path``, or None on a miss; a cache file
-        that cannot be read or parsed (say, cut short by a crash) is a miss
-        too."""
+        that cannot be read or parsed (say, cut short by a crash), or that
+        holds anything but the path-to-text object, is a miss too."""
         if path is None or not path.is_file():
             return None
         try:
             data = read_json(path, "snapshot cache", ValueError)
             if not _is_snapshot(data):
-                raise ValueError(f"snapshot cache {path} holds no snapshot object")
+                raise ValueError(f"snapshot cache {path} holds no path-to-text object")
         except ValueError as exc:
             log.warning("unreadable snapshot cache (%s), refetching", exc)
             return None
-        return RepoSnapshot(
-            owner=data["owner"], repo=data["repo"], head=data["head"], files=data["files"]
-        )
+        return RepoSnapshot(data)
 
     @staticmethod
-    def _store_snapshot(path: Optional[Path], snapshot: RepoSnapshot) -> None:
-        """Write through a temp file in the cache directory and rename it
-        into place, so concurrent readers and writers never see a partial
-        file."""
+    def _store_snapshot(path: Optional[Path], files: Dict[str, str]) -> None:
+        """Write ``files`` alone, since the file's name already hashes the
+        repository, head and kinds. Write through a temp file in the cache
+        directory and rename it into place, so concurrent readers and
+        writers never see a partial file."""
         if path is None:
             return
-        text = json.dumps(vars(snapshot), sort_keys=True)
+        text = json.dumps(files, sort_keys=True)
         fd = tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -327,23 +315,17 @@ class PlatformClient:
 
 def _is_snapshot(data) -> bool:
     """Whether ``data`` has the shape :meth:`PlatformClient._store_snapshot`
-    writes: string owner, repo and head, and files mapping paths to text."""
-    return (
-        isinstance(data, dict)
-        and all(isinstance(data.get(key), str) for key in ("owner", "repo", "head"))
-        and isinstance(data.get("files"), dict)
-        and all(isinstance(text, str) for text in data["files"].values())
-    )
+    writes: an object mapping paths to text."""
+    return isinstance(data, dict) and all(isinstance(text, str) for text in data.values())
 
 
 def _item_ref(item: dict) -> IssueRef:
-    """The issue a search hit names; its number is a JSON integer >= 1."""
+    """The issue a search hit names, read by :meth:`IssueRef.parse` from the
+    repository URL's "owner/repo" and the number, a JSON integer."""
     try:
-        repo_url = str(item["repository_url"])
-        owner, repo = repo_url.rsplit("/repos/", 1)[1].split("/")[:2]
-        number = item["number"]
-        if type(number) is not int or number < 1:
-            raise ValueError(f"number {number!r} is no positive integer")
-        return IssueRef(owner, repo, number)
+        repo_url, number = item["repository_url"], item["number"]
+        if type(repo_url) is not str or type(number) is not int:
+            raise TypeError("repository_url must be a string and number an integer")
+        return IssueRef.parse(f"{repo_url.rsplit('/repos/', 1)[1]}#{number}")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed search result item {item!r}: {exc!r}") from exc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import email.utils
 import itertools
+import math
 import string
 import threading
 import time
@@ -18,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import requests
 
-from ..errors import RateLimitError, RequestFailedError
+from ..errors import RateLimitError, RequestFailedError, TransportError
 from .transport import _payload_message
 
 API_BASE = "https://api.github.com"
@@ -125,7 +126,14 @@ class LiveTransport:
             if attempt >= self._max_retries:
                 raise RequestFailedError(failure) from cause
             self._sleep(2.0 ** attempt)
-        payload = _safe_json(response)
+        try:
+            payload = response.json()
+        except (ValueError, RecursionError) as exc:
+            if 200 <= status < 300:
+                raise TransportError(
+                    f"{endpoint} {params}: reply is not valid JSON: {exc}"
+                ) from exc
+            payload = {}  # an error status's body only supplies the message
         if status in (403, 429):
             retry_after = response.headers.get("Retry-After")
             message = _payload_message(payload)
@@ -138,14 +146,14 @@ class LiveTransport:
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
-    """A ``Retry-After`` header, in seconds or as an HTTP date, as
-    seconds from now; None when absent or unreadable."""
+    """A ``Retry-After`` header as seconds from now. RFC 9110 allows
+    delay-seconds (ASCII digits only) or an HTTP-date; anything else,
+    say "nan", "-5" or "1e3", is no hint (None)."""
     if not value:
         return None
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    if value.isascii() and value.isdigit():
+        seconds = float(value)
+        return seconds if math.isfinite(seconds) else None
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -153,10 +161,3 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     if when.tzinfo is None:  # "-0000": UTC, source zone unknown
         when = when.replace(tzinfo=timezone.utc)
     return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
-
-
-def _safe_json(response):
-    try:
-        return response.json()
-    except ValueError:
-        return {}

@@ -87,8 +87,9 @@ class IssueRef:
     def parse(cls, text: str) -> "IssueRef":
         """Accept the short "owner/repo#123" form. The number is written
         as it prints: no issue has number 0, and "#007" is refused, not
-        read as "#7"."""
-        m = re.fullmatch(r"([\w.-]+)/([\w.-]+)#([1-9][0-9]*)", text.strip())
+        read as "#7". An owner or repo of "." or ".." is refused (the
+        lookaheads), since each becomes a segment of a request path."""
+        m = re.fullmatch(r"(?!\.\.?/)([\w.-]+)/(?!\.\.?#)([\w.-]+)#([1-9][0-9]*)", text.strip())
         if not m:
             raise ValueError(f"not an issue reference: {text!r}")
         return cls(m.group(1), m.group(2), int(m.group(3)))
@@ -116,7 +117,6 @@ class IssueHit:
     """One row of a search result page, in platform order."""
 
     ref: IssueRef
-    title: str
     search_rank: int  # 1-based
 
 
@@ -128,8 +128,6 @@ class IssueDocument:
     title: str
     body: str
     comments: List[str] = field(default_factory=list)
-    state: str = "open"
-    labels: List[str] = field(default_factory=list)
     num_comments: int = 0
     is_pull: bool = False
     patch_refs: List[PatchRef] = field(default_factory=list)
@@ -153,9 +151,8 @@ class Patch:
 
 @dataclass
 class RepoSnapshot:
-    owner: str
-    repo: str
-    head: str
+    """A repository's files of the kinds asked for, path to text."""
+
     files: Dict[str, str] = field(default_factory=dict)
 
 
@@ -197,13 +194,19 @@ def find_patch_refs(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
 
 
 def find_cross_repo_issue_ref(owner: str, repo: str, texts: List[str]) -> Optional[IssueRef]:
-    """First issue or PR URL in the thread that points at another repository."""
+    """First issue or PR URL in the thread that points at another repository
+    and reads as :meth:`IssueRef.parse` reads a reference; a link it refuses,
+    say ".../issues/007", is skipped."""
     home = (owner.lower(), repo.lower())
     for text in texts:
         if not text:
             continue
         for m in _ISSUE_URL_RE.finditer(text):
             target = (m.group(1).lower(), m.group(2).lower())
-            if target != home:
-                return IssueRef(m.group(1), m.group(2), int(m.group(3)))
+            if target == home:
+                continue
+            try:
+                return IssueRef.parse(f"{m.group(1)}/{m.group(2)}#{m.group(3)}")
+            except ValueError:
+                pass
     return None

@@ -53,10 +53,6 @@ class EvalReport:
     num_relevant: int
 
     @property
-    def prec_at(self) -> Dict[int, float]:
-        return self.per_system["reranked"].prec_at
-
-    @property
     def mrr(self) -> float:
         return self.per_system["reranked"].mrr
 

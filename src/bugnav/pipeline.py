@@ -96,13 +96,14 @@ def load_issue_file(path: str) -> IssueDocument:
         raise ValidationError(f"{where}: {exc}") from exc
     body = checked_field(data, "body", str, where, "")
     comments = checked_field(data, "comments", list, where, [], items=str)
+    # documented keys that no factor reads: checked, not kept
+    checked_field(data, "state", str, where, "")
+    checked_field(data, "labels", list, where, [], items=str)
     return IssueDocument(
         ref=ref,
         title=checked_field(data, "title", str, where, ""),
         body=body,
         comments=comments,
-        state=checked_field(data, "state", str, where, "") or "open",
-        labels=checked_field(data, "labels", list, where, [], items=str),
         num_comments=len(comments),
         is_pull=False,
         patch_refs=find_patch_refs(ref.owner, ref.repo, [body] + comments),
@@ -128,7 +129,7 @@ def _snapshot(client: PlatformClient, owner: str, repo: str, kinds) -> RepoSnaps
         return client.fetch_repo_snapshot(owner, repo, kinds)
     except NotFoundError:
         log.warning("no snapshot for %s/%s, comparing without repository context", owner, repo)
-        return RepoSnapshot(owner=owner, repo=repo, head="", files={})
+        return RepoSnapshot()
 
 
 def recommend(driver: IssueDocument, config: RunConfig, client: PlatformClient) -> Recommendation:

@@ -158,7 +158,9 @@ def code_similarity(driver: Driver, patches: Sequence[Optional[Patch]]) -> List[
     side has nothing to compare.
 
     Identifier texts are abstracted to their token kind. Patch entries
-    without fetched content can't be tokenized and are skipped.
+    without fetched content can't be tokenized and are skipped, and a file
+    on either side that lexes to no tokens (say, comments only) is nothing
+    to compare.
 
     Every patch file is indexed once and every driver file swept once
     against the index (:func:`_matches`). A tile lies inside a match, so
@@ -171,8 +173,10 @@ def code_similarity(driver: Driver, patches: Sequence[Optional[Patch]]) -> List[
     for k, patch in enumerate(patches):
         for modified in patch.files if patch is not None else ():
             if file_kind(modified.path) == "java" and modified.new_content is not None:
-                owners.append(k)
-                streams.append(extract.tokenize_code(modified.new_content))
+                stream = extract.tokenize_code(modified.new_content)
+                if stream:
+                    owners.append(k)
+                    streams.append(stream)
     index = _index(streams, m)
     pairs = [[] for _ in patches]
     for d, kinds in enumerate(driver.code):
@@ -180,8 +184,7 @@ def code_similarity(driver: Driver, patches: Sequence[Optional[Patch]]) -> List[
         for p, stream in enumerate(streams):
             matches = swept.get(p, ())
             # gst_similarity of the pair is at most `bound`
-            total = len(kinds) + len(stream)
-            bound = 2.0 * _covered(matches) / total if total else 1.0
+            bound = 2.0 * _covered(matches) / (len(kinds) + len(stream))
             pairs[owners[p]].append((bound, d, p, kinds, stream, matches))
     scores = []
     for candidate in pairs:
@@ -217,7 +220,8 @@ class Driver:
     shared read-only by all candidates: the report thread as one string
     of stemmed words for mentions (:func:`extract.stemmed_thread`), the
     repository's facts, and its Java files for :func:`code_similarity`,
-    each as its token kinds (:func:`extract.tokenize_code`)."""
+    each as its token kinds (:func:`extract.tokenize_code`); a file with
+    none is left out."""
 
     thread: str
     context: extract.RepoContext
@@ -231,7 +235,7 @@ class Driver:
         return cls(
             thread=extract.stemmed_thread(issue),
             context=extract.build_repo_context(snapshot),
-            code=list(extract.code_kinds(snapshot).values()),
+            code=[kinds for kinds in extract.code_kinds(snapshot).values() if kinds],
             min_match_len=min_match_len,
         )
 

@@ -874,14 +874,16 @@ def recommend_reference(driver, config, client):
         try:
             return client.fetch_repo_snapshot(ref.owner, ref.repo)
         except NotFoundError:
-            return RepoSnapshot(owner=ref.owner, repo=ref.repo, head="", files={})
+            return RepoSnapshot()
 
     def java_streams(files):
-        return [
+        """The token streams of the Java files; a file with none has nothing to compare."""
+        streams = [
             tokenize_code_reference(content)
             for path, content in files
             if file_kind(path) == "java" and content is not None
         ]
+        return [stream for stream in streams if stream]
 
     outcome = build_query(
         driver, search, n_threshold=config.n_threshold, scope=config.qualifier_mode

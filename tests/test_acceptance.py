@@ -72,7 +72,7 @@ def _issue(title="Untitled", body="", number=1):
 def _search_returning(n):
     def search(query):
         return [
-            IssueHit(ref=IssueRef("a", "b", i + 1), title=f"hit {i + 1}", search_rank=i + 1)
+            IssueHit(ref=IssueRef("a", "b", i + 1), search_rank=i + 1)
             for i in range(n)
         ]
 

@@ -539,6 +539,8 @@ def _input_argv(kind, path, fxdir, workdir):
     ("dataset", dict(DATASET_ENTRY, candidates=[
         {"ref": "octo/demo#007", "factors": {}}]), "line 1"),
     ("issue", dict(ISSUE_FILE, ref="octo/driver#0"), "octo/driver#0"),
+    # checked though no factor reads it
+    ("issue", dict(ISSUE_FILE, state=7), "state"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fxdir, tmp_path, kind, value, named):
     path = tmp_path / f"{kind}.json"
@@ -605,8 +607,8 @@ UNREAD_FLAGS = {
     "evaluate": ["--fixture-dir", "--cache-dir", "--token-env", "--language",
                  "--max-candidates", "--n-threshold", "--scope", "--parallelism",
                  "--min-match-len"],
-    "mine": ["--language", "--max-candidates", "--n-threshold", "--scope", "--format",
-             "--parallelism", "--min-match-len", "--weight", "--weights-file"],
+    "mine": ["--cache-dir", "--language", "--max-candidates", "--n-threshold", "--scope",
+             "--format", "--parallelism", "--min-match-len", "--weight", "--weights-file"],
     "tune": ["--fixture-dir", "--cache-dir", "--token-env", "--language",
              "--max-candidates", "--n-threshold", "--scope", "--format", "--parallelism",
              "--min-match-len"],
@@ -893,6 +895,52 @@ def test_full_disk_under_the_snapshot_cache_costs_only_the_cache(
     assert list(tmp_path.iterdir()) == []
     # no temp file's descriptor stays open
     assert sorted(os.listdir("/proc/self/fd")) == sorted(open_fds)
+
+
+def test_replies_odd_only_in_unread_fields_print_the_golden(capsys, tmp_path):
+    """No factor reads a search hit's title or an issue's state and labels,
+    so values of any type there change no byte of the output."""
+    fixtures = tmp_path / "walkthrough"
+    shutil.copytree(ROOT / "fixtures" / "walkthrough", fixtures)
+    changed = set()
+    for path in (fixtures / "payloads").iterdir():
+        record = json.loads(path.read_text())
+        if record["endpoint"] == "search_issues":
+            for hit in record["payload"]["items"]:
+                hit["title"] = 5
+        elif record["endpoint"] == "get_issue":
+            record["payload"].update(labels=[{"name": 3}], state=7)
+        else:
+            continue
+        changed.add(record["endpoint"])
+        path.write_text(json.dumps(record))
+    assert changed == {"search_issues", "get_issue"}
+    rc, out, err = _run(
+        capsys, ["recommend", "lightbend/config#398", "--fixture-dir", str(fixtures)]
+    )
+    assert (rc, err) == (0, "")
+    assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
+
+
+def test_snapshot_cache_in_the_earlier_layout_is_a_miss(capsys, caplog, tmp_path):
+    """A cache file that still holds owner, repo and head beside the files
+    is refetched with a warning and rewritten as the files alone."""
+    argv = ["recommend", "lightbend/config#398", "--fixture-dir",
+            str(ROOT / "fixtures" / "walkthrough"), "--cache-dir", str(tmp_path)]
+    assert _run(capsys, argv)[0] == 0
+    written = {path: path.read_text() for path in tmp_path.iterdir()}
+    assert written
+    for path, text in written.items():
+        files = json.loads(text)
+        assert all(isinstance(content, str) for content in files.values())
+        path.write_text(json.dumps({"owner": "o", "repo": "r", "head": "h", "files": files}))
+    with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
+        rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
+    misses = [r for r in caplog.records if "unreadable snapshot cache" in r.getMessage()]
+    assert len(misses) == len(written)
+    assert {path: path.read_text() for path in tmp_path.iterdir()} == written
 
 
 def test_long_name_run_and_space_run_in_the_driver(capsys, tmp_path):

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.miner import mine_similar_pairs
 from bugnav.corpus.fixtures import canonical_key
-from bugnav.corpus.models import FILE_KINDS, IssueRef, PatchRef, file_kind, find_patch_refs
+from bugnav.corpus.models import (
+    FILE_KINDS,
+    IssueHit,
+    IssueRef,
+    PatchRef,
+    file_kind,
+    find_patch_refs,
+)
 from bugnav.errors import NotFoundError, TransportError, ValidationError
 from bugnav.extract import CONTEXT_KINDS, build_repo_context
 from bugnav.querygen import SearchQuery
@@ -203,9 +210,7 @@ class TestFetchIssue:
         )
         doc = PlatformClient(transport).fetch_issue(IssueRef("octo", "demo", 5))
         assert doc.title == "NPE on resume"
-        assert doc.state == "closed"
         assert doc.num_comments == 2
-        assert doc.labels == ["bug"]
         kinds = [(r.kind, r.ref) for r in doc.patch_refs]
         assert ("commit", "a1b2c3d") in kinds
         assert ("pull", "9") in kinds
@@ -269,6 +274,10 @@ class TestMalformedPayloads:
                 {"repository_url": "https://api.github.com/repos/o/r", "number": number}
                 for number in (True, "12", 2.9, -3, 0)
             ),
+            # owner and repo read as IssueRef.parse reads them
+            {"repository_url": ["https://api.github.com/repos/a/b"], "number": 3},
+            {"repository_url": "https://api.github.com/repos/../x", "number": 3},
+            {"repository_url": "https://api.github.com/repos/a b/c d", "number": 3},
         ],
     )
     def test_search_item_without_a_ref(self, item):
@@ -299,15 +308,19 @@ class TestMalformedPayloads:
         with pytest.raises(TransportError, match="search_issues"):
             PlatformClient(transport).search_issues(_query())
 
-    def test_issue_labels_not_an_array(self):
+    def test_unread_issue_fields_of_any_type_are_not_read(self):
+        # no factor reads an issue's state or labels, nor a search hit's title
         transport = StubTransport()
         put_issue(transport, "o", "r", 1)
-        transport.put(
-            "get_issue", {"owner": "o", "repo": "r", "number": "1"},
-            {"number": 1, "title": "t", "body": "", "comments": 0, "labels": 3},
-        )
-        with pytest.raises(TransportError, match="get_issue"):
-            PlatformClient(transport).fetch_issue(IssueRef("o", "r", 1))
+        client = PlatformClient(transport)
+        for unread in ({"labels": 3}, {"labels": [{"name": 3}], "state": 7}, {"labels": [5]}):
+            transport.put(
+                "get_issue", {"owner": "o", "repo": "r", "number": "1"},
+                {"number": 1, "title": "t", "body": "b", "comments": 0, **unread},
+            )
+            assert client.fetch_issue(IssueRef("o", "r", 1)).body == "b"
+        put_search(transport, _query().full() + " state:closed", [_item("o", "r", 1, 5)])
+        assert client.search_issues(_query()) == [IssueHit(IssueRef("o", "r", 1), 1)]
 
     def test_pull_head_not_an_object(self):
         transport = StubTransport()
@@ -700,7 +713,10 @@ class TestFetchRepoSnapshot:
         snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
         assert sorted(snap.files) == ["pom.xml", "src/A.java", "src/B.java", "util/C.java"]
         assert snap.files["pom.xml"] == "<project/>"
-        assert snap.head == "c" * 40
+        # contents are read at the tree's sha, not at the branch name
+        refs = {params["ref"] for endpoint, params in transport.calls
+                if endpoint == "get_file_content"}
+        assert refs == {"c" * 40}
 
     def test_only_files_with_a_kind_are_requested(self):
         transport = StubTransport()
@@ -766,6 +782,9 @@ class TestFetchRepoSnapshot:
         self._script(transport)
         client = PlatformClient(transport, cache_dir=tmp_path)
         first = client.fetch_repo_snapshot("octo", "demo")
+        # the file's name keys the repository, head and kinds; it holds the files
+        (cache_file,) = tmp_path.iterdir()
+        assert json.loads(cache_file.read_text()) == first.files
         calls_after_first = len(transport.calls)
         second = client.fetch_repo_snapshot("octo", "demo")
         assert second == first
@@ -802,7 +821,7 @@ class TestFetchRepoSnapshot:
         assert cache_file.read_text() == text
 
     @pytest.mark.parametrize("damage", [
-        {"files": {"src/A.java": 5}}, {"files": ["src/A.java"]}, {"head": None},
+        {"src/A.java": 5}, {"files": ["src/A.java"]}, {"head": None},
         "[]", "[" * 100_000,
     ], ids=["content", "files", "head", "array", "deep"])
     def test_malformed_cache_file_is_refetched(self, tmp_path, caplog, damage):
@@ -968,3 +987,15 @@ class TestMineSimilarPairs:
         _put_issue(transport, "o", "r", 2, body="see https://github.com/o/R/pull/3")
         pairs = mine_similar_pairs(PlatformClient(transport))
         assert pairs == []
+
+    def test_links_that_are_no_issue_reference_are_skipped(self):
+        transport = StubTransport()
+        _put_phrase_search(transport, "similar bug", [_item("o", "r", n, "t") for n in (1, 2)])
+        _put_phrase_search(transport, "similar problem", [])
+        _put_issue(transport, "o", "r", 1, body=(
+            "similar bug: https://github.com/x/y/issues/007, https://github.com/x/y/issues/0,"
+            " https://github.com/../y/issues/4, then https://github.com/x/y/issues/7"
+        ))
+        _put_issue(transport, "o", "r", 2, body="similar bug: https://github.com/x/y/issues/00")
+        pairs = mine_similar_pairs(PlatformClient(transport))
+        assert pairs == [(IssueRef("o", "r", 1), IssueRef("x", "y", 7))]

@@ -88,8 +88,8 @@ LAYOUT = """\
 """
 
 
-def _snapshot(files, owner="octo", repo="demo"):
-    return RepoSnapshot(owner=owner, repo=repo, head="f" * 40, files=files)
+def _snapshot(files):
+    return RepoSnapshot(files)
 
 
 class TestDependencies:

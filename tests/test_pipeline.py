@@ -98,14 +98,12 @@ def _ref(owner, repo, number):
     return IssueRef(owner=owner, repo=repo, number=number)
 
 
-def _doc(ref, title="t", body="", comments=(), state="closed", patch_refs=()):
+def _doc(ref, title="t", body="", comments=(), patch_refs=()):
     return IssueDocument(
         ref=ref,
         title=title,
         body=body,
         comments=list(comments),
-        state=state,
-        labels=[],
         num_comments=len(comments),
         is_pull=False,
         patch_refs=list(patch_refs),
@@ -145,19 +143,17 @@ class FakeClient:
         return dataclasses.replace(snapshot, files=files)
 
 
-def _hit(ref, rank, title="t"):
-    return IssueHit(ref=ref, title=title, search_rank=rank)
+def _hit(ref, rank):
+    return IssueHit(ref=ref, search_rank=rank)
 
 
 def _scenario():
     """Driver plus three candidates; the patched one should win."""
     client = FakeClient()
     driver_ref = _ref("octo", "driver", 7)
-    driver = _doc(driver_ref, title="UTFDataFormatException on large objects", body=DRIVER_BODY, state="open")
+    driver = _doc(driver_ref, title="UTFDataFormatException on large objects", body=DRIVER_BODY)
     client.issues[driver_ref] = driver
-    client.snapshots["octo/driver"] = RepoSnapshot(
-        "octo", "driver", "a" * 40, {"src/Main.java": MAIN_JAVA, "pom.xml": POM}
-    )
+    client.snapshots["octo/driver"] = RepoSnapshot({"src/Main.java": MAIN_JAVA, "pom.xml": POM})
 
     alpha = _ref("acme", "alpha", 11)
     beta = _ref("acme", "beta", 22)
@@ -171,9 +167,9 @@ def _scenario():
         comments=["Fixed by the linked pull request."],
         patch_refs=[PatchRef(kind="pull", owner="acme", repo="delta", ref="9")],
     )
-    client.snapshots["acme/alpha"] = RepoSnapshot("acme", "alpha", "b" * 40, {})
-    client.snapshots["acme/beta"] = RepoSnapshot("acme", "beta", "b" * 40, {})
-    client.snapshots["acme/delta"] = RepoSnapshot("acme", "delta", "b" * 40, {"pom.xml": POM})
+    client.snapshots["acme/alpha"] = RepoSnapshot()
+    client.snapshots["acme/beta"] = RepoSnapshot()
+    client.snapshots["acme/delta"] = RepoSnapshot({"pom.xml": POM})
     client.patches[delta] = Patch(
         ref=PatchRef(kind="pull", owner="acme", repo="delta", ref="9"),
         files=[ModifiedFile(path="src/Fix.java", new_content=MAIN_JAVA)],
@@ -713,14 +709,14 @@ class TestResolveDriver:
         )
         doc = pipeline.resolve_driver(str(path), FakeClient())
         assert str(doc.ref) == "octo/driver#7"
-        assert doc.state == "open"
         assert doc.num_comments == 1
         assert PatchRef(kind="pull", owner="octo", repo="driver", ref="9") in doc.patch_refs
 
     def test_unresolvable_source(self, tmp_path):
         with pytest.raises(ValidationError):
             pipeline.resolve_driver(str(tmp_path / "missing.json"), FakeClient())
-        for source in ("definitely not a ref", "octo/driver#0", "o/r#00", "o/r#007"):
+        for source in ("definitely not a ref", "octo/driver#0", "o/r#00", "o/r#007",
+                       "../r#1", "o/.#1"):
             with pytest.raises(ValidationError):
                 pipeline.resolve_driver(source, FakeClient())
 
@@ -732,7 +728,6 @@ class TestLoadIssueFile:
         doc = pipeline.load_issue_file(str(path))
         assert doc.body == ""
         assert doc.comments == []
-        assert doc.state == "open"
         assert not doc.is_pull
 
     @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def _search_returning(n):
     def search(query):
         calls.append(query)
         return [
-            IssueHit(ref=IssueRef("a", "b", i + 1), title=f"hit {i + 1}", search_rank=i + 1)
+            IssueHit(ref=IssueRef("a", "b", i + 1), search_rank=i + 1)
             for i in range(n)
         ]
 

@@ -231,18 +231,13 @@ def test_long_periodic_streams_tile_fast(a, b):
     assert tiles == [(0, 0, 3000)]
 
 
-def _snapshot(files, project="octo/demo"):
-    owner, repo = project.split("/")
-    return RepoSnapshot(owner=owner, repo=repo, head="e" * 40, files=files)
-
-
-def _ctx(files, project="octo/demo"):
-    return extract.build_repo_context(_snapshot(files, project))
+def _ctx(files):
+    return extract.build_repo_context(RepoSnapshot(files))
 
 
 def _driver(files, issue=None, project="octo/demo", mml=9):
     issue = issue or _issue(project=project)
-    return similarity.Driver.prepare(issue, _snapshot(files, project), min_match_len=mml)
+    return similarity.Driver.prepare(issue, RepoSnapshot(files), min_match_len=mml)
 
 
 def _code(files, mml):
@@ -345,6 +340,16 @@ _java_files = st.lists(_java_file, min_size=1, max_size=4)
 _many_java_files = st.lists(_java_file, min_size=1, max_size=20)
 
 
+def _brute_force_max(driver_sources, patch_sources, mml):
+    """The best GST score over every pair of files that lex to some tokens,
+    or None when a side has no such file."""
+    ds = [kinds for kinds in map(extract.tokenize_code, driver_sources) if kinds]
+    ps = [kinds for kinds in map(extract.tokenize_code, patch_sources) if kinds]
+    if not (ds and ps):
+        return None
+    return max(similarity.gst_similarity(d, p, min_match_len=mml) for d in ds for p in ps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_many_java_files, _many_java_files, st.integers(1, 6))
 @example([COMMENT_ONLY], ["int a = 0; return a;"], 1)
@@ -353,13 +358,7 @@ _many_java_files = st.lists(_java_file, min_size=1, max_size=20)
 def test_pruned_code_similarity_equals_brute_force_max(driver_sources, patch_sources, mml):
     driver = _code({f"src/D{k}.java": src for k, src in enumerate(driver_sources)}, mml)
     patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
-    brute = max(
-        similarity.gst_similarity(
-            extract.tokenize_code(d), extract.tokenize_code(p), min_match_len=mml
-        )
-        for d in driver_sources
-        for p in patch_sources
-    )
+    brute = _brute_force_max(driver_sources, patch_sources, mml)
     assert similarity.code_similarity(driver, [patch]) == [brute]
 
 
@@ -416,13 +415,7 @@ def test_prepared_driver_reused_over_patches_equals_brute_force_max(
     driver = _code({f"src/D{k}.java": src for k, src in enumerate(driver_sources)}, mml)
     for patch_sources in patches:
         patch = _patch({f"src/P{k}.java": src for k, src in enumerate(patch_sources)})
-        brute = max(
-            similarity.gst_similarity(
-                extract.tokenize_code(d), extract.tokenize_code(p), min_match_len=mml
-            )
-            for d in driver_sources
-            for p in patch_sources
-        )
+        brute = _brute_force_max(driver_sources, patch_sources, mml)
         assert similarity.code_similarity(driver, [patch]) == [brute]
 
 
@@ -461,22 +454,14 @@ def test_run_wide_code_similarity_equals_brute_force_max_per_patch(
         )
         for k, files in enumerate(patches)
     ]
-    want = []
-    for files in patches:
-        java = [
-            extract.tokenize_code(content)
-            for path, content in files or ()
-            if path.endswith(".java") and content is not None
-        ]
-        want.append(
-            max(
-                similarity.gst_similarity(extract.tokenize_code(d), p, min_match_len=mml)
-                for d in driver_sources
-                for p in java
-            )
-            if driver_sources and java
-            else None
+    want = [
+        _brute_force_max(
+            driver_sources,
+            [c for path, c in files or () if path.endswith(".java") and c is not None],
+            mml,
         )
+        for files in patches
+    ]
     assert similarity.code_similarity(driver, runs) == want
 
 
@@ -494,9 +479,15 @@ def test_pair_whose_bound_is_no_better_than_the_best_is_not_tiled(monkeypatch):
     assert tiled == [driver.code[0]]
 
 
-def test_comment_only_files_on_both_sides_score_one():
+def test_comment_only_files_are_not_compared():
+    # two files without tokens are not an identical pair
     driver = _code({"src/A.java": COMMENT_ONLY}, 9)
     patch = _patch({"src/X.java": "// fixed\n"})
+    assert similarity.code_similarity(driver, [patch]) == [None]
+    assert similarity.gst_similarity("", "") == 1.0
+    # a token-less file beside a real one leaves the real pair's score
+    driver = _code({"src/A.java": COMMENT_ONLY, "src/B.java": "int a = 0;"}, 3)
+    patch = _patch({"src/X.java": "// fixed\n", "src/Y.java": "int b = 1;"})
     assert similarity.code_similarity(driver, [patch]) == [1.0]
 
 
@@ -533,7 +524,7 @@ class TestSimilarityVector:
             "<groupId>junit</groupId><artifactId>junit</artifactId>"
             "</dependency></dependencies></project>"
         )}, project="zelandiya/maui")
-        cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="eclipse/deeplearning4j")
+        cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER})
         vec = _vector(driver, cand_ctx)
         assert "dependency" in vec.applicable
         assert vec.dependency == 1.0  # cand declares 1 dep, shared -> 1/min(2,1)
@@ -541,7 +532,7 @@ class TestSimilarityVector:
 
     def test_mentioned_dependency_counts_for_driver(self):
         # driver declares nothing but the report text names the library
-        cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="eclipse/deeplearning4j")
+        cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER})
         issue = _issue(
             body="The SnowballStemmer dies while training on Swedish tweets",
             project="zelandiya/maui",
@@ -553,7 +544,7 @@ class TestSimilarityVector:
 
     def test_dependency_not_applicable_when_either_side_empty(self):
         driver = _driver({"src/A.java": "class A {}"})
-        cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER}, project="a/b")
+        cand_ctx = _ctx({"build.gradle": GRADLE_STEMMER})
         vec = _vector(driver, cand_ctx)
         _assert_not_applicable(vec, "dependency")
 
@@ -565,14 +556,14 @@ class TestSimilarityVector:
                 '<Button android:id="@+id/save_btn"/></LinearLayout>'
             ),
         }
-        vec = _vector(_driver(dict(files)), _ctx(dict(files), "a/b"))
+        vec = _vector(_driver(dict(files)), _ctx(dict(files)))
         assert {"permission", "ui"} <= vec.applicable
         assert vec.permission == 1.0
         assert vec.ui == 1.0
 
     def test_permission_ui_not_applicable_for_plain_java(self):
         d = _driver({"pom.xml": "<project/>", "src/A.java": "class A {}"})
-        n = _ctx({"AndroidManifest.xml": MANIFEST}, "a/b")
+        n = _ctx({"AndroidManifest.xml": MANIFEST})
         vec = _vector(d, n)
         _assert_not_applicable(vec, "permission")
         _assert_not_applicable(vec, "ui")
@@ -580,7 +571,7 @@ class TestSimilarityVector:
     def test_code_component_uses_patch(self):
         shared = "int a = readHeader(buf); if (a > limit) { throw fail(a); } return a;"
         d = _driver({"src/A.java": shared}, mml=3)
-        n = _ctx({"src/B.java": "class B {}"}, "a/b")
+        n = _ctx({"src/B.java": "class B {}"})
         patch = _patch({"src/Fix.java": shared})
         vec = _vector(d, n, patch)
         assert "code" in vec.applicable
@@ -588,7 +579,7 @@ class TestSimilarityVector:
 
     def test_values_stay_in_unit_interval(self):
         d = _driver({"AndroidManifest.xml": MANIFEST, "src/A.java": "int a = 0;"})
-        n = _ctx({"AndroidManifest.xml": MANIFEST.replace("INTERNET", "CAMERA")}, "a/b")
+        n = _ctx({"AndroidManifest.xml": MANIFEST.replace("INTERNET", "CAMERA")})
         vec = _vector(d, n)
         assert vec.applicable == {"permission", "ui"}
         for name in vec.applicable:

@@ -211,6 +211,15 @@ class FakeSession:
         return response
 
 
+def _raw(status, body, headers=None):
+    """A response holding ``body`` as received, so that requests decodes it."""
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    response.headers.update(headers or {})
+    return response
+
+
 def _live(responses, **kwargs):
     clock = FakeClock()
     session = FakeSession(responses)
@@ -309,13 +318,39 @@ class TestLiveTransport:
         assert 3540 < exc.value.retry_after <= 3600
 
     @pytest.mark.parametrize(
-        "header, wait", [("Wed, 21 Oct 2015 07:28:00 GMT", 0.0), ("soon", None)]
+        "header, wait", [
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0), ("soon", None),
+            # RFC 9110 delay-seconds is ASCII digits; float() reads all of these
+            *((value, None) for value in
+              ("nan", "inf", "-5", "1e3", "1_0", "7.5", "+5", " 7", "\u0663")),
+            pytest.param("9" * 400, None, id="400-digits"), ("0120", 120.0),
+        ]
     )
     def test_past_or_unreadable_retry_after(self, header, wait):
         transport, _, _ = _live([FakeResponse(429, {}, {"Retry-After": header})])
         with pytest.raises(RateLimitError) as exc:
             transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"})
         assert exc.value.retry_after == wait
+
+    @pytest.mark.parametrize("body", [b"<html>Bad gateway</html>", b"", b"[" * 100_000,
+                                      b"[" * 100_000 + b"]" * 100_000],
+                             ids=["html", "empty", "deep-unterminated", "deep"])
+    @pytest.mark.parametrize("endpoint, params", [
+        ("search_issues", {"q": "x", "page": "1", "per_page": "100"}),
+        ("get_issue", {"owner": "o", "repo": "r", "number": "1"}),
+    ])
+    def test_2xx_reply_that_is_not_json_is_a_transport_error(self, endpoint, params, body):
+        transport, _, _ = _live([_raw(200, body)])
+        with pytest.raises(TransportError, match=f"{endpoint} .*not valid JSON"):
+            transport.fetch_raw(endpoint, params)
+
+    def test_error_status_body_that_is_not_json_only_loses_the_message(self):
+        transport, _, _ = _live([_raw(404, b"<html>gone</html>")])
+        assert transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"}) == (404, {})
+        transport, _, _ = _live([_raw(403, b"<html>slow down</html>", {"Retry-After": "7"})])
+        with pytest.raises(RateLimitError) as exc:
+            transport.fetch_raw("get_repo", {"owner": "o", "repo": "r"})
+        assert exc.value.retry_after == 7.0
 
     def test_404_passes_through_for_perform_to_map(self):
         transport, _, _ = _live([FakeResponse(404, {"message": "Not Found"})])
