@@ -38,6 +38,7 @@ from .models import (
     SearchQuery,
     file_kind,
     find_patch_refs,
+    parse_repo_name,
 )
 from .transport import perform
 
@@ -160,8 +161,8 @@ class PlatformClient:
         for ref in ordered:
             try:
                 patch = self._resolve_patch(ref)
-            except NotFoundError:
-                log.warning("patch ref %s does not resolve, skipping", ref)
+            except NotFoundError as exc:
+                log.warning("patch ref %s does not resolve, skipping: %s", ref, exc)
                 continue
             if patch.files:
                 return patch
@@ -177,7 +178,11 @@ class PlatformClient:
             sha = _field(head, "sha", str, "get_pull", "")
             head_repo = _field(head, "repo", dict, "get_pull", {})
             full_name = _field(head_repo, "full_name", str, "get_pull", "")
-            owner, _, repo = (full_name or f"{ref.owner}/{ref.repo}").partition("/")
+            try:
+                owner, repo = parse_repo_name(full_name) if full_name else (ref.owner, ref.repo)
+            except ValueError as exc:
+                # no request can name that repository
+                raise NotFoundError(f"get_pull {ref}: head repository: {exc}") from exc
             entries = self._pages(endpoint, owner=ref.owner, repo=ref.repo, number=ref.ref)
         else:
             endpoint = "get_commit"
@@ -232,7 +237,7 @@ class PlatformClient:
         tree = self._call(
             "get_tree", owner=owner, repo=repo, ref=branch, recursive="1"
         )
-        if tree.get("truncated"):
+        if tree.get("truncated") is True:
             log.warning(
                 "the tree of %s/%s is truncated; its snapshot holds only the files listed",
                 owner, repo,

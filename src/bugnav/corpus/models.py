@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 _ISSUE_URL_RE = re.compile(
     r"https?://github\.com/([\w.-]+)/([\w.-]+)/(?:issues|pull)/(\d+)"
@@ -77,6 +77,21 @@ class SearchQuery:
         return self.text + " " + " ".join(self.qualifiers)
 
 
+# "owner/repo": an owner or repo of "." or ".." is refused (the
+# lookaheads), since each becomes a segment of a request path
+_REPO_NAME = r"(?!\.\.?/)([\w.-]+)/(?!\.\.?(?:#|\Z))([\w.-]+)"
+_ISSUE_REF = _REPO_NAME + "#([1-9][0-9]*)"
+
+
+def parse_repo_name(text: str) -> Tuple[str, str]:
+    """The owner and repo of an "owner/repo" name, by the rule
+    :meth:`IssueRef.parse` reads them with."""
+    m = re.fullmatch(_REPO_NAME, text)
+    if not m:
+        raise ValueError(f"not a repository name: {text!r}")
+    return m.group(1), m.group(2)
+
+
 @dataclass(frozen=True)
 class IssueRef:
     owner: str
@@ -85,11 +100,11 @@ class IssueRef:
 
     @classmethod
     def parse(cls, text: str) -> "IssueRef":
-        """Accept the short "owner/repo#123" form. The number is written
-        as it prints: no issue has number 0, and "#007" is refused, not
-        read as "#7". An owner or repo of "." or ".." is refused (the
-        lookaheads), since each becomes a segment of a request path."""
-        m = re.fullmatch(r"(?!\.\.?/)([\w.-]+)/(?!\.\.?#)([\w.-]+)#([1-9][0-9]*)", text.strip())
+        """Accept the short "owner/repo#123" form, the owner and repo as
+        :func:`parse_repo_name` reads them. The number is written as it
+        prints: no issue has number 0, and "#007" is refused, not read as
+        "#7"."""
+        m = re.fullmatch(_ISSUE_REF, text.strip())
         if not m:
             raise ValueError(f"not an issue reference: {text!r}")
         return cls(m.group(1), m.group(2), int(m.group(3)))

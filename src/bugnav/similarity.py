@@ -10,7 +10,10 @@ Code similarity is greedy string tiling (GST) of token-kind streams,
 laid in one pass over their maximal matches (:func:`_tiles`). One run
 indexes all candidates' Java patch files once (:func:`_index`) and sweeps
 each driver file once against the index for every file pair's maximal
-matches and pair bound (:func:`_matches`, :func:`code_similarity`).
+matches and pair bound (:func:`_matches`, :func:`code_similarity`). Most
+windows of a patch file occur once in the run; the index holds each of
+those as one int and groups only a repeated window by the tokens around
+each of its occurrences.
 
 Every candidate is compared against the same driver, so the driver side
 is prepared once per run (:class:`Driver`), and the dependency,
@@ -40,16 +43,34 @@ def overlap_coefficient(xs: AbstractSet, ys: AbstractSet) -> float:
 
 
 def _index(streams: Sequence, m: int):
-    """Every ``m``-window of every stream, by its tokens and then by the
-    tokens before and after it, an empty slice at a stream's edge. Window
-    ``j`` of stream ``s`` is held as the one int ``j * len(streams) + s``."""
+    """Every ``m``-window of every stream, by its tokens, with the streams:
+    ``(streams, windows)``. Window ``j`` of stream ``s`` is held as the one
+    int ``j * len(streams) + s``. A window that occurs once maps to that
+    bare int, since the tokens around it can be read from its stream. One
+    that occurs again maps to a dict of its ints by the tokens before and
+    after each (:func:`_around`), which keeps periodic streams linear."""
     n = len(streams)
     windows = {}
     for s, b in enumerate(streams):
         for j in range(len(b) - m + 1):
-            around = (b[j - 1 : j], b[j + m : j + m + 1])
-            windows.setdefault(b[j : j + m], {}).setdefault(around, []).append(j * n + s)
-    return n, windows
+            window, g = b[j : j + m], j * n + s
+            held = windows.setdefault(window, g)
+            # g itself comes back only for a window not seen before
+            if held is g:
+                continue
+            if type(held) is int:
+                # the window's second occurrence: group its first as well
+                held = windows[window] = {_around(streams, held, m): [held]}
+            held.setdefault(_around(streams, g, m), []).append(g)
+    return streams, windows
+
+
+def _around(streams, g: int, m: int):
+    """The tokens before and after indexed window ``g``, each an empty
+    slice at its stream's edge."""
+    j, s = divmod(g, len(streams))
+    b = streams[s]
+    return b[j - 1 : j], b[j + m : j + m + 1]
 
 
 def _matches(index, a, m: int):
@@ -61,22 +82,30 @@ def _matches(index, a, m: int):
     ends. The matches on one diagonal of one pair are disjoint, so its
     starts and ends, sorted, alternate and pair up; periodic streams list
     no quadratic number of window pairs."""
-    n, windows = index
+    streams, windows = index
+    n = len(streams)
     # (d * n + s, i): a window pair by diagonal d = j - i and stream s,
     # then by position on the diagonal
     starts, ends = [], []
     for i in range(len(a) - m + 1):
-        groups = windows.get(a[i : i + m])
-        if groups is None:
+        held = windows.get(a[i : i + m])
+        if held is None:
             continue
         # None at a's edges differs from every key, the empty slice too
         before, after = a[i - 1 : i] or None, a[i + m : i + m + 1] or None
         shift = i * n
-        for (token_before, token_after), held in groups.items():
+        if type(held) is int:
+            token_before, token_after = _around(streams, held, m)
             if token_before != before:
-                starts += [(g - shift, i) for g in held]
+                starts.append((held - shift, i))
             if token_after != after:
-                ends += [(g - shift, i) for g in held]
+                ends.append((held - shift, i))
+            continue
+        for (token_before, token_after), group in held.items():
+            if token_before != before:
+                starts += [(g - shift, i) for g in group]
+            if token_after != after:
+                ends += [(g - shift, i) for g in group]
     starts.sort()
     ends.sort()
     matches = defaultdict(list)
@@ -98,9 +127,10 @@ def _tiles(matches, m: int):
     """Greedy string tiling from a pair's maximal matches: repeatedly take
     the longest common unmarked substring. The matches are bucketed by
     length and the buckets taken longest first, each in (i, j) order,
-    which is a round. A match still wholly unmarked becomes a tile;
-    otherwise each piece of its diagonal unmarked on both sides and of
-    ``m`` or more goes to the bucket of its length."""
+    which is a round. A match still wholly unmarked becomes a tile, and one
+    whose every position is marked on either side is dropped; otherwise
+    each piece of its diagonal unmarked on both sides and of ``m`` or more
+    goes to the bucket of its length."""
     buckets = defaultdict(list)
     for i, j, k in matches:
         buckets[k].append((i, j))
@@ -116,6 +146,8 @@ def _tiles(matches, m: int):
         for i, j in sorted(buckets.pop(k, ())):
             # bit t: position t of the match is marked on either side
             taken = (marked_a >> i | marked_b >> j) & span
+            if taken == span:
+                continue
             if not taken:
                 marked_a |= span << i
                 marked_b |= span << j

@@ -201,6 +201,27 @@ def greedy_tiles_reference(a, b, min_match_len):
     return tiles
 
 
+def maximal_matches_reference(a, b, min_match_len):
+    """Every maximal match of ``a`` against ``b`` of min_match_len tokens
+    or more, by brute force over diagonals: a run of equal token pairs on
+    diagonal ``d = j - i`` that neither stream extends at either end.
+
+    Returns a list of (i, j, length), by diagonal and then by i.
+    """
+    matches = []
+    for d in range(1 - len(a), len(b)):
+        run = 0
+        # one step past the diagonal's last pair ends the run left open
+        for i in range(max(0, -d), min(len(a), len(b) - d) + 1):
+            if i < len(a) and i + d < len(b) and a[i] == b[i + d]:
+                run += 1
+                continue
+            if run >= min_match_len:
+                matches.append((i - run, i - run + d, run))
+            run = 0
+    return matches
+
+
 def greedy_coverage_reference(a, b, min_match_len):
     """Total length covered by the reference greedy tiling."""
     return sum(length for _, _, length in greedy_tiles_reference(a, b, min_match_len))

@@ -27,7 +27,7 @@ from bugnav.errors import NotFoundError, TransportError, ValidationError
 from bugnav.extract import CONTEXT_KINDS, build_repo_context
 from bugnav.querygen import SearchQuery
 from oracles import file_kinds_reference, find_patch_refs_reference
-from stubs import StubTransport, put_issue, put_repo_tree, put_search
+from stubs import StubTransport, put_issue, put_pull, put_repo_tree, put_search
 
 
 def _b64(text):
@@ -325,7 +325,7 @@ class TestMalformedPayloads:
     def test_pull_head_not_an_object(self):
         transport = StubTransport()
         _put_issue(transport, "o", "r", 1, body="fixed by https://github.com/o/r/pull/9")
-        _put_pull(transport, "o", "r", 9, [("src/Fix.java", "modified")])
+        put_pull(transport, "o", "r", 9, [("src/Fix.java", "modified")])
         transport.put("get_pull", {"owner": "o", "repo": "r", "number": "9"}, {"head": "abc"})
         client = PlatformClient(transport)
         with pytest.raises(TransportError, match="get_pull"):
@@ -367,20 +367,6 @@ class TestMalformedPayloads:
 JAVA_FIX = "int n = readUTF(buf); if (n > 65535) { throw tooLong(n); }"
 
 
-def _put_pull(transport, owner, repo, number, files, head="f" * 40, head_repo=None):
-    head_repo = head_repo or f"{owner}/{repo}"
-    transport.put(
-        "get_pull",
-        {"owner": owner, "repo": repo, "number": str(number)},
-        {"number": number, "head": {"sha": head, "repo": {"full_name": head_repo}}},
-    )
-    transport.put(
-        "get_pull_files",
-        {"owner": owner, "repo": repo, "number": str(number), "page": "1", "per_page": "100"},
-        [{"filename": p, "status": s, "patch": "@@ -1 +1 @@"} for p, s in files],
-    )
-
-
 class TestFetchPatch:
     def test_pull_request_patch_with_contents(self):
         transport = StubTransport()
@@ -388,7 +374,7 @@ class TestFetchPatch:
             transport, "octo", "demo", 7,
             body="fixed by https://github.com/octo/demo/pull/9",
         )
-        _put_pull(
+        put_pull(
             transport, "octo", "demo", 9,
             [("src/Fix.java", "modified"), ("docs/notes.md", "modified")],
         )
@@ -410,7 +396,7 @@ class TestFetchPatch:
         _put_issue(
             transport, "octo", "demo", 7, body="fixed by https://github.com/octo/demo/pull/9"
         )
-        _put_pull(
+        put_pull(
             transport, "octo", "demo", 9,
             [("src/Fix.java", "modified"), ("src/Old.java", "removed")],
             head="e" * 40, head_repo="forker/demo-fork",
@@ -430,11 +416,43 @@ class TestFetchPatch:
         # the removed file asks for no content at all
         assert [p for e, p in transport.calls if e == "get_file_content"] == [fork_content]
 
+    @pytest.mark.parametrize("head_repo", ["../x", "a", "a/b/c", "o/..", "./r", "a b/c"])
+    def test_pull_whose_head_repository_is_no_name_is_skipped(self, caplog, head_repo):
+        transport = StubTransport()
+        _put_issue(
+            transport, "octo", "demo", 7,
+            body="fixed by https://github.com/octo/demo/pull/9 and in cafe123",
+        )
+        put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")], head_repo=head_repo)
+        transport.put(
+            "get_commit", {"owner": "octo", "repo": "demo", "sha": "cafe123"},
+            {
+                "sha": "cafe123" + "0" * 33,
+                "files": [{"filename": "src/Fix.java", "status": "modified", "patch": "@@"}],
+            },
+        )
+        transport.put(
+            "get_file_content",
+            {"owner": "octo", "repo": "demo", "path": "src/Fix.java", "ref": "cafe123" + "0" * 33},
+            {"content": _b64(JAVA_FIX), "encoding": "base64"},
+        )
+        client = PlatformClient(transport)
+        issue = client.fetch_issue(IssueRef("octo", "demo", 7))
+        with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
+            patch = client.fetch_patch(issue)
+        # the refused pull is skipped like one that is not found
+        assert (patch.ref.kind, patch.ref.ref) == ("commit", "cafe123")
+        assert patch.files[0].new_content == JAVA_FIX
+        contents = [p for e, p in transport.calls if e == "get_file_content"]
+        assert [(p["owner"], p["repo"]) for p in contents] == [("octo", "demo")]
+        assert not any(e == "get_pull_files" for e, _ in transport.calls)
+        assert any(repr(head_repo) in r.getMessage() for r in caplog.records)
+
     def test_pull_files_over_two_pages_keep_their_order(self):
         transport = StubTransport()
         _put_issue(transport, "octo", "demo", 7, body="fix: https://github.com/octo/demo/pull/9")
         paths = [f"docs/note{n:03}.md" for n in range(150)]
-        _put_pull(transport, "octo", "demo", 9, [(p, "modified") for p in paths[:100]])
+        put_pull(transport, "octo", "demo", 9, [(p, "modified") for p in paths[:100]])
         transport.put(
             "get_pull_files",
             {"owner": "octo", "repo": "demo", "number": "9", "page": "2", "per_page": "100"},
@@ -456,7 +474,7 @@ class TestFetchPatch:
             {"owner": "octo", "repo": "demo", "number": "9", "page": "1", "per_page": "100"},
             [],
         )
-        _put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")])
+        put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")])
         transport.put(
             "get_file_content",
             {"owner": "octo", "repo": "demo", "path": "src/Fix.java", "ref": "f" * 40},
@@ -484,7 +502,7 @@ class TestFetchPatch:
             {"owner": "octo", "repo": "demo", "number": "9", "page": "1", "per_page": "100"},
             [],
         )
-        _put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")])
+        put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")])
         transport.put(
             "get_file_content",
             {"owner": "octo", "repo": "demo", "path": "src/Fix.java", "ref": "f" * 40},
@@ -501,7 +519,7 @@ class TestFetchPatch:
             transport, "octo", "demo", 8,
             body="see commit a1b2c3d and https://github.com/octo/demo/pull/9",
         )
-        _put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")])
+        put_pull(transport, "octo", "demo", 9, [("src/Fix.java", "modified")])
         transport.put(
             "get_file_content",
             {"owner": "octo", "repo": "demo", "path": "src/Fix.java", "ref": "f" * 40},
@@ -891,7 +909,8 @@ class TestFetchRepoSnapshot:
         leftovers = {p.suffix for d in tmp_path.iterdir() for p in d.iterdir()}
         assert leftovers == {".json"}
 
-    @pytest.mark.parametrize("truncated", [True, False])
+    # only a JSON true says the tree is truncated
+    @pytest.mark.parametrize("truncated", [True, False, "no", "false", 1])
     def test_truncated_tree_warns_once(self, caplog, truncated):
         transport = StubTransport()
         self._script(transport)
@@ -904,7 +923,7 @@ class TestFetchRepoSnapshot:
             snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
         assert list(snap.files) == ["src/A.java"]
         warned = [r for r in caplog.records if "truncated" in r.getMessage()]
-        assert len(warned) == (1 if truncated else 0)
+        assert len(warned) == (1 if truncated is True else 0)
         assert all("octo/demo" in r.getMessage() for r in warned)
 
     def test_missing_repo_raises(self):

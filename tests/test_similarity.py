@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from oracles import (
     greedy_coverage_reference,
     greedy_similarity_reference,
     greedy_tiles_reference,
+    maximal_matches_reference,
     optimal_coverage,
     overlap_reference,
     shared_cover_reference,
@@ -395,6 +397,65 @@ def test_pair_cover_bounds_each_pairs_coverage(driver_streams, patch_streams, mm
         for p, p_stream in enumerate(patch_streams):
             cover = similarity._covered(swept.get(p, ()))
             assert greedy_coverage_reference(d_stream, p_stream, mml) <= cover
+
+
+@st.composite
+def _indexed_runs(draw):
+    """Patch streams and a driver stream glued from pieces of three sorts:
+    text over six symbols, whose windows mostly occur once; a copy of an
+    earlier piece, whose windows occur again; and a motif of 1-4 symbols
+    repeated, whose windows occur many times. So the index holds windows
+    both as one int and as a group by the tokens around them."""
+    pieces = []
+
+    def piece():
+        sort = draw(st.sampled_from(["text", "copy", "periodic"]))
+        if sort == "copy" and any(pieces):
+            source = draw(st.sampled_from([p for p in pieces if p]))
+            start = draw(st.integers(0, len(source) - 1))
+            pieces.append(source[start : start + draw(st.integers(1, 30))])
+        elif sort == "periodic":
+            motif = draw(st.text("ABCD", min_size=1, max_size=4))
+            pieces.append((motif * 30)[: draw(st.integers(0, 60))])
+        else:
+            pieces.append(draw(st.text("ABCDEF", max_size=30)))
+        return pieces[-1]
+
+    def stream():
+        return "".join(piece() for _ in range(draw(st.integers(0, 3))))
+
+    streams = [stream() for _ in range(draw(st.integers(1, 5)))]
+    return streams, stream()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexed_runs(), st.integers(1, 6))
+@example((["ABCDEF", "xABCDEFy", "ABABABAB"], "ABCDEFABABAB"), 2)
+@example((["ABCABC"], "ABCABCABC"), 3)
+def test_sweep_equals_maximal_matches_reference(case, mml):
+    streams, a = case
+    swept = similarity._matches(similarity._index(streams, mml), a, mml)
+    assert set(swept) <= set(range(len(streams)))
+    for s, b in enumerate(streams):
+        assert swept.get(s, []) == maximal_matches_reference(a, b, mml)
+
+
+def test_index_of_distinct_windows_holds_under_150_bytes_each():
+    # a window that occurs once is held as one int beside its key
+    rng = random.Random(7)
+    m = 9
+    kinds = "".join(extract.KIND_CODES.values())
+    streams = ["".join(rng.choices(kinds, k=3000)) for _ in range(10)]
+    count = sum(len(s) - m + 1 for s in streams)
+    assert len({s[j : j + m] for s in streams for j in range(len(s) - m + 1)}) == count
+    tracemalloc.start()
+    try:
+        index = similarity._index(streams, m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(index[1]) == count
+    assert held < 150 * count
 
 
 # token kinds no _FRAGMENTS line has, so patches can bring kinds new to the driver
