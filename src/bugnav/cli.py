@@ -56,7 +56,7 @@ _CONFIG_FLAGS = {
     "--fixture-dir": dict(dest="fixture_dir", metavar="DIR",
                           help="replay recorded fixtures instead of touching the network"),
     "--cache-dir": dict(dest="cache_dir", metavar="DIR",
-                        help="directory for repository snapshot caching"),
+                        help="store of fetched files, keyed by blob sha"),
     "--token-env": dict(dest="auth_token_source", metavar="VAR",
                         help="environment variable holding the API token"),
     "--language": dict(dest="language_filter", metavar="LANG",

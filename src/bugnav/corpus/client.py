@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import base64
 import functools
+import hashlib
 import itertools
-import json
 import logging
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import AbstractSet, Dict, Iterator, List, Optional
@@ -22,9 +23,7 @@ from ..errors import (
     ValidationError,
     checked_field,
     checked_list,
-    read_json,
 )
-from .fixtures import canonical_key
 from .models import (
     FILE_KINDS,
     MAX_QUERY_LEN,
@@ -49,6 +48,8 @@ _PAGE_SIZE = 100
 # every reply field is read through this: a wrongly shaped reply is a
 # transport failure, not bad input
 _field = functools.partial(checked_field, error=TransportError)
+# a git blob's name: the sha1 of its header and bytes
+_BLOB_SHA = re.compile(r"[0-9a-f]{40}")
 
 
 class PlatformClient:
@@ -195,33 +196,47 @@ class PlatformClient:
         return Patch(ref=ref, files=files)
 
     def _modified_file(
-        self, entry: dict, owner: str, repo: str, sha: str, endpoint: str
+        self, entry: dict, owner: str, repo: str, ref: str, endpoint: str
     ) -> ModifiedFile:
         path = _field(entry, "filename", str, endpoint, "")
         status = _field(entry, "status", str, endpoint, "modified")
         content = None
         # only source files feed the code comparison, so only they are
         # worth a content request; a removed file has none
-        if file_kind(path) == "java" and status != "removed" and sha:
+        if file_kind(path) == "java" and status != "removed" and ref:
             try:
-                content = self._file_content(owner, repo, path, sha)
+                content = self._file_content(owner, repo, path, ref, entry.get("sha"))
             except NotFoundError:
-                log.warning("no content for %s at %s", path, sha[:12])
+                log.warning("no content for %s at %s", path, ref[:12])
         return ModifiedFile(path=path, new_content=content)
 
-    def _file_content(self, owner: str, repo: str, path: str, ref: str) -> str:
+    def _file_content(self, owner: str, repo: str, path: str, ref: str, sha: object) -> str:
+        """The text of ``path`` at ``ref``. With a cache directory and a blob
+        ``sha`` of 40 lowercase hex digits, the file's bytes are read from,
+        and stored to, ``blobs/<sha>`` there; any other ``sha`` (a reply
+        value) is fetched uncached."""
+        blob = None
+        if self._cache_dir is not None and isinstance(sha, str) and _BLOB_SHA.fullmatch(sha):
+            blob = self._cache_dir / "blobs" / sha
+            data = _read_blob(blob, sha)
+            if data is not None:
+                return data.decode("utf-8", errors="replace")
         payload = self._call(
             "get_file_content", owner=owner, repo=repo, path=path, ref=ref
         )
-        data = _field(payload, "content", str, "get_file_content", "")
-        if payload.get("encoding") == "base64":
-            try:
-                return base64.b64decode(data).decode("utf-8", errors="replace")
-            except ValueError as exc:
-                raise TransportError(
-                    f"get_file_content {owner}/{repo} {path}: content is not base64: {exc}"
-                ) from exc
-        return data
+        text = _field(payload, "content", str, "get_file_content", "")
+        if payload.get("encoding") != "base64":
+            return text
+        try:
+            data = base64.b64decode(text)
+        except ValueError as exc:
+            raise TransportError(
+                f"get_file_content {owner}/{repo} {path}: content is not base64: {exc}"
+            ) from exc
+        # only bytes that are the blob the entry names are worth keeping
+        if blob is not None and _git_blob_sha(data) == sha:
+            _store_blob(blob, data)
+        return data.decode("utf-8", errors="replace")
 
     # -- repository snapshots ---------------------------------------------
 
@@ -229,9 +244,11 @@ class PlatformClient:
         self, owner: str, repo: str, kinds: AbstractSet[str] = FILE_KINDS
     ) -> RepoSnapshot:
         """Contents of every file whose :func:`file_kind` is in ``kinds``, at
-        the current head of the default branch. Cached on disk per (repo,
-        head, kinds), so a snapshot of fewer kinds never stands in for one
-        of more."""
+        the current head of the default branch. The tree is requested on
+        every call; each file's content comes from the blob store when its
+        tree entry's ``sha`` is cached there (see :meth:`_file_content`), so
+        a moved head refetches only the files that changed, and a snapshot
+        of other kinds shares the files it has in common."""
         meta = self._call("get_repo", owner=owner, repo=repo)
         branch = _field(meta, "default_branch", str, "get_repo", "") or "main"
         tree = self._call(
@@ -243,85 +260,61 @@ class PlatformClient:
                 owner, repo,
             )
         head = _field(tree, "sha", str, "get_tree", "") or branch
-        cache_path = self._snapshot_cache_path(owner, repo, head, kinds)
-        cached = self._cached_snapshot(cache_path)
-        if cached is not None:
-            return cached
-
-        blobs = [
-            _field(entry, "path", str, "get_tree")
+        blobs = {
+            _field(entry, "path", str, "get_tree"): entry.get("sha")
             for entry in _field(tree, "tree", list, "get_tree", [])
             if entry.get("type") == "blob"
-        ]
-        paths = sorted(path for path in blobs if file_kind(path) in kinds)
+        }
         files: Dict[str, str] = {}
-        for path in paths:
+        for path in sorted(path for path in blobs if file_kind(path) in kinds):
             try:
-                files[path] = self._file_content(owner, repo, path, head)
+                files[path] = self._file_content(owner, repo, path, head, blobs[path])
             except NotFoundError:
                 log.warning("tree lists %s but content fetch failed, skipping", path)
-        self._store_snapshot(cache_path, files)
         return RepoSnapshot(files)
 
-    def _snapshot_cache_path(self, owner, repo, head, kinds) -> Optional[Path]:
-        if self._cache_dir is None:
-            return None
-        # reply values name the file only through a hash, so none can
-        # reach outside the cache directory or overrun a name's length
-        key = canonical_key(
-            "snapshot",
-            {"owner": owner, "repo": repo, "head": head, "kinds": ",".join(sorted(kinds))},
-        )
-        return self._cache_dir / f"{key}.json"
 
-    @staticmethod
-    def _cached_snapshot(path: Optional[Path]) -> Optional[RepoSnapshot]:
-        """The snapshot cached at ``path``, or None on a miss; a cache file
-        that cannot be read or parsed (say, cut short by a crash), or that
-        holds anything but the path-to-text object, is a miss too."""
-        if path is None or not path.is_file():
-            return None
-        try:
-            data = read_json(path, "snapshot cache", ValueError)
-            if not _is_snapshot(data):
-                raise ValueError(f"snapshot cache {path} holds no path-to-text object")
-        except ValueError as exc:
-            log.warning("unreadable snapshot cache (%s), refetching", exc)
-            return None
-        return RepoSnapshot(data)
-
-    @staticmethod
-    def _store_snapshot(path: Optional[Path], files: Dict[str, str]) -> None:
-        """Write ``files`` alone, since the file's name already hashes the
-        repository, head and kinds. Write through a temp file in the cache
-        directory and rename it into place, so concurrent readers and
-        writers never see a partial file."""
-        if path is None:
-            return
-        text = json.dumps(files, sort_keys=True)
-        fd = tmp = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-            out = os.fdopen(fd, "w")
-            fd = None  # the file object owns the descriptor now
-            with out:
-                out.write(text)
-            os.replace(tmp, path)
-        except (OSError, ValueError) as exc:
-            # a cache that cannot be written to, or is full, costs only refetches
-            log.warning("cannot write snapshot cache in %s (%s)", path.parent, exc)
-        finally:
-            if fd is not None:
-                os.close(fd)
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
+def _git_blob_sha(data: bytes) -> str:
+    """The name git gives a file of these bytes."""
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
-def _is_snapshot(data) -> bool:
-    """Whether ``data`` has the shape :meth:`PlatformClient._store_snapshot`
-    writes: an object mapping paths to text."""
-    return isinstance(data, dict) and all(isinstance(text, str) for text in data.values())
+def _read_blob(path: Path, sha: str) -> Optional[bytes]:
+    """The bytes stored at ``path``, or None on a miss. A file whose bytes do
+    not hash to ``sha`` (say, cut short by a crash) is a miss too."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        log.warning("unreadable file cache entry %s (%s), refetching", path, exc)
+        return None
+    if _git_blob_sha(data) != sha:
+        log.warning("damaged file cache entry %s, refetching", path)
+        return None
+    return data
+
+
+def _store_blob(path: Path, data: bytes) -> None:
+    """Write through a temp file in the blob directory and rename it into
+    place, so concurrent readers and writers never see a partial file."""
+    fd = tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        out = os.fdopen(fd, "wb")
+        fd = None  # the file object owns the descriptor now
+        with out:
+            out.write(data)
+        os.replace(tmp, path)
+    except (OSError, ValueError) as exc:
+        # a cache that cannot be written to, or is full, costs only refetches
+        log.warning("cannot write file cache in %s (%s)", path.parent, exc)
+    finally:
+        if fd is not None:
+            os.close(fd)
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _item_ref(item: dict) -> IssueRef:

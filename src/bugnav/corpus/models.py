@@ -174,9 +174,10 @@ class RepoSnapshot:
 def find_patch_refs(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
     """Scan issue texts for patch pointers, in document order.
 
-    Pull request and commit URLs carry their own repository; a bare
-    commit id is taken to belong to the issue's home repository.
-    Duplicates keep their first position.
+    Pull request and commit URLs carry their own repository, and one
+    that :func:`parse_repo_name` refuses (an owner or repo of "..", say)
+    is skipped; a bare commit id is taken to belong to the issue's home
+    repository. Duplicates keep their first position.
     """
     found: List[PatchRef] = []
     seen = set()
@@ -189,11 +190,12 @@ def find_patch_refs(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
     for text in texts:
         if not text:
             continue
-        events = []
-        for m in _PULL_URL_RE.finditer(text):
-            events.append((m.start(), PatchRef("pull", m.group(1), m.group(2), m.group(3))))
-        for m in _COMMIT_URL_RE.finditer(text):
-            events.append((m.start(), PatchRef("commit", m.group(1), m.group(2), m.group(3))))
+        events = [
+            (m.start(), PatchRef(kind, *m.groups()))
+            for kind, url_re in (("pull", _PULL_URL_RE), ("commit", _COMMIT_URL_RE))
+            for m in url_re.finditer(text)
+            if re.fullmatch(_REPO_NAME, f"{m.group(1)}/{m.group(2)}")
+        ]
         url_spans = [m.span() for m in _ANY_URL_RE.finditer(text)]
         url_starts = [start for start, _ in url_spans]
         for m in _BARE_SHA_RE.finditer(text):

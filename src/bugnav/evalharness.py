@@ -8,9 +8,7 @@ access.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .corpus.models import IssueRef
@@ -83,20 +81,6 @@ class EvalReport:
 @dataclass
 class EvalDataset:
     entries: List[EvalEntry] = field(default_factory=list)
-
-    def save(self, path) -> None:
-        lines = []
-        for entry in self.entries:
-            record = {
-                "driver": str(entry.driver),
-                "candidates": [
-                    {"ref": str(c.ref), "factors": c.factors.to_dict()}
-                    for c in entry.candidates
-                ],
-                "relevant": sorted(str(r) for r in entry.relevant),
-            }
-            lines.append(json.dumps(record, sort_keys=True))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "EvalDataset":

@@ -700,9 +700,9 @@ _ANY_URL_RE = re.compile(r"https?://\S+")
 def find_patch_refs_reference(owner: str, repo: str, texts: List[str]) -> List[PatchRef]:
     """Scan issue texts for patch pointers, in document order.
 
-    Pull request and commit URLs carry their own repository; a bare
-    commit id is taken to belong to the issue's home repository.
-    Duplicates keep their first position.
+    Pull request and commit URLs carry their own repository, unless its
+    owner or repo is "." or ".."; a bare commit id is taken to belong to
+    the issue's home repository. Duplicates keep their first position.
     """
     found: List[PatchRef] = []
     seen = set()
@@ -716,10 +716,11 @@ def find_patch_refs_reference(owner: str, repo: str, texts: List[str]) -> List[P
         if not text:
             continue
         events = []
-        for m in _PULL_URL_RE.finditer(text):
-            events.append((m.start(), PatchRef("pull", m.group(1), m.group(2), m.group(3))))
-        for m in _COMMIT_URL_RE.finditer(text):
-            events.append((m.start(), PatchRef("commit", m.group(1), m.group(2), m.group(3))))
+        for kind, url_re in (("pull", _PULL_URL_RE), ("commit", _COMMIT_URL_RE)):
+            for m in url_re.finditer(text):
+                # no request can name an owner or repo of "." or ".."
+                if m.group(1) not in (".", "..") and m.group(2) not in (".", ".."):
+                    events.append((m.start(), PatchRef(kind, *m.groups())))
         url_spans = [m.span() for m in _ANY_URL_RE.finditer(text)]
         for m in _BARE_SHA_RE.finditer(text):
             inside_url = any(s <= m.start(1) < e for s, e in url_spans)

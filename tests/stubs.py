@@ -1,6 +1,7 @@
 """Scripted transports and payload builders shared by the offline tests."""
 
 import base64
+import hashlib
 import json
 
 
@@ -34,6 +35,13 @@ class FixtureScripter:
 
 def b64(text):
     return base64.b64encode(text.encode()).decode()
+
+
+def blob_sha(data):
+    """The name git gives a file of these bytes (or this UTF-8 text)."""
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
 def item(owner, repo, number, title, pull=False):
@@ -104,14 +112,16 @@ def put_file(target, owner, repo, path, ref, content):
 
 
 def put_repo_tree(target, owner, repo, files, head="c" * 40, branch="main"):
-    """Script repo metadata, tree, and file contents in one go."""
+    """Script repo metadata, tree, and file contents in one go; each tree
+    entry carries its blob sha, as the platform's do."""
     target.put("get_repo", {"owner": owner, "repo": repo}, {"default_branch": branch})
     target.put(
         "get_tree",
         {"owner": owner, "repo": repo, "ref": branch, "recursive": "1"},
         {
             "sha": head,
-            "tree": [{"path": p, "type": "blob"} for p in files],
+            "tree": [{"path": p, "type": "blob", "sha": blob_sha(text)}
+                     for p, text in files.items()],
         },
     )
     for path, content in files.items():

@@ -22,7 +22,7 @@ from bugnav import cli, pipeline
 from bugnav.config import RunConfig
 from bugnav.corpus.client import PlatformClient
 from bugnav.corpus.fixtures import FixtureStore, canonical_key
-from bugnav.corpus.models import IssueRef
+from bugnav.corpus.models import FILE_KINDS, IssueRef
 from bugnav.corpus.transport import ReplayTransport
 from bugnav.errors import RateLimitError
 from bugnav.evalharness import EvalDataset
@@ -31,6 +31,7 @@ from stubs import (
     SHARED_QUERY,
     FixtureScripter,
     StubTransport,
+    blob_sha,
     item,
     put_file,
     put_issue,
@@ -193,11 +194,22 @@ class TestRecommend:
     def test_cache_dir_round_trip(self, capsys, fxdir, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir()
+        rc0, out0, _ = _recommend(capsys, fxdir)
         rc1, out1, _ = _recommend(capsys, fxdir, "--cache-dir", str(cache))
+        # the driver's two files; acme/delta's pom.xml is the same blob
+        assert {p.name: p.read_bytes() for p in (cache / "blobs").iterdir()} == {
+            blob_sha(POM): POM.encode(), blob_sha(MAIN_JAVA): MAIN_JAVA.encode(),
+        }
+        # the second run reads them from the store alone
+        for path in ("pom.xml", "src/Main.java"):
+            key = canonical_key("get_file_content", {
+                "owner": "octo", "repo": "driver", "path": path, "ref": "c" * 40,
+            })
+            (fxdir / "payloads" / f"{key}.json").unlink()
         rc2, out2, _ = _recommend(capsys, fxdir, "--cache-dir", str(cache))
-        assert (rc1, rc2) == (0, 0)
-        assert out1 == out2
-        assert list(cache.glob("*.json"))
+        assert (rc0, rc1, rc2) == (0, 0, 0)
+        assert out0 == out1 == out2
+        assert sorted(cache.iterdir()) == [cache / "blobs"]
 
     def test_table_format(self, capsys, fxdir):
         rc, out, _ = _recommend(capsys, fxdir, "--format", "table")
@@ -891,8 +903,10 @@ def test_full_disk_under_the_snapshot_cache_costs_only_the_cache(
         ])
     assert rc == 0
     assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
-    assert any("cannot write snapshot cache" in r.getMessage() for r in caplog.records)
-    assert list(tmp_path.iterdir()) == []
+    # the driver's Java file is the one tree entry with a blob sha
+    warned = [r for r in caplog.records if "cannot write file cache" in r.getMessage()]
+    assert len(warned) == 1 and str(tmp_path / "blobs") in warned[0].getMessage()
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
     # no temp file's descriptor stays open
     assert sorted(os.listdir("/proc/self/fd")) == sorted(open_fds)
 
@@ -923,24 +937,29 @@ def test_replies_odd_only_in_unread_fields_print_the_golden(capsys, tmp_path):
 
 
 def test_snapshot_cache_in_the_earlier_layout_is_a_miss(capsys, caplog, tmp_path):
-    """A cache file that still holds owner, repo and head beside the files
-    is refetched with a warning and rewritten as the files alone."""
+    """Whole-snapshot files that earlier versions wrote, here holding other
+    text for the driver's Java file, are never read: the output is the
+    golden, no warning names them, and they stay as they were."""
     argv = ["recommend", "lightbend/config#398", "--fixture-dir",
             str(ROOT / "fixtures" / "walkthrough"), "--cache-dir", str(tmp_path)]
-    assert _run(capsys, argv)[0] == 0
-    written = {path: path.read_text() for path in tmp_path.iterdir()}
-    assert written
-    for path, text in written.items():
-        files = json.loads(text)
-        assert all(isinstance(content, str) for content in files.values())
-        path.write_text(json.dumps({"owner": "o", "repo": "r", "head": "h", "files": files}))
+    repo = {"owner": "lightbend", "repo": "config", "head": "f00d" * 10}
+    stale = {"config/src/main/java/com/typesafe/config/impl/SerializedConfigValue.java":
+             "class Stale { void f() { } }"}
+    written = {}
+    for key, files in (
+        (dict(repo, kinds=",".join(sorted(FILE_KINDS))), stale),
+        (repo, dict(repo, files=stale)),
+    ):
+        path = tmp_path / f"{canonical_key('snapshot', key)}.json"
+        written[path] = json.dumps(files)
+        path.write_text(written[path])
     with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
         rc, out, _ = _run(capsys, argv)
     assert rc == 0
     assert out.encode() == (ROOT / "fixtures" / "golden" / "walkthrough_output.json").read_bytes()
-    misses = [r for r in caplog.records if "unreadable snapshot cache" in r.getMessage()]
-    assert len(misses) == len(written)
-    assert {path: path.read_text() for path in tmp_path.iterdir()} == written
+    assert caplog.records == []
+    assert {path: path.read_text() for path in written} == written
+    assert len(list((tmp_path / "blobs").iterdir())) == 1
 
 
 def test_long_name_run_and_space_run_in_the_driver(capsys, tmp_path):

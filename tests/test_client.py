@@ -27,7 +27,7 @@ from bugnav.errors import NotFoundError, TransportError, ValidationError
 from bugnav.extract import CONTEXT_KINDS, build_repo_context
 from bugnav.querygen import SearchQuery
 from oracles import file_kinds_reference, find_patch_refs_reference
-from stubs import StubTransport, put_issue, put_pull, put_repo_tree, put_search
+from stubs import StubTransport, blob_sha, put_issue, put_pull, put_repo_tree, put_search
 
 
 def _b64(text):
@@ -171,10 +171,29 @@ def test_find_patch_refs_skips_ids_inside_urls(text, refs):
     assert find_patch_refs("h", "home", [text]) == [PatchRef(*ref) for ref in refs]
 
 
+@pytest.mark.parametrize("url", [
+    "https://github.com/../x/pull/5", "https://github.com/x/../pull/5",
+    "https://github.com/./x/pull/5", "https://github.com/x/./pull/5",
+    "https://github.com/../x/commit/a1b2c3d", "https://github.com/x/../commit/a1b2c3d",
+    "https://github.com/./x/commit/a1b2c3d", "https://github.com/x/./commit/a1b2c3d",
+])
+def test_patch_url_whose_owner_or_repo_no_request_can_name_is_skipped(url):
+    """The owner and repo of a pull or commit URL follow the rule of
+    ``parse_repo_name``: a ".." would be dropped from the request path,
+    so such a link is no ref, and the next one is read."""
+    refs = find_patch_refs("h", "home", [f"see {url} then https://github.com/o/r/pull/6"])
+    assert refs == [PatchRef("pull", "o", "r", "6")]
+    # "..x" and "x.." are names like any other
+    assert find_patch_refs("h", "home", ["https://github.com/..x/x../pull/5"]) == [
+        PatchRef("pull", "..x", "x..", "5")
+    ]
+
+
 # URL openings, pull and commit paths, hex digits, slashes and spaces:
 # ids inside, after and between URLs, and URLs that end at a space
 _REF_PIECES = st.sampled_from([
     "http://", "https://", "https://github.com/o/r/commit/", "https://github.com/o/r/pull/",
+    "https://github.com/../r/pull/", "https://github.com/o/./commit/",
     "github.com/", "#", ".", "-", "x", "/", "/", " ", " ", " ", "\n",
     "0", "1", "9", "a", "b", "e", "f", "abcdef1", "deadbeef", "a1b2c3d",
 ])
@@ -355,7 +374,7 @@ class TestMalformedPayloads:
 
     def test_tree_blob_without_a_path(self):
         transport = StubTransport()
-        _put_repo_tree(transport, "o", "r", [])
+        _put_repo_tree(transport, "o", "r", {})
         transport.put(
             "get_tree", {"owner": "o", "repo": "r", "ref": "main", "recursive": "1"},
             {"sha": "c" * 40, "tree": [{"type": "blob"}]},
@@ -390,6 +409,41 @@ class TestFetchPatch:
         assert [f.path for f in patch.files] == ["src/Fix.java", "docs/notes.md"]
         assert patch.files[0].new_content == JAVA_FIX
         assert patch.files[1].new_content is None  # only code files are fetched
+
+    @pytest.mark.parametrize("kind", ["pull", "commit"])
+    def test_patch_file_with_a_sha_is_served_from_the_store(self, tmp_path, kind):
+        """A pull's or commit's file entry names its blob as a tree entry
+        does, so a second fetch of it reads the blob store."""
+        transport = StubTransport()
+        head = "f" * 40 if kind == "pull" else "a1b2c3d" + "0" * 33
+        entry = {"filename": "src/Fix.java", "status": "modified", "sha": blob_sha(JAVA_FIX)}
+        if kind == "pull":
+            _put_issue(transport, "octo", "demo", 7, body="see https://github.com/octo/demo/pull/9")
+            put_pull(transport, "octo", "demo", 9, [])
+            transport.put(
+                "get_pull_files",
+                {"owner": "octo", "repo": "demo", "number": "9", "page": "1", "per_page": "100"},
+                [entry],
+            )
+        else:
+            _put_issue(transport, "octo", "demo", 7, body="fixed in a1b2c3d")
+            transport.put("get_commit", {"owner": "octo", "repo": "demo", "sha": "a1b2c3d"},
+                          {"sha": head, "files": [entry]})
+        transport.put(
+            "get_file_content",
+            {"owner": "octo", "repo": "demo", "path": "src/Fix.java", "ref": head},
+            {"content": _b64(JAVA_FIX), "encoding": "base64"},
+        )
+        contents = []
+        for _ in range(2):
+            transport.calls.clear()
+            client = PlatformClient(transport, cache_dir=tmp_path)
+            patch = client.fetch_patch(client.fetch_issue(IssueRef("octo", "demo", 7)))
+            assert patch.ref.kind == kind
+            assert patch.files[0].new_content == JAVA_FIX
+            contents.append(len(_requested(transport)))
+        assert contents == [1, 0]
+        assert [p.name for p in (tmp_path / "blobs").iterdir()] == [blob_sha(JAVA_FIX)]
 
     def test_pull_from_a_fork_reads_the_fork_at_its_head(self):
         transport = StubTransport()
@@ -697,33 +751,62 @@ class TestFileKind:
         assert file_kind(path) == next((k for k in _KIND_ORDER if k in kinds), None)
 
 
-def _put_repo_tree(transport, owner, repo, paths, head="c" * 40, branch="main"):
+def _put_repo_tree(transport, owner, repo, files, head="c" * 40, branch="main", shas=None):
+    """Repo metadata and a tree of ``files`` ({path: text}) beside a
+    directory entry; each blob entry carries ``shas[path]`` when given,
+    else the blob sha of its text (a None value leaves it out)."""
+    shas = dict({path: blob_sha(text) for path, text in files.items()}, **(shas or {}))
     transport.put("get_repo", {"owner": owner, "repo": repo}, {"default_branch": branch})
+    blobs = [{"path": p, "type": "blob", "sha": shas[p]} for p in files]
     transport.put(
         "get_tree",
         {"owner": owner, "repo": repo, "ref": branch, "recursive": "1"},
-        {"sha": head, "tree": [{"path": p, "type": "blob"} for p in paths]
+        {"sha": head,
+         "tree": [{k: v for k, v in e.items() if v is not None} for e in blobs]
          + [{"path": "src", "type": "tree"}]},
     )
 
 
+def _requested(transport):
+    """The paths of the content requests made so far, in order."""
+    return [params["path"] for endpoint, params in transport.calls
+            if endpoint == "get_file_content"]
+
+
+def test_blob_sha_is_the_name_git_gives(tmp_path):
+    """The store keeps a file under the name ``git hash-object`` gives it."""
+    hello = "ce013625030ba8dba906f756967f9e9ca394464a"
+    assert blob_sha("hello\n") == hello
+    assert blob_sha("") == "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391"
+    transport = StubTransport()
+    _put_repo_tree(transport, "o", "r", {"A.java": "hello\n"})
+    transport.put(
+        "get_file_content", {"owner": "o", "repo": "r", "path": "A.java", "ref": "c" * 40},
+        {"content": _b64("hello\n"), "encoding": "base64"},
+    )
+    PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("o", "r")
+    assert (tmp_path / "blobs" / hello).read_bytes() == b"hello\n"
+
+
 class TestFetchRepoSnapshot:
-    def _script(self, transport, head="c" * 40):
-        paths = {
-            "src/A.java": "class A {}",
-            "src/B.java": "class B {}",
-            "util/C.java": "class C {}",
-            "pom.xml": "<project/>",
-            "README.md": "# readme",
-        }
-        _put_repo_tree(transport, "octo", "demo", list(paths), head=head)
-        for p, content in paths.items():
+    FILES = {
+        "src/A.java": "class A {}",
+        "src/B.java": "class B {}",
+        "util/C.java": "class C {}",
+        "pom.xml": "<project/>",
+        "README.md": "# readme",
+    }
+
+    def _script(self, transport, head="c" * 40, files=None, shas=None):
+        files = dict(self.FILES, **(files or {}))
+        _put_repo_tree(transport, "octo", "demo", files, head=head, shas=shas)
+        for p, content in files.items():
             transport.put(
                 "get_file_content",
                 {"owner": "octo", "repo": "demo", "path": p, "ref": head},
                 {"content": _b64(content), "encoding": "base64"},
             )
-        return paths
+        return files
 
     def test_default_globs_select_code_and_manifests(self):
         transport = StubTransport()
@@ -750,114 +833,218 @@ class TestFetchRepoSnapshot:
         snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo")
         assert list(snap.files) == ["app/src/main/res/layout-land/main.xml"]
         assert "land_btn" in build_repo_context(snap).ui_elements
-        requested = [params["path"] for endpoint, params in transport.calls
-                     if endpoint == "get_file_content"]
-        assert requested == ["app/src/main/res/layout-land/main.xml"]
+        assert _requested(transport) == ["app/src/main/res/layout-land/main.xml"]
 
     def test_kinds_select_the_files_requested(self):
         transport = StubTransport()
         self._script(transport)
         snap = PlatformClient(transport).fetch_repo_snapshot("octo", "demo", CONTEXT_KINDS)
         assert list(snap.files) == ["pom.xml"]
-        requested = [params["path"] for endpoint, params in transport.calls
-                     if endpoint == "get_file_content"]
-        assert requested == ["pom.xml"]
+        assert _requested(transport) == ["pom.xml"]
 
     @pytest.mark.parametrize(
         "first, then",
         [(CONTEXT_KINDS, FILE_KINDS), (FILE_KINDS, CONTEXT_KINDS)],
         ids=["candidate-then-driver", "driver-then-candidate"],
     )
-    def test_kinds_are_part_of_the_cache_key(self, tmp_path, first, then):
+    def test_one_store_serves_snapshots_of_any_kinds(self, tmp_path, first, then):
+        """A blob is the same blob whatever kinds a snapshot asks for: a
+        candidate's snapshot leaves the driver's only its Java to fetch."""
         transport = StubTransport()
         paths = self._script(transport)
         PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo", first)
         expected = sorted(path for path in paths if file_kind(path) in then)
-        for hit in (False, True):
+        for again in (False, True):
             transport.calls.clear()
             client = PlatformClient(transport, cache_dir=tmp_path)
             snap = client.fetch_repo_snapshot("octo", "demo", then)
             assert sorted(snap.files) == expected
-            requested = sorted(params["path"] for endpoint, params in transport.calls
-                               if endpoint == "get_file_content")
-            # a miss first, since the cache holds other kinds; then a hit
-            assert requested == ([] if hit else expected)
-        assert len(list(tmp_path.iterdir())) == 2
+            missing = [path for path in expected if file_kind(path) not in first]
+            assert sorted(_requested(transport)) == ([] if again else missing)
+        if first == CONTEXT_KINDS:
+            assert missing == ["src/A.java", "src/B.java", "util/C.java"]
+        assert sorted(p.name for p in (tmp_path / "blobs").iterdir()) == sorted(
+            blob_sha(paths[path]) for path in paths if file_kind(path)
+        )
+
+    def test_moved_head_refetches_only_the_changed_file(self, tmp_path):
+        transport = StubTransport()
+        self._script(transport, head="c" * 40)
+        first = PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo")
+        self._script(transport, head="d" * 40, files={"src/B.java": "class B { int b; }"})
+        transport.calls.clear()
+        second = PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo")
+        assert _requested(transport) == ["src/B.java"]
+        assert second.files == dict(first.files, **{"src/B.java": "class B { int b; }"})
+
+    @pytest.mark.parametrize("entry_sha", [True, False], ids=["blob-sha", "no-blob-sha"])
+    def test_moved_branch_of_a_tree_without_sha_is_read_anew(self, tmp_path, entry_sha):
+        """A tree reply without its own sha names no head; the second run
+        on one cache still sees the text the branch now holds."""
+        texts, requested = [], []
+        for text in ("<project>v1</project>", "<project>v2</project>"):
+            transport = StubTransport()
+            files = {"pom.xml": text}
+            _put_repo_tree(transport, "octo", "demo", files,
+                           shas=None if entry_sha else {"pom.xml": None})
+            tree_key = next(key for key in transport.responses if key[0] == "get_tree")
+            del transport.responses[tree_key][1]["sha"]
+            transport.put(
+                "get_file_content",
+                {"owner": "octo", "repo": "demo", "path": "pom.xml", "ref": "main"},
+                {"content": _b64(text), "encoding": "base64"},
+            )
+            client = PlatformClient(transport, cache_dir=tmp_path)
+            texts.append(client.fetch_repo_snapshot("octo", "demo").files["pom.xml"])
+            requested += _requested(transport)
+        assert texts == ["<project>v1</project>", "<project>v2</project>"]
+        assert requested == ["pom.xml", "pom.xml"]
 
     def test_cache_file_of_an_earlier_version_is_a_miss(self, tmp_path):
+        """Whole-snapshot files of earlier versions are never read, nor
+        removed: every file is fetched and stored as a blob."""
         transport = StubTransport()
-        self._script(transport)
-        # earlier versions keyed a snapshot by repository and head alone
-        old = canonical_key("snapshot", {"owner": "octo", "repo": "demo", "head": "c" * 40})
-        stale = {"owner": "octo", "repo": "demo", "head": "c" * 40, "files": {"pom.xml": "old"}}
-        (tmp_path / f"{old}.json").write_text(json.dumps(stale))
+        files = self._script(transport)
+        stale = {}
+        for key in (
+            {"owner": "octo", "repo": "demo", "head": "c" * 40},
+            {"owner": "octo", "repo": "demo", "head": "c" * 40,
+             "kinds": ",".join(sorted(FILE_KINDS))},
+        ):
+            path = tmp_path / f"{canonical_key('snapshot', key)}.json"
+            path.write_text(json.dumps({"pom.xml": "old", "files": {"pom.xml": "old"}}))
+            stale[path] = path.read_text()
         snap = PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo")
         assert snap.files["pom.xml"] == "<project/>"
-        assert "src/A.java" in snap.files
+        assert sorted(_requested(transport)) == sorted(snap.files)
+        assert {path: path.read_text() for path in stale} == stale
+        assert len(list((tmp_path / "blobs").iterdir())) == len(snap.files)
+        assert snap.files == {p: t for p, t in files.items() if file_kind(p)}
 
     def test_second_fetch_served_from_cache(self, tmp_path):
         transport = StubTransport()
         self._script(transport)
         client = PlatformClient(transport, cache_dir=tmp_path)
         first = client.fetch_repo_snapshot("octo", "demo")
-        # the file's name keys the repository, head and kinds; it holds the files
-        (cache_file,) = tmp_path.iterdir()
-        assert json.loads(cache_file.read_text()) == first.files
+        # one file per blob, named by its sha and holding its bytes
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "blobs"]
+        stored = {p.name: p.read_bytes() for p in (tmp_path / "blobs").iterdir()}
+        assert stored == {blob_sha(text): text.encode() for text in first.files.values()}
         calls_after_first = len(transport.calls)
         second = client.fetch_repo_snapshot("octo", "demo")
         assert second == first
         # only the head lookup (repo + tree) repeats; contents come from disk
         assert len(transport.calls) == calls_after_first + 2
-        assert any(p.suffix == ".json" for p in tmp_path.iterdir())
 
-    @pytest.mark.parametrize("head", ["x/../../../escaped", "c" * 300], ids=["dots", "long"])
-    def test_cache_file_stays_in_the_cache_dir(self, tmp_path, head):
+    @pytest.mark.parametrize(
+        "sha",
+        ["x/../../../escaped", "c" * 300, None, 5, "C" * 40, "c" * 39, "c" * 40 + "\n", "../x"],
+        ids=["dots", "long", "missing", "number", "upper", "short", "newline", "parent"],
+    )
+    def test_cache_file_stays_in_the_cache_dir(self, tmp_path, caplog, sha):
+        """An entry whose sha is no blob name is fetched uncached, on every
+        fetch: no file is looked up by it, not even one planted under that
+        name, and nothing is written anywhere."""
         transport = StubTransport()
-        self._script(transport, head)
+        self._script(transport, shas={"src/A.java": sha})
         # deep enough that a "../" in the name stays inside tmp_path
         cache = tmp_path / "a" / "b" / "cache"
+        (cache / "blobs").mkdir(parents=True)
+        planted = []
+        if isinstance(sha, str):
+            try:
+                (cache / "blobs" / sha).write_text("class A { planted }")
+                planted.append(
+                    (cache / "blobs" / sha).resolve().relative_to(tmp_path.resolve()).as_posix()
+                )
+            except OSError:
+                pass  # too long, or under a directory that does not exist
         client = PlatformClient(transport, cache_dir=cache)
-        first = client.fetch_repo_snapshot("octo", "demo")
-        calls_after_first = len(transport.calls)
-        assert client.fetch_repo_snapshot("octo", "demo") == first
-        assert len(transport.calls) == calls_after_first + 2
-        assert [p.parent for p in tmp_path.rglob("*.json")] == [cache]
+        with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
+            first = client.fetch_repo_snapshot("octo", "demo")
+            transport.calls.clear()
+            assert client.fetch_repo_snapshot("octo", "demo") == first
+        assert first.files["src/A.java"] == "class A {}"
+        assert _requested(transport) == ["src/A.java"]
+        assert caplog.records == []
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted(planted + [
+            f"a/b/cache/blobs/{blob_sha(text)}"
+            for path, text in first.files.items() if path != "src/A.java"
+        ])
 
-    def test_truncated_cache_file_is_refetched(self, tmp_path):
-        transport = StubTransport()
-        self._script(transport)
+    def _damage_a_blob(self, tmp_path, transport, damage, caplog):
+        """Fetch, write ``damage`` over src/A.java's blob, fetch again; the
+        second fetch's requests and warnings, and the blob's bytes after."""
         client = PlatformClient(transport, cache_dir=tmp_path)
         first = client.fetch_repo_snapshot("octo", "demo")
-        (cache_file,) = tmp_path.iterdir()
-        text = cache_file.read_text()
-        cache_file.write_text(text[: len(text) // 2])
-        calls_before = len(transport.calls)
-        again = client.fetch_repo_snapshot("octo", "demo")
-        assert again == first
-        # repo + tree + one content fetch per snapshot file
-        assert len(transport.calls) == calls_before + 2 + len(first.files)
-        assert cache_file.read_text() == text
-
-    @pytest.mark.parametrize("damage", [
-        {"src/A.java": 5}, {"files": ["src/A.java"]}, {"head": None},
-        "[]", "[" * 100_000,
-    ], ids=["content", "files", "head", "array", "deep"])
-    def test_malformed_cache_file_is_refetched(self, tmp_path, caplog, damage):
-        transport = StubTransport()
-        self._script(transport)
-        client = PlatformClient(transport, cache_dir=tmp_path)
-        first = client.fetch_repo_snapshot("octo", "demo")
-        (cache_file,) = tmp_path.iterdir()
-        text = cache_file.read_text()
-        if isinstance(damage, dict):
-            damage = json.dumps(dict(json.loads(text), **damage))
-        cache_file.write_text(damage)
-        calls_before = len(transport.calls)
+        blob = tmp_path / "blobs" / blob_sha("class A {}")
+        blob.write_bytes(damage(blob.read_bytes()))
+        transport.calls.clear()
         with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
             assert client.fetch_repo_snapshot("octo", "demo") == first
-        assert any("unreadable snapshot cache" in r.getMessage() for r in caplog.records)
-        assert len(transport.calls) == calls_before + 2 + len(first.files)
-        assert cache_file.read_text() == text
+        warned = [r.getMessage() for r in caplog.records if "file cache" in r.getMessage()]
+        return _requested(transport), warned, blob.read_bytes()
+
+    def test_truncated_cache_file_is_refetched(self, tmp_path, caplog):
+        transport = StubTransport()
+        self._script(transport)
+        requested, warned, after = self._damage_a_blob(
+            tmp_path, transport, lambda data: data[: len(data) // 2], caplog
+        )
+        assert requested == ["src/A.java"]
+        assert len(warned) == 1 and blob_sha("class A {}") in warned[0]
+        assert after == b"class A {}"
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data.replace(b"A", b"Z"),
+        lambda data: json.dumps({"src/A.java": data.decode()}).encode(),
+        lambda data: b"class A { int moved; }",
+        lambda data: b"[]",
+        lambda data: b"[" * 100_000,
+    ], ids=["content", "files", "head", "array", "deep"])
+    def test_malformed_cache_file_is_refetched(self, tmp_path, caplog, damage):
+        """A blob whose bytes are not its name's: one byte changed, the old
+        snapshot JSON, the file's text at another head, JSON of any shape."""
+        transport = StubTransport()
+        self._script(transport)
+        requested, warned, after = self._damage_a_blob(tmp_path, transport, damage, caplog)
+        assert requested == ["src/A.java"]
+        assert len(warned) == 1 and "damaged" in warned[0]
+        assert after == b"class A {}"
+
+    def test_bytes_that_are_not_the_blob_are_returned_not_stored(self, tmp_path):
+        transport = StubTransport()
+        self._script(transport, shas={"src/A.java": blob_sha("class A { other }")})
+        for again in (False, True):
+            transport.calls.clear()
+            snap = PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo")
+            assert snap.files["src/A.java"] == "class A {}"
+            assert _requested(transport) == (["src/A.java"] if again else sorted(snap.files))
+        assert not (tmp_path / "blobs" / blob_sha("class A { other }")).exists()
+        assert not (tmp_path / "blobs" / blob_sha("class A {}")).exists()
+
+    @pytest.mark.parametrize("reply", [
+        {"content": "", "encoding": "none"},
+        {"content": "class A \ud800 {}"},
+        {"content": "class A {}"},
+    ], ids=["over-a-megabyte", "lone-surrogate", "plain-text"])
+    def test_content_that_is_not_base64_is_returned_not_stored(self, tmp_path, reply):
+        """The platform answers a file over 1 MB with no bytes; text that is
+        not base64 is passed on as it is."""
+        transport = StubTransport()
+        self._script(transport)
+        transport.put(
+            "get_file_content",
+            {"owner": "octo", "repo": "demo", "path": "src/A.java", "ref": "c" * 40}, reply,
+        )
+        for again in (False, True):
+            transport.calls.clear()
+            snap = PlatformClient(transport, cache_dir=tmp_path).fetch_repo_snapshot("octo", "demo")
+            assert snap.files["src/A.java"] == reply["content"]
+            assert _requested(transport) == (["src/A.java"] if again else sorted(snap.files))
+        assert not (tmp_path / "blobs" / blob_sha("class A {}")).exists()
 
     @pytest.mark.parametrize("name", ["a-file", "nul\x00byte"])
     def test_unwritable_cache_dir_warns_and_fetches(self, tmp_path, caplog, name):
@@ -868,7 +1055,7 @@ class TestFetchRepoSnapshot:
         client = PlatformClient(transport, cache_dir=tmp_path / name)
         with caplog.at_level(logging.WARNING, logger="bugnav.corpus.client"):
             assert client.fetch_repo_snapshot("octo", "demo") == expected
-        assert any("cannot write snapshot cache" in r.getMessage() for r in caplog.records)
+        assert any("cannot write file cache" in r.getMessage() for r in caplog.records)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
     def test_concurrent_fetches_share_cache_safely(self, tmp_path):
@@ -881,7 +1068,7 @@ class TestFetchRepoSnapshot:
 
         def fetch():
             # each round starts on an empty cache, so threads write the
-            # same file while others read it
+            # same files while others read them
             try:
                 for k in range(rounds):
                     client = PlatformClient(transport, cache_dir=tmp_path / str(k))
@@ -906,8 +1093,12 @@ class TestFetchRepoSnapshot:
         assert errors == []
         assert len(results) == 2 * n_threads * rounds
         assert all(r == expected for r in results)
-        leftovers = {p.suffix for d in tmp_path.iterdir() for p in d.iterdir()}
-        assert leftovers == {".json"}
+        # every round's store holds each blob once, and no temp file
+        blobs = sorted(blob_sha(text) for text in expected.files.values())
+        for d in tmp_path.iterdir():
+            assert sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()) == [
+                f"blobs/{sha}" for sha in blobs
+            ]
 
     # only a JSON true says the tree is truncated
     @pytest.mark.parametrize("truncated", [True, False, "no", "false", 1])

@@ -1,6 +1,8 @@
 """Precision@k, MRR, dataset IO, and the raw-vs-reranked report."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,10 @@ from bugnav.corpus.models import IssueRef
 from bugnav.errors import ValidationError
 from bugnav.evalharness import EvalDataset, EvalEntry, LabeledCandidate
 from bugnav.ranking import FactorVector, WeightConfig
+
+# the fixture generator writes the committed dataset; no CLI path writes one
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from make_demo_fixtures import save_dataset  # noqa: E402
 
 
 def _ref(n, repo="demo"):
@@ -142,13 +148,13 @@ class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         dataset = _dataset_rank4_story()
-        dataset.save(path)
+        save_dataset(dataset, path)
         loaded = EvalDataset.load(path)
         assert loaded == dataset
 
     def test_file_is_line_delimited_json(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        _dataset_rank4_story().save(path)
+        save_dataset(_dataset_rank4_story(), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
@@ -164,7 +170,7 @@ class TestDatasetIO:
         """Rows end at a line feed only; str.splitlines would also break here."""
         path = tmp_path / "labels.jsonl"
         dataset = _dataset_rank4_story()
-        dataset.save(path)
+        save_dataset(dataset, path)
         record = json.loads(path.read_text(encoding="utf-8"))
         record["note"] = f"a{separator}b"
         path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
@@ -173,7 +179,7 @@ class TestDatasetIO:
     def test_crlf_file_loads(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         dataset = EvalDataset(entries=_dataset_rank4_story().entries * 2)
-        dataset.save(path)
+        save_dataset(dataset, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert EvalDataset.load(path) == dataset
 

@@ -8,6 +8,7 @@ suite compares against byte-for-byte. Rerun it after changing fixture
 content or the structured output format, then commit the result.
 """
 
+import hashlib
 import io
 import json
 import shutil
@@ -95,13 +96,41 @@ class Scripter:
             {"content": b64(content), "encoding": "base64"},
         )
 
-    def tree(self, owner, repo, head, paths, branch="main"):
+    def tree(self, owner, repo, head, files, branch="main"):
+        """Repository metadata and its tree. ``files`` is a list of paths, or
+        a {path: text} map whose entries each carry their git blob sha."""
         self.put("get_repo", {"owner": owner, "repo": repo}, {"default_branch": branch})
+        entries = [{"path": p, "type": "blob"} for p in files]
+        if isinstance(files, dict):
+            for entry in entries:
+                entry["sha"] = blob_sha(files[entry["path"]])
         self.put(
             "get_tree",
             {"owner": owner, "repo": repo, "ref": branch, "recursive": "1"},
-            {"sha": head, "tree": [{"path": p, "type": "blob"} for p in paths]},
+            {"sha": head, "tree": entries},
         )
+
+
+def blob_sha(text):
+    """The sha git names a file of this UTF-8 text by."""
+    data = text.encode()
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+def save_dataset(dataset, path):
+    """Write ``dataset`` as the JSONL file ``EvalDataset.load`` reads: one
+    sorted-key object per entry."""
+    lines = [
+        json.dumps({
+            "driver": str(entry.driver),
+            "candidates": [
+                {"ref": str(c.ref), "factors": c.factors.to_dict()} for c in entry.candidates
+            ],
+            "relevant": sorted(str(r) for r in entry.relevant),
+        }, sort_keys=True)
+        for entry in dataset.entries
+    ]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def search_item(owner, repo, number, title, pull=False):
@@ -490,7 +519,7 @@ def build_walkthrough():
              title="UTFDataFormatException in SerializedConfigValue",
              body=DRIVER_BODY, state="open")
     driver_java = "config/src/main/java/com/typesafe/config/impl/SerializedConfigValue.java"
-    fx.tree("lightbend", "config", DRIVER_HEAD, [driver_java])
+    fx.tree("lightbend", "config", DRIVER_HEAD, {driver_java: DRIVER_JAVA})
     fx.blob("lightbend", "config", driver_java, DRIVER_HEAD, DRIVER_JAVA)
 
     fx.search(WALKTHROUGH_QUERY, [
@@ -501,7 +530,7 @@ def build_walkthrough():
     for name, number, title in CANDIDATES:
         fx.issue(name, name, number, title=title, body=bodies[name],
                  comments=NEUTRAL_COMMENTS[name], pull=(name == "geotools"))
-        fx.tree(name, name, "ab" * 20, [])
+        fx.tree(name, name, "ab" * 20, {})
 
     geo_java = "modules/library/main/src/main/java/org/geotools/data/util/SimpleFeatureIO.java"
     fx.pull("geotools", "geotools", 2156, GEO_HEAD, [geo_java])
@@ -631,7 +660,7 @@ def build_eval():
             relevant=frozenset(),
         ),
     ]
-    EvalDataset(entries).save(EVAL / "dataset.jsonl")
+    save_dataset(EvalDataset(entries), EVAL / "dataset.jsonl")
 
 
 def golden_eval():
